@@ -7,8 +7,6 @@ streams come from the counter-based Philox generator keyed on
 of thread scheduling and batch sizes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import modem
@@ -18,25 +16,6 @@ _KEY_SALT = 0x9E3779B97F4A7C15
 
 # reserved stream id for the transmit-energy calibration batch
 CALIBRATION_STREAM = 0xEB
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """AWGN channel description: operating point plus optional matrix factors.
-
-    ``h1`` (N x N) and ``h2`` (M x M) default to identity, which is the plain
-    AWGN case.
-    """
-
-    ebn0_db: float
-    bits_per_symbol: int
-    rng_seed: int = 0
-    h1: np.ndarray | None = None
-    h2: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.bits_per_symbol < 1:
-            raise ValueError("bits_per_symbol must be at least 1")
 
 
 def substream(master_seed, stream, index=0):

@@ -88,8 +88,8 @@ def build_effective_model(a, b, y_tf, h1=None, h2=None):
     a = numerics.as_matrix(a)
     b = numerics.as_matrix(b)
     y_tf = np.asarray(y_tf, dtype=complex)
-    g = a if h1 is None else numerics.matmul(np.asarray(h1, complex), a)
-    h = b if h2 is None else numerics.matmul(np.asarray(h2, complex), b)
+    g = a if h1 is None else numerics.as_matrix(h1) @ a
+    h = b if h2 is None else numerics.as_matrix(h2) @ b
     if y_tf.shape != (g.shape[0], h.shape[0]):
         raise ValueError(
             f"observation shape {y_tf.shape} does not match ({g.shape[0]}, {h.shape[0]})"
@@ -394,58 +394,28 @@ def soft_clip(w, d):
     return axis(w.real) + 1j * axis(w.imag)
 
 
-def im_soft_decode(
-    model,
-    omega,
-    iterations,
-    clip_scale=2**-0.5,
-    schedule="iterations",
-    eta=None,
-    update="anchored",
-):
+def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     """Iterative decoding with a shrinking soft clipper.
 
-    Iterates ``r = 1..iterations`` with threshold ``d_r = max(0, 1 - r/H)``
-    where ``H`` is the iteration count (``schedule="iterations"``, default)
-    or a supplied overloading factor (``schedule="overloading"``).  Each step
-    forms the clipped tentative frame ``s = clip(w, d_r)`` in units of
-    ``clip_scale`` (the constellation's per-axis magnitude) and applies the
-    relaxed update.
-
-    ``update="anchored"`` (default) anchors the step on the clipped iterate,
-    ``w <- omega * (w_0 - C(s)) + s``: its fixed point is the
-    interference-cancelled observation, stable under noise.
-    ``update="literal"`` uses ``w <- omega * (w_0 - C(s)) + w``, whose
-    saturated fixed point must absorb the noise and therefore accumulates it;
-    kept for comparison experiments.
+    Iterates ``r = 1..H`` with threshold ``d_r = max(0, 1 - r/H)``, where
+    ``H = iterations``.  Each step forms the clipped tentative frame
+    ``s = clip(w, d_r)`` in units of ``clip_scale`` (the constellation's
+    per-axis magnitude) and applies the relaxed update anchored on the
+    clipped iterate, ``w <- omega * (w_0 - C(s)) + s``, whose fixed point is
+    the interference-cancelled observation, stable under noise.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if schedule == "iterations":
-        horizon = float(iterations)
-    elif schedule == "overloading":
-        if eta is None or eta <= 0:
-            raise ValueError("the overloading schedule needs a positive eta")
-        horizon = float(eta)
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    if update not in ("anchored", "literal"):
-        raise ValueError(f"unknown update {update!r}")
     op = distortion_operator(model)
     w0 = matched_filter_estimate(model)
-    w = w0.copy()
+    w = w0
     for r in range(1, iterations + 1):
-        d = max(0.0, 1.0 - r / horizon)
+        d = max(0.0, 1.0 - r / iterations)
         s = clip_scale * soft_clip(w / clip_scale, d)
-        step = omega * (w0 - op(s))
-        w = step + (s if update == "anchored" else w)
+        w = omega * (w0 - op(s)) + s
     return w
 
 
 def hard_demap(w, constellation):
     """Entrywise nearest constellation point; ties break to the lowest index."""
-    w = np.asarray(w, dtype=complex)
-    flat = w.reshape(-1)
-    dist = np.abs(flat[:, None] - constellation.points[None, :])
-    idx = np.argmin(dist, axis=1)
-    return constellation.points[idx].reshape(w.shape)
+    return constellation.points[constellation.nearest(w)]

@@ -3,8 +3,11 @@
 A sweep maps a decoder over an (Eb/N0 x omega) grid of cells.  Every random
 draw inside a cell comes from a Philox substream keyed on
 ``(master_seed, cell_index, frame_index)``, so results are bit-identical
-regardless of worker count or execution order.  Failed cells are recorded
-with a diagnostic and do not abort the sweep.
+regardless of worker count or execution order.  A cell whose effective
+model is singular (:class:`detect.SingularModelError`) is recorded as failed,
+with the message in ``BerCell.error``, and the other cells still run; any
+other exception aborts the sweep.  Configurations are validated when a
+:class:`SweepConfig` is built, so a bad value fails before any cell runs.
 
 Output contract: one CSV row per cell (see :func:`emit_results`) plus a JSON
 sidecar holding the fully resolved configuration and its hash.
@@ -14,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +27,39 @@ import numpy as np
 
 from . import channel, detect, modem
 
-DECODERS = ("matched", "im_soft", "sd2d", "sd2d_im_init")
+
+def _matched(runner, model, omega):
+    return detect.matched_filter_estimate(model), None
+
+
+def _im_soft(runner, model, omega):
+    return runner.im_soft(model, omega), None
+
+
+def _sd2d(runner, model, omega):
+    est, _, counter = detect.sd2d_decode(model, runner.constellation, runner.cfg.k_list)
+    return est, counter
+
+
+def _sd2d_im_init(runner, model, omega):
+    initial = detect.hard_demap(runner.im_soft(model, omega), runner.constellation)
+    radius = None if runner.cfg.radius_policy == "im_init" else np.inf
+    est, _, counter = detect.sd2d_decode(
+        model, runner.constellation, runner.cfg.k_list, radius_sq=radius, initial=initial
+    )
+    return est, counter
+
+
+# decoder name -> (decode step, whether the decoder takes omega).  A step maps
+# (runner, model, omega) to (estimate, OpCounter or None) and looks the detect
+# functions up when called, so wrappers installed on the module see the calls.
+_DECODER_TABLE = {
+    "matched": (_matched, False),
+    "im_soft": (_im_soft, True),
+    "sd2d": (_sd2d, False),
+    "sd2d_im_init": (_sd2d_im_init, True),
+}
+DECODERS = tuple(_DECODER_TABLE)
 RADIUS_POLICIES = ("im_init", "infinite")
 WORKERS_ENV = "DDMOD_WORKERS"
 
@@ -44,6 +80,8 @@ _JSON_KEYS = {
     "min_bit_errors": "min_bit_errors",
     "max_frames": "max_frames",
 }
+
+_INT_FIELDS = ("m", "n", "iterations", "k_list", "master_seed", "min_bit_errors", "max_frames")
 
 
 @dataclass(frozen=True)
@@ -70,16 +108,31 @@ class SweepConfig:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.radius_policy not in RADIUS_POLICIES:
             raise ValueError(f"radius_policy must be one of {RADIUS_POLICIES}")
-        if len(self.ebn0_db_points) < 1:
-            raise ValueError("at least one Eb/N0 point is required")
+        for field in _INT_FIELDS:
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+        modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
+        modem.get_constellation(self.constellation)
+        if self.iterations < 1 or self.k_list < 1:
+            raise ValueError("iterations and k_list must be at least 1")
         if self.min_bit_errors < 1 or self.max_frames < 1:
             raise ValueError("min_bit_errors and max_frames must be at least 1")
         object.__setattr__(self, "ebn0_db_points", tuple(float(x) for x in self.ebn0_db_points))
         object.__setattr__(self, "omega_values", tuple(float(x) for x in self.omega_values))
+        if len(self.ebn0_db_points) < 1:
+            raise ValueError("at least one Eb/N0 point is required")
+        # +inf is the noiseless operating point
+        if any(math.isnan(e) or e == -math.inf for e in self.ebn0_db_points):
+            raise ValueError(f"Eb/N0 points must be numbers or +inf, got {self.ebn0_db_points}")
+        if self.uses_omega and len(self.omega_values) < 1:
+            raise ValueError(f"decoder {self.decoder!r} needs at least one omega value")
+        if not all(math.isfinite(w) for w in self.omega_values):
+            raise ValueError(f"omega values must be finite, got {self.omega_values}")
 
     @property
     def uses_omega(self):
-        return self.decoder in ("im_soft", "sd2d_im_init")
+        return _DECODER_TABLE[self.decoder][1]
 
     @property
     def eta(self):
@@ -187,30 +240,12 @@ class _CellRunner:
         zero_obs = np.zeros((cfg.n, cfg.m), dtype=complex)
         self.base_model = detect.build_effective_model(self.a, self.b, zero_obs)
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
+        self.decode_step = _DECODER_TABLE[cfg.decoder][0]
 
-    def decode(self, model, omega):
-        cfg = self.cfg
-        counter = None
-        if cfg.decoder == "matched":
-            est = detect.matched_filter_estimate(model)
-        elif cfg.decoder == "im_soft":
-            est = detect.im_soft_decode(
-                model, omega, cfg.iterations, clip_scale=self.constellation.axis_magnitude
-            )
-        elif cfg.decoder == "sd2d":
-            est, _, counter = detect.sd2d_decode(model, self.constellation, cfg.k_list)
-        elif cfg.decoder == "sd2d_im_init":
-            soft = detect.im_soft_decode(
-                model, omega, cfg.iterations, clip_scale=self.constellation.axis_magnitude
-            )
-            initial = detect.hard_demap(soft, self.constellation)
-            radius = None if cfg.radius_policy == "im_init" else np.inf
-            est, _, counter = detect.sd2d_decode(
-                model, self.constellation, cfg.k_list, radius_sq=radius, initial=initial
-            )
-        else:  # pragma: no cover - guarded by SweepConfig validation
-            raise ValueError(cfg.decoder)
-        return est, counter
+    def im_soft(self, model, omega):
+        return detect.im_soft_decode(
+            model, omega, self.cfg.iterations, clip_scale=self.constellation.axis_magnitude
+        )
 
     def run_cell(self, cell_index, ebn0_db, omega):
         cfg = self.cfg
@@ -227,7 +262,7 @@ class _CellRunner:
                 rx = channel.awgn(tx, sigma_sq, rng)
                 y_tf = modem.wigner_rect(rx, self.params)
                 model = detect.refresh_observation(self.base_model, y_tf)
-                est, counter = self.decode(model, omega)
+                est, counter = self.decode_step(self, model, omega)
                 bits_hat = modem.demap_symbols(est, self.constellation)
                 cell.bit_errors += int(np.sum(bits_hat != bits))
                 cell.bits_sent += self.bits_per_frame
@@ -269,7 +304,10 @@ def _cell_task(args):
 def default_workers():
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

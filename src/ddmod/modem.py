@@ -85,6 +85,12 @@ class Constellation:
         """Mean per-axis magnitude, the soft clipper's saturation scale."""
         return float(np.mean(np.abs(self.points.real)))
 
+    def nearest(self, w):
+        """Entrywise index of the nearest point; ties break to the lowest index."""
+        w = np.asarray(w, dtype=complex)
+        dist = np.abs(w.reshape(-1)[:, None] - self.points[None, :])
+        return np.argmin(dist, axis=1).reshape(w.shape)
+
 
 def qpsk():
     """Gray-mapped unit-energy QPSK.
@@ -207,11 +213,6 @@ def demap_symbols(frame, constellation):
     Ties break toward the lowest constellation index, so the demap is
     deterministic for any input.
     """
-    sym = np.asarray(frame, dtype=complex).reshape(-1)
-    dist = np.abs(sym[:, None] - constellation.points[None, :])
-    idx = np.argmin(dist, axis=1)
+    idx = constellation.nearest(frame).reshape(-1, 1)
     bps = constellation.bits_per_symbol
-    out = np.zeros((sym.size, bps), dtype=int)
-    for j in range(bps):
-        out[:, j] = (idx >> (bps - 1 - j)) & 1
-    return out.reshape(-1)
+    return ((idx >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)

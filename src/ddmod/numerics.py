@@ -80,26 +80,3 @@ def dirichlet_sq(x, k):
         return float(out)
     return out
 
-
-def matmul(a, b):
-    """Matrix product with an explicit dimension check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a):
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def frobenius_sq(a):
-    """Squared Frobenius norm, ``sum |a_ij|^2``."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.sum(np.abs(a) ** 2))
-
-
-def scale(a, c):
-    """Scalar multiple of a matrix."""
-    return as_matrix(a) * complex(c)

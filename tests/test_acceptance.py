@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ddmod import channel, detect, harness, modem, zak
+from ddmod import channel, detect, harness, modem, properties, zak
 
 
 def report(tag, ok, detail=""):
@@ -49,16 +49,12 @@ def test_criterion_1_overloading_factors():
 def test_criterion_2_operation_counts():
     """Instrumented single-candidate sweep counts equal the closed forms."""
     start = time.perf_counter()
-    q = modem.qpsk()
     ref_seen = []
     for m, n in [(2, 2), (4, 4), (4, 8), (16, 16)]:
-        a = modem.build_doppler_matrix(0.9, n)
-        b = modem.build_delay_matrix(0.9, m)
-        model = detect.build_effective_model(a, b, np.ones((n, m), dtype=complex))
-        _, _, counter = detect.sd2d_decode(model, q, k_list=1)
+        assert properties.check_counter_conformance(n, m, 0.9, 0.9) == 0.0, (m, n)
         want = detect.predicted_complexity(m, n)
-        assert counter.complex_mults == want.mults == m * n * (min(m, n) + 3) // 2
-        assert counter.complex_adds == want.adds == m * n * (min(m, n) + 1) // 2
+        assert want.mults == m * n * (min(m, n) + 3) // 2
+        assert want.adds == m * n * (min(m, n) + 1) // 2
         assert want.ref_1d_mults == want.ref_1d_adds == m * n * (1 + m * n) // 2
         ref_seen.append((m, n, want.mults, want.adds, want.ref_1d_mults))
     elapsed = time.perf_counter() - start
@@ -106,108 +102,31 @@ def test_criterion_4_objective_decomposition():
         m = int(rng.integers(1, 9))
         alpha = float(rng.uniform(0.6, 1.0))
         beta = float(rng.uniform(0.6, 1.0))
-        a = modem.build_doppler_matrix(alpha, n)
-        b = modem.build_delay_matrix(beta, m)
-        y = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-        model = detect.build_effective_model(a, b, y)
-        s = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-        total = detect.total_objective(model, s)
-        parts = sum(detect.partial_metric(model, s, r, c) for r in range(n) for c in range(m))
-        assert abs(parts - total) <= 1e-10 * max(total, 1e-30), (n, m, trial)
+        err = properties.check_objective_decomposition(n, m, alpha, beta, rng)
+        assert err <= 1e-10, (n, m, trial)
     elapsed = time.perf_counter() - start
     report("4 objective decomposition", elapsed < 5.0, f"100 instances, {elapsed:.1f}s")
 
 
 def test_criterion_5_transform_property_suite():
-    """Transform identities at 1e-8 relative over 50 random frame signals."""
+    """Transform identities at 1e-8 relative over 50 random frame signals each."""
     start = time.perf_counter()
     tol = 1e-8
+    checks = (
+        properties.check_quasi_periodicity,
+        properties.check_nu_periodicity,
+        properties.check_shift_invariance,
+        properties.check_multiplication,
+        properties.check_convolution,
+        properties.check_zak_roundtrip,
+        properties.check_fourier_inversion,
+    )
     worst = 0.0
     for lam, mu in [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]:
         p = zak.ZakParams(lam=lam, mu=mu, T=1.0, samples_per_T=6, periods=5)
         rng = np.random.default_rng(55)
-        phase_up = np.exp(2j * np.pi * p.nu_grid * p.T / p.mu)
-        twist = np.conj(phase_up)
         for _ in range(50):
-            x = zak.SampledSignal(
-                rng.normal(size=p.frame_len) + 1j * rng.normal(size=p.frame_len), p.step
-            )
-            v = zak.zak_transform(x, p).values
-            scale = np.max(np.abs(v))
-
-            # quasi-periodicity: advancing one block multiplies by the phase
-            rolled = np.roll(x.samples.reshape(p.periods, p.block_len), -1, axis=0)
-            vs = zak.zak_transform(zak.SampledSignal(rolled.reshape(-1), p.step), p).values
-            worst = max(worst, np.max(np.abs(vs - v * phase_up[None, :])) / scale)
-
-            # nu-periodicity: the defining sum one Doppler period up
-            nm = np.exp(
-                -2j * np.pi
-                * np.outer(np.arange(p.periods), p.nu_grid + p.mu * p.delta_f)
-                * p.T / p.mu
-            )
-            direct = np.sqrt(p.lam * p.T) * (
-                x.samples.reshape(p.periods, p.block_len).T @ nm
-            )
-            worst = max(worst, np.max(np.abs(direct - v)) / scale)
-
-            # shift invariance
-            s_idx = int(rng.integers(0, p.block_len))
-            k = int(rng.integers(0, p.periods * p.block_len))
-            tau0 = s_idx * p.step
-            nu0 = k / (p.periods * p.lam * p.T)
-            vr = zak.zak_transform(zak.dd_shift(x, tau0, nu0), p).values
-            b_shift = int(round(p.lam * p.mu * nu0 / p.nu_step))
-            pred = np.zeros_like(vr)
-            for aa in range(p.block_len):
-                d = aa - s_idx
-                a_base, tw = (d, 1.0) if d >= 0 else (d + p.block_len, None)
-                cols = (np.arange(p.periods) - b_shift) % p.periods
-                row = v[a_base, cols] if tw else v[a_base, cols] * twist[cols]
-                pred[aa, :] = row * np.exp(2j * np.pi * nu0 * d * p.step)
-            worst = max(worst, np.max(np.abs(vr - pred)) / scale)
-
-            # multiplication and convolution images
-            y = zak.SampledSignal(
-                rng.normal(size=p.frame_len) + 1j * rng.normal(size=p.frame_len), p.step
-            )
-            vy = zak.zak_transform(y, p).values
-            vprod = zak.zak_transform(
-                zak.SampledSignal(x.samples * y.samples, p.step), p
-            ).values
-            conv_nu = np.zeros_like(vprod)
-            for bb in range(p.periods):
-                conv_nu[:, bb] = np.sum(
-                    v[:, (bb - np.arange(p.periods)) % p.periods] * vy[:, np.arange(p.periods)],
-                    axis=1,
-                )
-            rhs = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * p.nu_step * conv_nu
-            worst = max(worst, np.max(np.abs(vprod - rhs)) / np.max(np.abs(vprod)))
-
-            c = p.step * np.fft.ifft(np.fft.fft(x.samples) * np.fft.fft(y.samples))
-            vconv = zak.zak_transform(zak.SampledSignal(c, p.step), p).values
-            rhs_tau = np.zeros_like(vconv)
-            for aa in range(p.block_len):
-                for ap in range(p.block_len):
-                    d = aa - ap
-                    term = v[d, :] if d >= 0 else v[d + p.block_len, :] * twist
-                    rhs_tau[aa, :] += term * vy[ap, :]
-            rhs_tau *= p.step / np.sqrt(p.lam * p.T)
-            worst = max(worst, np.max(np.abs(vconv - rhs_tau)) / np.max(np.abs(vconv)))
-
-            # time inversion round trip
-            xr = zak.zak_to_time(zak.zak_transform(x, p), p)
-            worst = max(
-                worst, np.max(np.abs(xr.samples - x.samples)) / np.max(np.abs(x.samples))
-            )
-
-            # Fourier inversion against the direct DFT
-            f = int(rng.integers(0, p.frame_len)) / (p.periods * p.lam * p.T)
-            t = np.arange(p.frame_len) * p.step
-            direct_f = p.step * np.sum(x.samples * np.exp(-2j * np.pi * f * t))
-            via_map = zak.zak_to_spectrum(zak.zak_transform(x, p), p, f)
-            worst = max(worst, abs(via_map - direct_f) / max(abs(direct_f), 1e-12))
-
+            worst = max(worst, *(check(p, rng) for check in checks))
     elapsed = time.perf_counter() - start
     assert worst <= tol, f"worst relative error {worst:.3e}"
     report("5 transform property suite", elapsed < 30.0,

@@ -139,12 +139,3 @@ class TestMeasureEb:
         with pytest.raises(ValueError):
             channel.measure_eb(modem.ModemParams(m=2, n=2), modem.qpsk(), 0, n_frames=0)
 
-
-class TestChannelConfig:
-    def test_defaults(self):
-        cfg = channel.ChannelConfig(ebn0_db=4.0, bits_per_symbol=2)
-        assert cfg.h1 is None and cfg.h2 is None
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            channel.ChannelConfig(ebn0_db=0.0, bits_per_symbol=0)

@@ -45,6 +45,23 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             tiny_config(ebn0_db_points=())
 
+    @pytest.mark.parametrize("override", [
+        {"alpha": 1.5},
+        {"M": "4"},
+        {"iterations": 0},
+        {"K_list": 0},
+        {"constellation": "16qam"},
+        {"decoder": "im_soft", "omega_values": []},
+        {"ebn0_db_points": [float("nan")]},
+        {"ebn0_db_points": [-math.inf]},
+        {"omega_values": [math.inf]},
+    ])
+    def test_bad_config_rejected_at_load(self, override):
+        data = tiny_config().to_json_dict()
+        data.update(override)
+        with pytest.raises(ValueError):
+            harness.SweepConfig.from_json_dict(data)
+
     def test_cell_enumeration_with_and_without_omega(self):
         cfg = tiny_config(decoder="im_soft", ebn0_db_points=(0.0, 2.0),
                           omega_values=(0.25, 0.5))
@@ -173,6 +190,11 @@ class TestRunSweep:
         assert harness.default_workers() == 3
         monkeypatch.delenv(harness.WORKERS_ENV)
         assert harness.default_workers() >= 1
+
+    def test_worker_count_env_var_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv(harness.WORKERS_ENV, "abc")
+        with pytest.raises(ValueError, match=f"{harness.WORKERS_ENV}.*'abc'"):
+            harness.default_workers()
 
 
 class TestEmitResults:

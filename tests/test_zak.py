@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from ddmod import numerics, zak
+from ddmod import numerics, properties, zak
+from ddmod.properties import random_signal
 
 PARAM_SETS = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
 
 
 def make_params(lam=1.0, mu=1.0, samples_per_T=8, periods=6, T=1.0):
     return zak.ZakParams(lam=lam, mu=mu, T=T, samples_per_T=samples_per_T, periods=periods)
-
-
-def random_signal(p, rng):
-    x = rng.normal(size=p.frame_len) + 1j * rng.normal(size=p.frame_len)
-    return zak.SampledSignal(samples=x, step=p.step)
 
 
 def forward_oracle(x, p):
@@ -29,13 +25,6 @@ def forward_oracle(x, p):
                 )
             out[a, b] = np.sqrt(p.lam * p.T) * acc
     return out
-
-
-def extended_map(m, p, a, b):
-    """Map value at delay index ``a`` (possibly out of cell) via quasi-periodicity."""
-    block, rem = divmod(a, p.block_len)
-    phase = np.exp(2j * np.pi * p.nu_grid[b % p.periods] * p.T / p.mu) ** block
-    return m.values[rem, b % p.periods] * phase
 
 
 class TestParams:
@@ -115,11 +104,8 @@ class TestForward:
 class TestInversion:
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_roundtrip(self, lam, mu):
-        rng = np.random.default_rng(11)
         p = make_params(lam=lam, mu=mu)
-        x = random_signal(p, rng)
-        xr = zak.zak_to_time(zak.zak_transform(x, p), p)
-        assert np.max(np.abs(xr.samples - x.samples)) < 1e-10 * np.max(np.abs(x.samples))
+        assert properties.check_zak_roundtrip(p, np.random.default_rng(11)) < 1e-10
 
     def test_impulse_recovered(self):
         p = make_params()
@@ -234,23 +220,11 @@ class TestDDShift:
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_shift_invariance_identity(self, lam, mu):
         # transform of the delayed/Doppler-shifted signal against the
-        # shifted-and-phased transform of the original, both numeric
-        rng = np.random.default_rng(17)
+        # shifted-and-phased transform of the original, both numeric;
+        # 3 delay steps and a frame-periodic Doppler shift of 2 bins
         p = make_params(lam=lam, mu=mu)
-        x = random_signal(p, rng)
-        m = zak.zak_transform(x, p)
-        s_idx, k = 3, 2
-        tau0 = s_idx * p.step
-        nu0 = k / (p.periods * p.lam * p.T)  # frame-periodic Doppler shift
-        mr = zak.zak_transform(zak.dd_shift(x, tau0, nu0), p).values
-        b_shift = int(round(p.lam * p.mu * nu0 / p.nu_step))
-        expect = np.zeros_like(mr)
-        for a in range(p.block_len):
-            for b in range(p.periods):
-                base = extended_map(m, p, a - s_idx, b - b_shift)
-                expect[a, b] = base * np.exp(2j * np.pi * nu0 * (a - s_idx) * p.step)
-        scale = np.max(np.abs(mr))
-        assert np.max(np.abs(mr - expect)) < 1e-10 * scale
+        err = properties.check_shift_invariance(p, np.random.default_rng(17), shift=(3, 2))
+        assert err < 1e-10
 
 
 class TestImpulseBasis:
@@ -415,88 +389,44 @@ class TestModulationBase:
 class TestTransformProperties:
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_quasi_periodicity(self, lam, mu):
-        rng = np.random.default_rng(20)
         p = make_params(lam=lam, mu=mu)
-        x = random_signal(p, rng)
-        v = zak.zak_transform(x, p).values
-        rolled = np.roll(x.samples.reshape(p.periods, p.block_len), -1, axis=0).reshape(-1)
-        vs = zak.zak_transform(zak.SampledSignal(samples=rolled, step=p.step), p).values
-        phase = np.exp(2j * np.pi * p.nu_grid * p.T / p.mu)
-        assert np.max(np.abs(vs - v * phase[None, :])) < 1e-10 * np.max(np.abs(v))
+        assert properties.check_quasi_periodicity(p, np.random.default_rng(20)) < 1e-10
 
     def test_nu_periodicity_exact_on_grid(self):
         # the phase factors have period mu*delta_f in nu by construction:
-        # evaluating the defining sum one period up reproduces the grid column
+        # evaluating the defining sum one period up reproduces every grid
+        # entry to 1e-12 of its own magnitude
         p = make_params(mu=2.0)
-        x = random_signal(p, np.random.default_rng(21))
-        m = zak.zak_transform(x, p)
-        for b in range(p.periods):
-            nu_up = p.nu_grid[b] + p.mu * p.delta_f
-            direct = np.sqrt(p.lam * p.T) * sum(
-                x.samples[a + n * p.block_len] * np.exp(-2j * np.pi * n * nu_up * p.T / p.mu)
-                for n in range(p.periods)
-                for a in [0]
-            )
-            assert direct == pytest.approx(m.values[0, b], rel=1e-12)
+        assert properties.check_nu_periodicity(p, np.random.default_rng(21)) <= 1e-12
 
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_multiplication_property_and_symmetry(self, lam, mu):
-        rng = np.random.default_rng(22)
         p = make_params(lam=lam, mu=mu)
+        assert properties.check_multiplication(p, np.random.default_rng(22)) < 1e-8
+        rng = np.random.default_rng(22)
         a_sig, b_sig = random_signal(p, rng), random_signal(p, rng)
         va = zak.zak_transform(a_sig, p).values
         vb = zak.zak_transform(b_sig, p).values
         vc = zak.zak_transform(
             zak.SampledSignal(samples=a_sig.samples * b_sig.samples, step=p.step), p
         ).values
-        conv1 = np.zeros_like(vc)
-        conv2 = np.zeros_like(vc)
-        for bb in range(p.periods):
-            for bp in range(p.periods):
-                conv1[:, bb] += va[:, (bb - bp) % p.periods] * vb[:, bp]
-                conv2[:, bb] += va[:, bp] * vb[:, (bb - bp) % p.periods]
-        pref = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * p.nu_step
-        scale = np.max(np.abs(vc))
-        assert np.max(np.abs(vc - pref * conv1)) < 1e-8 * scale
-        assert np.max(np.abs(pref * conv1 - pref * conv2)) < 1e-10 * scale
+        swapped = properties.nu_convolution(va, vb, p) - properties.nu_convolution(vb, va, p)
+        assert np.max(np.abs(swapped)) < 1e-10 * np.max(np.abs(vc))
 
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_convolution_property_and_symmetry(self, lam, mu):
-        rng = np.random.default_rng(23)
         p = make_params(lam=lam, mu=mu)
+        assert properties.check_convolution(p, np.random.default_rng(23)) < 1e-8
+        rng = np.random.default_rng(23)
         a_sig, b_sig = random_signal(p, rng), random_signal(p, rng)
         c = p.step * np.fft.ifft(np.fft.fft(a_sig.samples) * np.fft.fft(b_sig.samples))
         va = zak.zak_transform(a_sig, p).values
         vb = zak.zak_transform(b_sig, p).values
         vc = zak.zak_transform(zak.SampledSignal(samples=c, step=p.step), p).values
-        twist = np.exp(-2j * np.pi * p.nu_grid * p.T / p.mu)
-
-        def tau_conv(vx, vy):
-            out = np.zeros_like(vc)
-            for aa in range(p.block_len):
-                for ap in range(p.block_len):
-                    d = aa - ap
-                    term = vx[d, :] if d >= 0 else vx[d + p.block_len, :] * twist
-                    out[aa, :] += term * vy[ap, :]
-            return out * p.step / np.sqrt(p.lam * p.T)
-
-        scale = np.max(np.abs(vc))
-        assert np.max(np.abs(vc - tau_conv(va, vb))) < 1e-8 * scale
-        assert np.max(np.abs(tau_conv(va, vb) - tau_conv(vb, va))) < 1e-10 * scale
+        swapped = properties.tau_convolution(va, vb, p) - properties.tau_convolution(vb, va, p)
+        assert np.max(np.abs(swapped)) < 1e-10 * np.max(np.abs(vc))
 
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_basis_completeness(self, lam, mu):
-        rng = np.random.default_rng(24)
         p = make_params(lam=lam, mu=mu, samples_per_T=4, periods=4)
-        x = random_signal(p, rng)
-        recon = np.zeros(p.frame_len, dtype=complex)
-        for a in range(p.block_len):
-            for b in range(p.periods):
-                coef = zak.basis_coefficient(x, p.tau_grid[a], p.nu_grid[b], p)
-                atom = zak.render_impulse_train(
-                    zak.impulse_basis(p.tau_grid[a], p.nu_grid[b], p), p
-                )
-                # the expansion needs the lam*mu reweighting to invert the
-                # coefficient normalization (exact for lam = mu = 1)
-                recon += coef * atom.samples * (p.lam * p.mu) * p.step * p.nu_step
-        assert np.max(np.abs(recon - x.samples)) < 1e-8 * np.max(np.abs(x.samples))
+        assert properties.check_completeness(p, np.random.default_rng(24)) < 1e-8
