@@ -16,8 +16,11 @@ per-cell terms
 
 each depending only on the lower-right quadrant of ``S``.  The 2-D sphere
 decoder walks cells from the bottom-right corner toward the origin along
-L-shaped shells (so every quadrant is decided before it is read) keeping the
-``k_list`` lowest-loss partial candidates, pruned by a squared radius.
+L-shaped shells (so every quadrant is decided before it is read).  Its
+survivors are plain arrays: a ``(k, N, M)`` stack of partial frames, zero in
+the cells not yet decided, and their accumulated losses.  Each cell extends
+every survivor by every constellation point and keeps the ``k <= k_list``
+lowest-loss children inside a squared radius, indexing the stack by parent.
 
 Operation counting: the counter attributes to each cell evaluation the
 update recursion along the shorter frame axis: one inner product of the
@@ -40,13 +43,6 @@ RADIUS_SLACK = 1e-6
 
 class SingularModelError(ValueError):
     """G or H is effectively rank deficient; decoding is refused."""
-
-
-class UndecidedEntryError(ValueError):
-    """A partial metric was asked to read an undecided frame entry."""
-
-
-UNDECIDED = complex(np.nan, np.nan)
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,6 @@ class OpCounter:
         self.complex_mults += int(mults)
         self.complex_adds += int(adds)
 
-    def merge(self, other):
-        self.add(other.complex_mults, other.complex_adds)
-
     @property
     def total(self):
         return self.complex_mults + self.complex_adds
@@ -150,18 +143,14 @@ def _min_axis_extent(model, row, col):
 def partial_metric(model, s, row, col, counter=None):
     """Per-cell squared residual ``J_{row,col}``.
 
-    Reads only the decided lower-right quadrant ``s[row:, col:]`` (the
-    triangularity of ``r`` and ``l`` makes that sufficient); raises
-    :class:`UndecidedEntryError` when the quadrant contains an undecided
-    (NaN) entry.
+    Reads only the lower-right quadrant ``s[row:, col:]``; the triangularity
+    of ``r`` and ``l`` makes that sufficient, so entries outside it may hold
+    anything.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != model.shape:
         raise ValueError(f"frame shape {s.shape} does not match {model.shape}")
-    quad = s[row:, col:]
-    if np.any(np.isnan(quad.real)):
-        raise UndecidedEntryError(f"undecided entry inside the quadrant at ({row}, {col})")
-    val = model.r[row, row:] @ quad @ model.l[col:, col]
+    val = model.r[row, row:] @ s[row:, col:] @ model.l[col:, col]
     if counter is not None:
         ext = _min_axis_extent(model, row, col)
         counter.add(ext + 1, ext)
@@ -195,93 +184,16 @@ def wavefront_schedule(n_rows, m_cols):
     return order
 
 
-@dataclass
-class CandidateList:
-    """K-best partial solutions and their accumulated losses.
-
-    ``frames[i]`` stores decided constellation points and ``UNDECIDED``
-    (NaN) markers elsewhere; ``losses`` are kept sorted ascending with
-    ``inf`` marking inactive slots.
-    """
-
-    frames: np.ndarray
-    losses: np.ndarray
-    radius_sq: float = np.inf
-
-    @classmethod
-    def seed(cls, k_list, n_rows, m_cols, radius_sq=np.inf):
-        """One active empty candidate; remaining slots inactive."""
-        if k_list < 1:
-            raise ValueError("k_list must be at least 1")
-        frames = np.full((k_list, n_rows, m_cols), UNDECIDED, dtype=complex)
-        losses = np.full(k_list, np.inf)
-        losses[0] = 0.0
-        return cls(frames=frames, losses=losses, radius_sq=float(radius_sq))
-
-    @property
-    def k_list(self):
-        return len(self.losses)
-
-    @property
-    def best(self):
-        return self.frames[0], float(self.losses[0])
-
-
-def sd2d_update(candidates, model, constellation, row, col, counter=None):
-    """One cell update: extend the survivors by every constellation point.
-
-    For each active candidate within the radius, forms ``|A|`` children with
-    the cell decided, accumulates their per-cell losses, sorts all children
-    ascending, and keeps the best ``k_list`` inside the radius.  If the
-    radius prunes every child, the single best child is retained so a decode
-    always completes.
-    """
-    points = constellation.points
-    if points.size == 0:
-        raise ValueError("constellation must not be empty")
-    finite = np.isfinite(candidates.losses)
-    if not np.any(finite):
-        raise ValueError("no active candidates")
-    active = finite & (candidates.losses <= candidates.radius_sq)
-    if not np.any(active):
-        # only out-of-radius survivors left (progress-guarantee retention):
-        # continue from the best of them
-        active = np.zeros_like(finite)
-        active[int(np.argmin(candidates.losses))] = True
-    frames = candidates.frames[active]
-    losses = candidates.losses[active]
-
-    quad = frames[:, row:, col:].copy()
-    if np.any(np.isnan(quad.real[:, 1:, :])) or np.any(np.isnan(quad.real[:, 0, 1:])):
-        raise UndecidedEntryError(f"quadrant below-right of ({row}, {col}) is not decided")
-    quad[:, 0, 0] = 0.0  # the cell being hypothesized enters via the scale term
-    base = np.einsum("j,pjk,k->p", model.r[row, row:], quad, model.l[col:, col])
-    scale = model.r[row, row] * model.l[col, col]
-    child_loss = losses[:, None] + np.abs(
-        model.u[row, col] - (base[:, None] + scale * points[None, :])
-    ) ** 2
-    if counter is not None:
-        ext = _min_axis_extent(model, row, col)
-        counter.add(len(frames) * (ext + 1), len(frames) * ext)
-
-    flat = child_loss.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    keep = order[flat[order] <= candidates.radius_sq][: candidates.k_list]
-    if keep.size == 0:
-        keep = order[:1]
-    parent = keep // points.size
-    point = keep % points.size
-
-    new_frames = np.full_like(candidates.frames, UNDECIDED)
-    new_losses = np.full_like(candidates.losses, np.inf)
-    new_frames[: keep.size] = frames[parent]
-    new_frames[: keep.size, row, col] = points[point]
-    new_losses[: keep.size] = flat[keep]
-    return CandidateList(frames=new_frames, losses=new_losses, radius_sq=candidates.radius_sq)
-
-
 def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     """2-D K-best sphere decode; returns ``(s_hat, final_loss, counter)``.
+
+    The survivors are ``frames``, ``k <= k_list`` partial frames that are zero
+    where undecided, and their accumulated ``losses``.  At each cell of
+    :func:`wavefront_schedule` every survivor is extended by every
+    constellation point; the children are sorted ascending (stable, so ties
+    keep parent-then-point order) and the best ``k_list`` inside the radius
+    survive.  If the radius prunes every child, the single best child is kept
+    so a decode always completes.
 
     ``radius_sq`` defaults to infinity, or to ``(1 + 1e-6) * J(initial)``
     when an initial estimate is supplied, which (together with a final
@@ -290,18 +202,42 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     returned frame.
     """
     n_rows, m_cols = model.shape
+    if k_list < 1:
+        raise ValueError("k_list must be at least 1")
     if radius_sq is None:
         radius_sq = np.inf
         if initial is not None:
             radius_sq = (1.0 + RADIUS_SLACK) * total_objective(model, initial)
     if not radius_sq > 0:
         raise ValueError("radius_sq must be positive or infinite")
+    points = constellation.points
     counter = OpCounter()
-    cands = CandidateList.seed(k_list, n_rows, m_cols, radius_sq=radius_sq)
+    # every survivor lies inside the radius, except a lone best child kept
+    # when the radius pruned them all; a cell term never lowers a loss, so its
+    # descendants stay outside and the survivors need no radius filter
+    frames = np.zeros((1, n_rows, m_cols), dtype=complex)
+    losses = np.zeros(1)
     for row, col in wavefront_schedule(n_rows, m_cols):
-        cands = sd2d_update(cands, model, constellation, row, col, counter=counter)
-    s_hat, loss = cands.best
-    s_hat = s_hat.copy()
+        # cell (row, col) is still 0, so it enters only via the scale term
+        base = np.einsum(
+            "j,pjk,k->p", model.r[row, row:], frames[:, row:, col:], model.l[col:, col]
+        )
+        scale = model.r[row, row] * model.l[col, col]
+        children = losses[:, None] + np.abs(
+            model.u[row, col] - (base[:, None] + scale * points[None, :])
+        ) ** 2
+        ext = _min_axis_extent(model, row, col)
+        counter.add(len(frames) * (ext + 1), len(frames) * ext)
+
+        flat = children.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        keep = order[flat[order] <= radius_sq][:k_list]
+        if keep.size == 0:
+            keep = order[:1]
+        frames = frames[keep // points.size]
+        frames[:, row, col] = points[keep % points.size]
+        losses = flat[keep]
+    s_hat, loss = frames[0], float(losses[0])
     if initial is not None:
         init_loss = total_objective(model, initial)
         if init_loss < loss:

@@ -13,6 +13,7 @@ Output contract: one CSV row per cell (see :func:`emit_results`) plus a JSON
 sidecar holding the fully resolved configuration and its hash.
 """
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -22,6 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -112,6 +114,11 @@ class SweepConfig:
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
+        for field in ("alpha", "beta"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{field} must be a real number, got {value!r}")
+            object.__setattr__(self, field, float(value))
         modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
         modem.get_constellation(self.constellation)
         if self.iterations < 1 or self.k_list < 1:
@@ -295,12 +302,6 @@ def run_ber_point(cfg, ebn0_db, omega=None, cell_index=0):
     return runner.run_cell(cell_index, ebn0_db, omega)
 
 
-def _cell_task(args):
-    cfg_dict, cell_index, ebn0_db, omega = args
-    cfg = SweepConfig.from_json_dict(cfg_dict)
-    return run_ber_point(cfg, ebn0_db, omega=omega, cell_index=cell_index)
-
-
 def default_workers():
     env = os.environ.get(WORKERS_ENV)
     if env:
@@ -330,10 +331,9 @@ def run_sweep(cfg, workers=None):
             )
         cells = [runner.run_cell(i, e, w) for (i, e, w) in cells_spec]
     else:
-        tasks = [(cfg.to_json_dict(), i, e, w) for (i, e, w) in cells_spec]
+        indices, ebn0s, omegas = zip(*cells_spec)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_cell_task, tasks))
-        cells.sort(key=lambda c: c.cell_index)
+            cells = list(pool.map(run_ber_point, repeat(cfg), ebn0s, omegas, indices))
     return BerResult(config=cfg, cells=cells)
 
 
@@ -344,7 +344,8 @@ def emit_results(result, out_dir, stem="results"):
     decoder, bits, errors, ber, ci_low, ci_high, mean_ops, seed.  Failed
     cells are skipped in the CSV (their diagnostics live on the result
     object); floats are written with full precision so reruns are
-    byte-comparable.
+    byte-comparable.  Each file is written to a temporary name in ``out_dir``
+    and moved into place with ``os.replace``.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
@@ -355,8 +356,11 @@ def emit_results(result, out_dir, stem="results"):
         "config_hash", "M", "N", "alpha", "beta", "eta", "ebn0_db", "omega",
         "decoder", "bits", "errors", "ber", "ci_low", "ci_high", "mean_ops", "seed",
     ]
+    # both files go to temporary names first, so a failed write leaves any
+    # previous results in place and no partial file behind
+    tmp = {path: f"{path}.{os.getpid()}.tmp" for path in (csv_path, json_path)}
     try:
-        with open(csv_path, "w", newline="") as fh:
+        with open(tmp[csv_path], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for cell in result.cells:
@@ -372,11 +376,17 @@ def emit_results(result, out_dir, stem="results"):
                         repr(cell.mean_decoder_ops), cfg.master_seed,
                     ]
                 )
-        with open(json_path, "w") as fh:
+        with open(tmp[json_path], "w") as fh:
             json.dump({"config_hash": chash, "config": cfg.to_json_dict()}, fh, indent=2)
             fh.write("\n")
+        for path, tmp_path in tmp.items():
+            os.replace(tmp_path, path)
     except OSError as exc:
         raise OSError(f"failed writing results under {out_dir}: {exc}") from exc
+    finally:
+        for tmp_path in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp_path)
     return csv_path, json_path
 
 

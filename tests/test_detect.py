@@ -1,9 +1,9 @@
 """Tests for the effective model, iterative decoder, and 2-D sphere decoder."""
 
-from itertools import product
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmod import channel, detect, modem, properties
 
@@ -27,8 +27,9 @@ def random_qpsk_frame(rng, n, m):
 
 
 def all_qpsk_frames(n, m):
-    q = modem.qpsk()
-    return np.array([np.array(p).reshape(n, m) for p in product(q.points, repeat=n * m)])
+    """Every QPSK frame, in ``itertools.product`` order over the entries."""
+    digits = np.indices((4,) * (n * m)).reshape(n * m, -1).T
+    return modem.qpsk().points[digits].reshape(-1, n, m)
 
 
 class TestBuildEffectiveModel:
@@ -126,13 +127,6 @@ class TestObjectiveAndPartialMetric:
         err = properties.check_objective_decomposition(n, m, 0.8, 0.9, np.random.default_rng(68))
         assert err <= 1e-10
 
-    def test_undecided_quadrant_rejected(self):
-        model = make_model(3, 3, 0.9, 0.9)
-        s = np.zeros((3, 3), dtype=complex)
-        s[2, 2] = detect.UNDECIDED
-        with pytest.raises(detect.UndecidedEntryError):
-            detect.partial_metric(model, s, 1, 1)
-
     def test_counter_tally(self):
         model = make_model(4, 4, 0.9, 0.9)
         s = np.zeros((4, 4), dtype=complex)
@@ -160,6 +154,8 @@ class TestWavefrontSchedule:
 
 
 class TestSd2dUpdate:
+    """The per-cell survivor update, seen through whole decodes."""
+
     def test_greedy_identity_factors_round_to_nearest(self):
         rng = np.random.default_rng(69)
         q = modem.qpsk()
@@ -167,35 +163,27 @@ class TestSd2dUpdate:
             rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         )
         model = identity_model(2, 2, y)
-        cands = detect.CandidateList.seed(1, 2, 2)
-        for r, c in detect.wavefront_schedule(2, 2):
-            cands = detect.sd2d_update(cands, model, q, r, c)
-        best, _ = cands.best
-        assert np.array_equal(best, detect.hard_demap(y, q))
+        s_hat, _, _ = detect.sd2d_decode(model, q, k_list=1)
+        assert np.array_equal(s_hat, detect.hard_demap(y, q))
 
     def test_1x1_scalar_argmin(self):
         q = modem.qpsk()
         y = np.array([[0.4 - 0.2j]])
         model = make_model(1, 1, 0.9, 0.9, y=y)
-        cands = detect.CandidateList.seed(4, 1, 1)
-        cands = detect.sd2d_update(cands, model, q, 0, 0)
-        best, loss = cands.best
+        s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=4)
         objs = [abs(y[0, 0] - model.g[0, 0] * p * np.conj(model.h[0, 0])) ** 2 for p in q.points]
         assert loss == pytest.approx(min(objs), rel=1e-12)
-        assert best[0, 0] == q.points[int(np.argmin(objs))]
+        assert s_hat[0, 0] == q.points[int(np.argmin(objs))]
 
     def test_losses_sorted_and_entries_are_points(self):
         rng = np.random.default_rng(70)
         q = modem.qpsk()
         y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         model = make_model(2, 2, 0.775, 0.775, y=y)
-        cands = detect.CandidateList.seed(8, 2, 2)
-        for r, c in detect.wavefront_schedule(2, 2):
-            cands = detect.sd2d_update(cands, model, q, r, c)
-            fin = cands.losses[np.isfinite(cands.losses)]
-            assert np.all(np.diff(fin) >= 0)
-        decided = cands.frames[np.isfinite(cands.losses)]
-        assert np.all(np.isin(decided.reshape(-1), q.points))
+        for radius_sq in (None, 1e-12):
+            s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=8, radius_sq=radius_sq)
+            assert np.all(np.isin(s_hat.reshape(-1), q.points))
+            assert np.isfinite(loss)
 
     def test_exhaustive_update_matches_brute_force(self):
         rng = np.random.default_rng(71)
@@ -318,6 +306,38 @@ class TestSd2dDecode:
             detect.sd2d_decode(model, modem.qpsk(), k_list=4, radius_sq=0.0)
 
 
+class TestSd2dContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        k_list=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        with_initial=st.booleans(),
+    )
+    def test_decoder_contract(self, n, m, k_list, seed, with_initial):
+        rng = np.random.default_rng(seed)
+        q = modem.qpsk()
+        a = modem.build_doppler_matrix(0.8, n)
+        b = modem.build_delay_matrix(0.75, m)
+        y = a @ random_qpsk_frame(rng, n, m) @ b.conj().T + 0.5 * (
+            rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        )
+        model = detect.build_effective_model(a, b, y)
+        initial = None
+        if with_initial:
+            initial = detect.hard_demap(detect.matched_filter_estimate(model), q)
+        s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=k_list, initial=initial)
+        assert loss == pytest.approx(detect.total_objective(model, s_hat), rel=1e-10)
+        assert np.all(np.isin(s_hat.reshape(-1), q.points))
+        if initial is not None:
+            assert loss <= detect.total_objective(model, initial) * (1 + 1e-9)
+        frames = all_qpsk_frames(n, m)
+        brute = np.sum(np.abs(y - a @ frames @ b.conj().T) ** 2, axis=(1, 2)).min()
+        _, full_loss, _ = detect.sd2d_decode(model, q, k_list=4 ** (n * m), initial=initial)
+        assert full_loss == pytest.approx(brute, rel=1e-10)
+
+
 class TestOperationCounting:
     @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (4, 8)])
     def test_single_candidate_sweep_matches_prediction(self, m, n):
@@ -334,11 +354,6 @@ class TestOperationCounting:
         assert (c11.mults, c11.adds) == (2, 1)
         assert c44.qr_shapes == ((4, 4), (4, 4))
         assert c16.ref_1d_qr_shape == (256, 256)
-
-    def test_counter_merge(self):
-        a = detect.OpCounter(3, 2)
-        a.merge(detect.OpCounter(1, 1))
-        assert (a.complex_mults, a.complex_adds, a.total) == (4, 3, 7)
 
 
 class TestMatchedFilter:

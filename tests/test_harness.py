@@ -55,12 +55,22 @@ class TestSweepConfig:
         {"ebn0_db_points": [float("nan")]},
         {"ebn0_db_points": [-math.inf]},
         {"omega_values": [math.inf]},
+        {"alpha": "0.8"},
+        {"beta": None},
+        {"alpha": True},
     ])
     def test_bad_config_rejected_at_load(self, override):
         data = tiny_config().to_json_dict()
         data.update(override)
         with pytest.raises(ValueError):
             harness.SweepConfig.from_json_dict(data)
+
+    def test_compression_factors_named_and_stored_as_float(self):
+        with pytest.raises(ValueError, match="beta"):
+            tiny_config(beta="0.8")
+        cfg = tiny_config(alpha=1, beta=np.float32(0.5))
+        assert type(cfg.alpha) is float and type(cfg.beta) is float
+        assert (cfg.alpha, cfg.beta) == (1.0, 0.5)
 
     def test_cell_enumeration_with_and_without_omega(self):
         cfg = tiny_config(decoder="im_soft", ebn0_db_points=(0.0, 2.0),
@@ -78,6 +88,11 @@ class TestSweepConfig:
 class TestConfigHash:
     def test_identical_configs_share_hash(self):
         assert harness.config_hash(tiny_config()) == harness.config_hash(tiny_config())
+
+    def test_integer_and_float_alpha_share_hash(self):
+        assert harness.config_hash(tiny_config(alpha=1)) == harness.config_hash(
+            tiny_config(alpha=1.0)
+        )
 
     def test_different_configs_differ(self):
         assert harness.config_hash(tiny_config()) != harness.config_hash(
@@ -228,6 +243,22 @@ class TestEmitResults:
         h1 = list(csv.DictReader(open(c1)))[0]["config_hash"]
         h2 = list(csv.DictReader(open(c2)))[0]["config_hash"]
         assert h1 == h2 == json.load(open(j1))["config_hash"] == json.load(open(j2))["config_hash"]
+
+    def test_failed_write_keeps_previous_results(self, tmp_path):
+        class DiskFull:
+            def __str__(self):
+                raise OSError("no space left on device")
+
+        result = harness.run_sweep(tiny_config(ebn0_db_points=(4.0, 6.0), max_frames=3), workers=1)
+        csv_path, _ = harness.emit_results(result, tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        old_bytes = open(csv_path, "rb").read()
+        # the second row fails after the header and first row are written
+        cells = [result.cells[0], replace(result.cells[1], bit_errors=DiskFull())]
+        with pytest.raises(OSError, match="no space left"):
+            harness.emit_results(replace(result, cells=cells), tmp_path)
+        assert open(csv_path, "rb").read() == old_bytes
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_eta_column_matches_formula(self, tmp_path):
         cfg = tiny_config(alpha=0.775, beta=0.775, max_frames=3, min_bit_errors=1)
