@@ -3,11 +3,13 @@
 A sweep maps a decoder over an (Eb/N0 x omega) grid of cells.  Every random
 draw inside a cell comes from a Philox substream keyed on
 ``(master_seed, cell_index, frame_index)``, so results are bit-identical
-regardless of worker count or execution order.  A cell whose effective
-model is singular (:class:`detect.SingularModelError`) is recorded as failed,
-with the message in ``BerCell.error``, and the other cells still run; any
-other exception aborts the sweep.  Configurations are validated when a
-:class:`SweepConfig` is built, so a bad value fails before any cell runs.
+regardless of worker count or execution order.  The set-up (Eb calibration,
+QR factors) is built once per sweep and sent to the pool with each task.  A
+singular effective model (:class:`detect.SingularModelError`) fails the whole
+sweep: every cell is recorded as failed, with the message in
+``BerCell.error``.  Any other exception aborts the sweep.  Configurations are
+validated when a :class:`SweepConfig` is built, so a bad value fails before
+any cell runs.
 
 Output contract: one CSV row per cell (see :func:`emit_results`) plus a JSON
 sidecar holding the fully resolved configuration and its hash.
@@ -23,7 +25,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -116,26 +117,29 @@ class SweepConfig:
                 raise ValueError(f"{field} must be an integer, got {value!r}")
         for field in ("alpha", "beta"):
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ValueError(f"{field} must be a real number, got {value!r}")
             object.__setattr__(self, field, float(value))
+        for field in ("ebn0_db_points", "omega_values"):
+            values = getattr(self, field)
+            if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
+                raise ValueError(f"{field} must be a list of real numbers, got {values!r}")
+            object.__setattr__(self, field, tuple(float(x) for x in values))
         modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
         modem.get_constellation(self.constellation)
         if self.iterations < 1 or self.k_list < 1:
             raise ValueError("iterations and k_list must be at least 1")
         if self.min_bit_errors < 1 or self.max_frames < 1:
             raise ValueError("min_bit_errors and max_frames must be at least 1")
-        object.__setattr__(self, "ebn0_db_points", tuple(float(x) for x in self.ebn0_db_points))
-        object.__setattr__(self, "omega_values", tuple(float(x) for x in self.omega_values))
         if len(self.ebn0_db_points) < 1:
-            raise ValueError("at least one Eb/N0 point is required")
+            raise ValueError("ebn0_db_points needs at least one Eb/N0 point")
         # +inf is the noiseless operating point
         if any(math.isnan(e) or e == -math.inf for e in self.ebn0_db_points):
-            raise ValueError(f"Eb/N0 points must be numbers or +inf, got {self.ebn0_db_points}")
+            raise ValueError(f"ebn0_db_points must be numbers or +inf, got {self.ebn0_db_points}")
         if self.uses_omega and len(self.omega_values) < 1:
-            raise ValueError(f"decoder {self.decoder!r} needs at least one omega value")
+            raise ValueError(f"decoder {self.decoder!r} needs a non-empty omega_values")
         if not all(math.isfinite(w) for w in self.omega_values):
-            raise ValueError(f"omega values must be finite, got {self.omega_values}")
+            raise ValueError(f"omega_values must be finite, got {self.omega_values}")
 
     @property
     def uses_omega(self):
@@ -165,11 +169,11 @@ class SweepConfig:
         unknown = set(data) - set(_JSON_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {field: data[key] for key, field in _JSON_KEYS.items() if key in data}
-        for tup in ("ebn0_db_points", "omega_values"):
-            if tup in kwargs:
-                kwargs[tup] = tuple(kwargs[tup])
-        return cls(**kwargs)
+        return cls(**{field: data[key] for key, field in _JSON_KEYS.items() if key in data})
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _to_plain(value):
@@ -235,7 +239,7 @@ def wilson_interval(errors, trials, z=1.96):
 
 
 class _CellRunner:
-    """Per-cell decode pipeline with the heavy factors prepared once."""
+    """Per-sweep decode pipeline with the heavy factors prepared once."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -254,52 +258,38 @@ class _CellRunner:
             model, omega, self.cfg.iterations, clip_scale=self.constellation.axis_magnitude
         )
 
+    def frame(self, cell_index, frame_index, sigma_sq):
+        """Transmitted bits and receiver model of one frame of a cell."""
+        rng = channel.substream(self.cfg.master_seed, cell_index, frame_index)
+        bits = rng.integers(0, 2, size=self.bits_per_frame)
+        s = modem.map_bits(bits, self.constellation, self.cfg.n, self.cfg.m)
+        rx = channel.awgn(modem.modulate(s, self.params), sigma_sq, rng)
+        y_tf = modem.wigner_rect(rx, self.params)
+        return bits, detect.refresh_observation(self.base_model, y_tf)
+
     def run_cell(self, cell_index, ebn0_db, omega):
         cfg = self.cfg
         cell = BerCell(cell_index=cell_index, ebn0_db=ebn0_db, omega=omega)
         start = time.perf_counter()
-        try:
-            sigma_sq = channel.noise_variance(ebn0_db, self.eb)
-            ops = 0
-            for frame_index in range(cfg.max_frames):
-                rng = channel.substream(cfg.master_seed, cell_index, frame_index)
-                bits = rng.integers(0, 2, size=self.bits_per_frame)
-                s = modem.map_bits(bits, self.constellation, cfg.n, cfg.m)
-                tx = modem.modulate(s, self.params)
-                rx = channel.awgn(tx, sigma_sq, rng)
-                y_tf = modem.wigner_rect(rx, self.params)
-                model = detect.refresh_observation(self.base_model, y_tf)
-                est, counter = self.decode_step(self, model, omega)
-                bits_hat = modem.demap_symbols(est, self.constellation)
-                cell.bit_errors += int(np.sum(bits_hat != bits))
-                cell.bits_sent += self.bits_per_frame
-                cell.frames += 1
-                if counter is not None:
-                    ops += counter.total
-                if cell.bit_errors >= cfg.min_bit_errors:
-                    break
-            cell.ber = cell.bit_errors / cell.bits_sent if cell.bits_sent else 0.0
-            cell.ci_low, cell.ci_high = wilson_interval(cell.bit_errors, cell.bits_sent)
-            cell.mean_decoder_ops = ops / cell.frames if cell.frames else 0.0
-        except detect.SingularModelError as exc:
-            cell.error = str(exc)
+        sigma_sq = channel.noise_variance(ebn0_db, self.eb)
+        ops = 0
+        for frame_index in range(cfg.max_frames):
+            bits, model = self.frame(cell_index, frame_index, sigma_sq)
+            est, counter = self.decode_step(self, model, omega)
+            bits_hat = modem.demap_symbols(est, self.constellation)
+            cell.bit_errors += int(np.sum(bits_hat != bits))
+            cell.frames += 1
+            if counter is not None:
+                ops += counter.total
+            if cell.bit_errors >= cfg.min_bit_errors:
+                break
+        # max_frames >= 1, so at least one frame ran
+        cell.bits_sent = cell.frames * self.bits_per_frame
+        cell.ber = cell.bit_errors / cell.bits_sent
+        cell.ci_low, cell.ci_high = wilson_interval(cell.bit_errors, cell.bits_sent)
+        cell.mean_decoder_ops = ops / cell.frames
         cell.wall_time = time.perf_counter() - start
         return cell
-
-
-def _failed_cell(cell_index, ebn0_db, omega, message):
-    cell = BerCell(cell_index=cell_index, ebn0_db=ebn0_db, omega=omega)
-    cell.error = message
-    return cell
-
-
-def run_ber_point(cfg, ebn0_db, omega=None, cell_index=0):
-    """Run a single cell of the sweep grid (see :class:`SweepConfig`)."""
-    try:
-        runner = _CellRunner(cfg)
-    except detect.SingularModelError as exc:
-        return _failed_cell(cell_index, ebn0_db, omega, str(exc))
-    return runner.run_cell(cell_index, ebn0_db, omega)
 
 
 def default_workers():
@@ -321,19 +311,17 @@ def run_sweep(cfg, workers=None):
     if workers is None:
         workers = default_workers()
     cells_spec = cfg.cells()
+    try:
+        runner = _CellRunner(cfg)
+    except detect.SingularModelError as exc:
+        cells = [BerCell(i, e, w, error=str(exc)) for i, e, w in cells_spec]
+        return BerResult(config=cfg, cells=cells)
+    columns = zip(*cells_spec)
     if workers <= 1 or len(cells_spec) <= 1:
-        try:
-            runner = _CellRunner(cfg)
-        except detect.SingularModelError as exc:
-            return BerResult(
-                config=cfg,
-                cells=[_failed_cell(i, e, w, str(exc)) for (i, e, w) in cells_spec],
-            )
-        cells = [runner.run_cell(i, e, w) for (i, e, w) in cells_spec]
+        cells = list(map(runner.run_cell, *columns))
     else:
-        indices, ebn0s, omegas = zip(*cells_spec)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_ber_point, repeat(cfg), ebn0s, omegas, indices))
+            cells = list(pool.map(runner.run_cell, *columns))
     return BerResult(config=cfg, cells=cells)
 
 
@@ -390,9 +378,8 @@ def emit_results(result, out_dir, stem="results"):
     return csv_path, json_path
 
 
-# experiment presets; caption_eta records the rounded values printed in the
-# source experiment captions for cross-reference (the CSV always carries the
-# computed eta)
+# experiment presets; acceptance criterion 1 checks their overloading factors
+# against the rounded values printed in the source experiment captions
 PRESETS = {
     "fig2a": SweepConfig(
         m=16, n=16, alpha=0.9, beta=0.9,
@@ -425,8 +412,6 @@ PRESETS = {
         iterations=20, k_list=16, master_seed=20240, max_frames=3000,
     ),
 }
-
-CAPTION_ETA = {"fig2a": 0.235, "fig2b": 0.31, "fig3": 1.195, "fig4a": 0.56, "fig4b": 0.665}
 
 
 def preset(name, master_seed=None):

@@ -30,18 +30,18 @@ def qfunc(x):
 
 
 def test_criterion_1_overloading_factors():
-    """Caption overloading factors, 0.1 pt tolerance at caption precision."""
+    """Preset overloading factors equal the captions at caption precision."""
     start = time.perf_counter()
-    cases = [  # (alpha, beta, caption %, caption decimals)
-        (0.9, 0.9, 23.5, 1),
-        (0.85, 0.9, 30.7, 1),  # caption prints 31; computed value asserted
-        (0.675, 0.675, 119.5, 1),
-        (0.8, 0.8, 56.0, 0),   # caption prints 56; computed 56.25
-        (0.775, 0.775, 66.5, 1),
-    ]
-    for alpha, beta, caption, decimals in cases:
-        eta_pct = 100 * modem.overloading_factor(alpha, beta)
-        assert abs(round(eta_pct, decimals) - caption) <= 0.1, (alpha, beta, eta_pct)
+    captions = {  # preset: (caption %, caption decimals)
+        "fig2a": (23.5, 1),
+        "fig2b": (30.7, 1),  # caption prints 31; computed value asserted
+        "fig3": (119.5, 1),
+        "fig4a": (56.0, 0),  # caption prints 56; computed 56.25
+        "fig4b": (66.5, 1),
+    }
+    for name, (caption, decimals) in captions.items():
+        eta_pct = 100 * harness.preset(name).eta
+        assert round(eta_pct, decimals) == caption, (name, eta_pct)
     elapsed = time.perf_counter() - start
     report("1 overloading factors", elapsed < 1.0, f"{elapsed:.2f}s")
 
@@ -65,22 +65,14 @@ def test_criterion_2_operation_counts():
 def test_criterion_3_ml_equivalence():
     """(2,2) QPSK at alpha=beta=0.775: K=256 decode matches exhaustive search."""
     start = time.perf_counter()
-    q = modem.qpsk()
-    n = m = 2
-    alpha = beta = 0.775
-    params = modem.ModemParams(m=m, n=n, alpha=alpha, beta=beta)
-    a = modem.build_doppler_matrix(alpha, n)
-    b = modem.build_delay_matrix(beta, m)
-    base = detect.build_effective_model(a, b, np.zeros((n, m), dtype=complex))
-    hypotheses = np.array([np.array(p).reshape(n, m) for p in product(q.points, repeat=4)])
-    eb = channel.measure_eb(params, q, master_seed=33)
-    sigma_sq = channel.noise_variance(4.0, eb)
+    runner = harness._CellRunner(
+        harness.SweepConfig(m=2, n=2, alpha=0.775, beta=0.775, decoder="sd2d", master_seed=33)
+    )
+    q = runner.constellation
+    hypotheses = np.array([np.array(p).reshape(2, 2) for p in product(q.points, repeat=4)])
+    sigma_sq = channel.noise_variance(4.0, runner.eb)
     for frame_index in range(200):
-        rng = channel.substream(33, 0, frame_index)
-        bits = rng.integers(0, 2, size=8)
-        s = modem.map_bits(bits, q, n, m)
-        rx = channel.awgn(modem.modulate(s, params), sigma_sq, rng)
-        model = detect.refresh_observation(base, modem.wigner_rect(rx, params))
+        _, model = runner.frame(0, frame_index, sigma_sq)
         s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=256)
         objs = np.array(
             [float(np.sum(np.abs(model.y_t - model.g @ f @ model.h.conj().T) ** 2))
@@ -181,27 +173,15 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
     BER never worse per point (within 2 SE), on both fig4 presets."""
     start = time.perf_counter()
     for preset_name in ("fig4a", "fig4b"):
-        cfg = harness.preset(preset_name)
-        q = modem.get_constellation(cfg.constellation)
-        params = modem.ModemParams(m=cfg.m, n=cfg.n, alpha=cfg.alpha, beta=cfg.beta)
-        a = modem.build_doppler_matrix(cfg.alpha, cfg.n)
-        b = modem.build_delay_matrix(cfg.beta, cfg.m)
-        base = detect.build_effective_model(a, b, np.zeros((cfg.n, cfg.m), dtype=complex))
-        eb = channel.measure_eb(params, q, cfg.master_seed)
-        bits_per_frame = params.frame_symbols * q.bits_per_symbol
+        runner = harness._CellRunner(harness.preset(preset_name))
+        cfg, q, bits_per_frame = runner.cfg, runner.constellation, runner.bits_per_frame
         omega = cfg.omega_values[0]
         for cell_index, ebn0 in enumerate(cfg.ebn0_db_points):
-            sigma_sq = channel.noise_variance(ebn0, eb)
+            sigma_sq = channel.noise_variance(ebn0, runner.eb)
             err_sd = err_im = bits = 0
             for frame_index in range(800):
-                rng = channel.substream(cfg.master_seed, cell_index, frame_index)
-                tx_bits = rng.integers(0, 2, size=bits_per_frame)
-                s = modem.map_bits(tx_bits, q, cfg.n, cfg.m)
-                rx = channel.awgn(modem.modulate(s, params), sigma_sq, rng)
-                model = detect.refresh_observation(base, modem.wigner_rect(rx, params))
-                w = detect.im_soft_decode(model, omega, cfg.iterations,
-                                          clip_scale=q.axis_magnitude)
-                im_frame = detect.hard_demap(w, q)
+                tx_bits, model = runner.frame(cell_index, frame_index, sigma_sq)
+                im_frame = detect.hard_demap(runner.im_soft(model, omega), q)
                 sd_frame, sd_loss, _ = detect.sd2d_decode(
                     model, q, k_list=cfg.k_list, initial=im_frame
                 )

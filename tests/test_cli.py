@@ -38,6 +38,18 @@ def test_simulate_from_config_file(tmp_path, capsys):
     assert sidecar["config"]["master_seed"] == 3
 
 
+def test_simulate_singular_model_exits_1_with_header_only_csv(tmp_path):
+    config = {"M": 16, "N": 16, "alpha": 0.1, "beta": 0.1, "decoder": "matched",
+              "ebn0_db_points": [2.0, 4.0], "max_frames": 2}
+    cfg_path = tmp_path / "singular.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path),
+                   "--workers", "1"])
+    assert rc == 1
+    rows = list(csv.reader(open(tmp_path / "results.csv")))
+    assert len(rows) == 1 and rows[0][0] == "config_hash"
+
+
 def test_simulate_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 1, "beta": 1, "bogus": 1}))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddmod import channel, detect, harness, modem
+from ddmod import channel, detect, harness
 
 
 def tiny_config(**overrides):
@@ -45,24 +45,35 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             tiny_config(ebn0_db_points=())
 
-    @pytest.mark.parametrize("override", [
-        {"alpha": 1.5},
-        {"M": "4"},
-        {"iterations": 0},
-        {"K_list": 0},
-        {"constellation": "16qam"},
-        {"decoder": "im_soft", "omega_values": []},
-        {"ebn0_db_points": [float("nan")]},
-        {"ebn0_db_points": [-math.inf]},
-        {"omega_values": [math.inf]},
-        {"alpha": "0.8"},
-        {"beta": None},
-        {"alpha": True},
+    BAD_CONFIGS = [  # (override, what the message must name)
+        ({"alpha": 1.5}, "compression factors"),
+        ({"M": "4"}, "m must be an integer"),
+        ({"iterations": 0}, "iterations"),
+        ({"K_list": 0}, "k_list"),
+        ({"constellation": "16qam"}, "constellation"),
+        ({"decoder": "im_soft", "omega_values": []}, "omega_values"),
+        ({"ebn0_db_points": [float("nan")]}, "ebn0_db_points"),
+        ({"ebn0_db_points": [-math.inf]}, "ebn0_db_points"),
+        ({"omega_values": [math.inf]}, "omega_values"),
+        ({"alpha": "0.8"}, "alpha"),
+        ({"beta": None}, "beta"),
+        ({"alpha": True}, "alpha"),
+        ({"ebn0_db_points": "12"}, "ebn0_db_points"),
+        ({"ebn0_db_points": [True]}, "ebn0_db_points"),
+        ({"ebn0_db_points": 4.0}, "ebn0_db_points"),
+        ({"ebn0_db_points": None}, "ebn0_db_points"),
+        ({"ebn0_db_points": ["x"]}, "ebn0_db_points"),
+        ({"omega_values": [False]}, "omega_values"),
+    ]
+
+    @pytest.mark.parametrize("override, match", [
+        pytest.param(override, match, id=f"override{i}")
+        for i, (override, match) in enumerate(BAD_CONFIGS)
     ])
-    def test_bad_config_rejected_at_load(self, override):
+    def test_bad_config_rejected_at_load(self, override, match):
         data = tiny_config().to_json_dict()
         data.update(override)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             harness.SweepConfig.from_json_dict(data)
 
     def test_compression_factors_named_and_stored_as_float(self):
@@ -124,19 +135,24 @@ class TestWilsonInterval:
         assert covered / trials > 0.90
 
 
+def run_one_cell(cfg):
+    (cell,) = harness.run_sweep(cfg, workers=1).cells
+    return cell
+
+
 class TestRunBerPoint:
     def test_noiseless_chain_has_zero_errors(self):
         # noise disabled through an infinite operating point
         cfg = tiny_config(ebn0_db_points=(math.inf,), max_frames=10, min_bit_errors=1)
-        cell = harness.run_ber_point(cfg, math.inf, None, 0)
+        cell = run_one_cell(cfg)
         assert cell.bit_errors == 0
         assert cell.frames == 10
         assert cell.ber == 0.0
 
     def test_deterministic_across_runs(self):
         cfg = tiny_config()
-        a = harness.run_ber_point(cfg, 4.0, None, 0)
-        b = harness.run_ber_point(cfg, 4.0, None, 0)
+        a = run_one_cell(cfg)
+        b = run_one_cell(cfg)
         assert (a.bit_errors, a.bits_sent, a.frames) == (b.bit_errors, b.bits_sent, b.frames)
         assert a.ber == b.ber
 
@@ -147,7 +163,7 @@ class TestRunBerPoint:
             ebn0_db_points=(4.0,), master_seed=11,
             min_bit_errors=150, max_frames=500,
         )
-        cell = harness.run_ber_point(cfg, 4.0, None, 0)
+        cell = run_one_cell(cfg)
         ref = qfunc(math.sqrt(2 * 10 ** (4.0 / 10)))
         se = math.sqrt(ref * (1 - ref) / cell.bits_sent)
         assert abs(cell.ber - ref) <= 3 * se
@@ -156,8 +172,7 @@ class TestRunBerPoint:
         for decoder in harness.DECODERS:
             cfg = tiny_config(decoder=decoder, ebn0_db_points=(6.0,), k_list=4,
                               iterations=5, max_frames=8, min_bit_errors=1000)
-            omega = 0.5 if cfg.uses_omega else None
-            cell = harness.run_ber_point(cfg, 6.0, omega, 0)
+            cell = run_one_cell(cfg)
             assert cell.error is None
             assert cell.frames == 8
             if decoder.startswith("sd2d"):
@@ -192,6 +207,15 @@ class TestRunSweep:
         assert not result.completed
         assert result.cells[0].error == "synthetic failure"
         assert result.cells[1].error is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_singular_model_fails_every_cell(self, workers):
+        cfg = tiny_config(m=16, n=16, alpha=0.1, beta=0.1, decoder="im_soft",
+                          ebn0_db_points=(2.0, 4.0), omega_values=(0.5, 1.0))
+        result = harness.run_sweep(cfg, workers=workers)
+        assert not result.completed
+        assert len(result.cells) == 4
+        assert all("G is effectively singular" in c.error for c in result.cells)
 
     def test_lookup_by_point(self):
         cfg = tiny_config(ebn0_db_points=(2.0, 4.0), max_frames=5, min_bit_errors=1)
@@ -274,15 +298,6 @@ class TestPresets:
             cfg = harness.preset(name)
             assert isinstance(cfg, harness.SweepConfig)
 
-    def test_caption_cross_reference(self):
-        # computed eta agrees with the recorded caption value once rounded to
-        # the caption's printed precision (captions round, the CSV reports
-        # the computed value)
-        decimals = {"fig2a": 1, "fig2b": 0, "fig3": 1, "fig4a": 0, "fig4b": 1}
-        for name, caption in harness.CAPTION_ETA.items():
-            eta_pct = 100 * harness.preset(name).eta
-            assert round(eta_pct, decimals[name]) == pytest.approx(100 * caption, abs=1e-9)
-
     def test_seed_override(self):
         assert harness.preset("fig3", master_seed=99).master_seed == 99
 
@@ -297,22 +312,13 @@ class TestDecoderOrdering:
         # soft decoder's demapped frame, frame by frame (radius policy);
         # the iterative decoder is compared with the matched start on the
         # correlation residual
-        q = modem.qpsk()
-        n = m = 4
-        alpha = beta = 0.775
-        a = modem.build_doppler_matrix(alpha, n)
-        b = modem.build_delay_matrix(beta, m)
-        base = detect.build_effective_model(a, b, np.zeros((n, m), dtype=complex))
-        params = modem.ModemParams(m=m, n=n, alpha=alpha, beta=beta)
-        eb = channel.measure_eb(params, q, 17)
-        sigma_sq = channel.noise_variance(6.0, eb)
-        op = detect.distortion_operator(base)
+        runner = harness._CellRunner(tiny_config(m=4, n=4, alpha=0.775, beta=0.775,
+                                                 master_seed=17))
+        q = runner.constellation
+        sigma_sq = channel.noise_variance(6.0, runner.eb)
+        op = detect.distortion_operator(runner.base_model)
         for frame_index in range(40):
-            rng = channel.substream(17, 0, frame_index)
-            bits = rng.integers(0, 2, size=n * m * 2)
-            s = modem.map_bits(bits, q, n, m)
-            rx = channel.awgn(modem.modulate(s, params), sigma_sq, rng)
-            model = detect.refresh_observation(base, modem.wigner_rect(rx, params))
+            _, model = runner.frame(0, frame_index, sigma_sq)
             w = detect.im_soft_decode(model, 0.5, 20)
             im_frame = detect.hard_demap(w, q)
             sd_frame, sd_loss, _ = detect.sd2d_decode(model, q, k_list=16, initial=im_frame)
