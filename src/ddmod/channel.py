@@ -88,10 +88,13 @@ def measure_eb(params, constellation, master_seed, n_frames=200):
         raise ValueError("n_frames must be at least 1")
     rng = substream(master_seed, CALIBRATION_STREAM)
     bits_per_frame = params.frame_symbols * constellation.bits_per_symbol
+    chunk = max(1, modem.STACK_ENTRIES // params.frame_symbols)
     energy = 0.0
-    for _ in range(n_frames):
-        bits = rng.integers(0, 2, size=bits_per_frame)
-        s = modem.map_bits(bits, constellation, params.n, params.m)
-        x = modem.modulate(s, params)
-        energy += float(np.sum(np.abs(x) ** 2))
+    for start in range(0, n_frames, chunk):
+        bits = rng.integers(0, 2, size=(min(chunk, n_frames - start), bits_per_frame))
+        x = modem.modulate(modem.map_bits(bits, constellation, params.n, params.m), params)
+        # frame energies are added left to right, one at a time, so Eb does
+        # not depend on the chunk size or on how a reduction groups them
+        for frame_energy in np.sum(np.abs(x) ** 2, axis=1):
+            energy += float(frame_energy)
     return energy / (n_frames * bits_per_frame)

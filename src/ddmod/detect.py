@@ -51,6 +51,8 @@ class EffectiveModel:
 
     ``g`` is N x N, ``h`` is M x M, ``y_t`` and ``u`` are N x M, ``r`` is
     upper triangular with real non-negative diagonal, ``l`` lower triangular.
+    A stacked model holds ``(B, N, M)`` observations ``y_t`` and ``u`` of
+    ``B`` frames that share the factors; ``shape`` is still the frame shape.
     """
 
     g: np.ndarray
@@ -64,7 +66,11 @@ class EffectiveModel:
 
     @property
     def shape(self):
-        return self.y_t.shape
+        return self.y_t.shape[-2:]
+
+    def frame(self, index):
+        """The model of frame ``index`` of a stacked model."""
+        return replace(self, y_t=self.y_t[index], u=self.u[index])
 
 
 def _check_full_rank(r, source, name):
@@ -102,9 +108,12 @@ def build_effective_model(a, b, y_tf, h1=None, h2=None):
 
 
 def refresh_observation(model, y_tf):
-    """New model for a fresh observation, reusing the factored matrices."""
+    """New model for a fresh observation, reusing the factored matrices.
+
+    ``y_tf`` is one ``(N, M)`` frame or a ``(B, N, M)`` stack of frames.
+    """
     y_tf = np.asarray(y_tf, dtype=complex)
-    if y_tf.shape != model.shape:
+    if y_tf.ndim not in (2, 3) or y_tf.shape[-2:] != model.shape:
         raise ValueError(f"observation shape {y_tf.shape} does not match {model.shape}")
     u = model.q_g.conj().T @ y_tf @ model.q_h
     return replace(model, y_t=y_tf, u=u)
@@ -202,6 +211,8 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     returned frame.
     """
     n_rows, m_cols = model.shape
+    if model.u.ndim != 2:
+        raise ValueError("sd2d_decode takes one frame; pass model.frame(i) of a stacked model")
     if k_list < 1:
         raise ValueError("k_list must be at least 1")
     if radius_sq is None:
@@ -339,6 +350,9 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     per-axis magnitude) and applies the relaxed update anchored on the
     clipped iterate, ``w <- omega * (w_0 - C(s)) + s``, whose fixed point is
     the interference-cancelled observation, stable under noise.
+
+    A stacked model decodes all its frames at once; ``omega`` is then a
+    scalar or a ``(B, 1, 1)`` array with one relaxation factor per frame.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")

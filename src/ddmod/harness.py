@@ -3,9 +3,19 @@
 A sweep maps a decoder over an (Eb/N0 x omega) grid of cells.  Every random
 draw inside a cell comes from a Philox substream keyed on
 ``(master_seed, cell_index, frame_index)``, so results are bit-identical
-regardless of worker count or execution order.  The set-up (Eb calibration,
-QR factors) is built once per sweep and sent to the pool with each task.  A
-singular effective model (:class:`detect.SingularModelError`) fails the whole
+regardless of worker count, execution order or how frames are stacked.
+
+The set-up (Eb calibration, QR factors) is built once per sweep, in the
+calling process.  The cells are dealt round-robin into one group per worker,
+and the pool receives the set-up with each group.  A group runs its cells in
+lockstep rounds: each round, every live cell adds its next frames to one
+``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
+together; the sphere decoder then runs frame by frame on its slice.  A cell
+adds no more frames than ``min_bit_errors`` could still need, so a cell
+stops at exactly the frame where a frame-by-frame loop would stop, and
+``modem.STACK_ENTRIES`` caps the symbols stacked in one round.
+
+A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
 ``BerCell.error``.  Any other exception aborts the sweep.  Configurations are
 validated when a :class:`SweepConfig` is built, so a bad value fails before
@@ -40,22 +50,19 @@ def _im_soft(runner, model, omega):
 
 
 def _sd2d(runner, model, omega):
-    est, _, counter = detect.sd2d_decode(model, runner.constellation, runner.cfg.k_list)
-    return est, counter
+    return runner.sphere(model)
 
 
 def _sd2d_im_init(runner, model, omega):
     initial = detect.hard_demap(runner.im_soft(model, omega), runner.constellation)
     radius = None if runner.cfg.radius_policy == "im_init" else np.inf
-    est, _, counter = detect.sd2d_decode(
-        model, runner.constellation, runner.cfg.k_list, radius_sq=radius, initial=initial
-    )
-    return est, counter
+    return runner.sphere(model, radius_sq=radius, initial=initial)
 
 
 # decoder name -> (decode step, whether the decoder takes omega).  A step maps
-# (runner, model, omega) to (estimate, OpCounter or None) and looks the detect
-# functions up when called, so wrappers installed on the module see the calls.
+# (runner, stacked model, (B, 1, 1) omega or None) to (estimates, per-frame
+# operation counts or None) and looks the detect functions up when called, so
+# wrappers installed on the module see the calls.
 _DECODER_TABLE = {
     "matched": (_matched, False),
     "im_soft": (_im_soft, True),
@@ -202,6 +209,7 @@ class BerCell:
     ci_low: float = 0.0
     ci_high: float = 1.0
     mean_decoder_ops: float = 0.0
+    # the cell's share of its group's rounds, split by frames
     wall_time: float = 0.0
     error: str | None = None
 
@@ -238,7 +246,7 @@ def wilson_interval(errors, trials, z=1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-class _CellRunner:
+class _SweepRunner:
     """Per-sweep decode pipeline with the heavy factors prepared once."""
 
     def __init__(self, cfg):
@@ -258,38 +266,85 @@ class _CellRunner:
             model, omega, self.cfg.iterations, clip_scale=self.constellation.axis_magnitude
         )
 
-    def frame(self, cell_index, frame_index, sigma_sq):
-        """Transmitted bits and receiver model of one frame of a cell."""
-        rng = channel.substream(self.cfg.master_seed, cell_index, frame_index)
-        bits = rng.integers(0, 2, size=self.bits_per_frame)
-        s = modem.map_bits(bits, self.constellation, self.cfg.n, self.cfg.m)
-        rx = channel.awgn(modem.modulate(s, self.params), sigma_sq, rng)
+    def sphere(self, model, radius_sq=None, initial=None):
+        """Sphere decode each frame of a stacked model: (estimates, op counts)."""
+        out = [
+            detect.sd2d_decode(
+                model.frame(i), self.constellation, self.cfg.k_list, radius_sq=radius_sq,
+                initial=None if initial is None else initial[i],
+            )
+            for i in range(len(model.y_t))
+        ]
+        return np.array([est for est, _, _ in out]), [counter.total for _, _, counter in out]
+
+    def transmit(self, frames, sigma_sq):
+        """Sent bits ``(B, bits)`` and the stacked receiver model of ``B`` frames.
+
+        ``frames`` holds ``(cell_index, frame_index)`` keys and ``sigma_sq``
+        each frame's noise variance.  A frame draws its bits and noise from
+        its own substream, so it comes out as it would alone.
+        """
+        cfg = self.cfg
+        rngs = [channel.substream(cfg.master_seed, cell, index) for cell, index in frames]
+        bits = np.array([rng.integers(0, 2, size=self.bits_per_frame) for rng in rngs])
+        x = modem.modulate(modem.map_bits(bits, self.constellation, cfg.n, cfg.m), self.params)
+        rx = np.array([channel.awgn(*args) for args in zip(x, sigma_sq, rngs)])
         y_tf = modem.wigner_rect(rx, self.params)
         return bits, detect.refresh_observation(self.base_model, y_tf)
 
-    def run_cell(self, cell_index, ebn0_db, omega):
-        cfg = self.cfg
-        cell = BerCell(cell_index=cell_index, ebn0_db=ebn0_db, omega=omega)
-        start = time.perf_counter()
-        sigma_sq = channel.noise_variance(ebn0_db, self.eb)
-        ops = 0
-        for frame_index in range(cfg.max_frames):
-            bits, model = self.frame(cell_index, frame_index, sigma_sq)
-            est, counter = self.decode_step(self, model, omega)
-            bits_hat = modem.demap_symbols(est, self.constellation)
-            cell.bit_errors += int(np.sum(bits_hat != bits))
-            cell.frames += 1
-            if counter is not None:
-                ops += counter.total
-            if cell.bit_errors >= cfg.min_bit_errors:
-                break
-        # max_frames >= 1, so at least one frame ran
-        cell.bits_sent = cell.frames * self.bits_per_frame
-        cell.ber = cell.bit_errors / cell.bits_sent
-        cell.ci_low, cell.ci_high = wilson_interval(cell.bit_errors, cell.bits_sent)
-        cell.mean_decoder_ops = ops / cell.frames
-        cell.wall_time = time.perf_counter() - start
-        return cell
+    def run_group(self, group):
+        """Run the cells ``[(cell_index, ebn0_db, omega)]`` in lockstep rounds.
+
+        Each round every live cell adds its next frames to one stack, at
+        most ``modem.STACK_ENTRIES`` symbols in all: as many as it may still
+        send, but no more than ``min_bit_errors`` could need, so no frame
+        before a cell's last in a round can reach the stop threshold and no
+        frame is run past the stop rule.  A cell's ``wall_time`` is its share
+        of the rounds, split by frames.
+        """
+        cfg, bpf = self.cfg, self.bits_per_frame
+        cells = [BerCell(cell_index=i, ebn0_db=e, omega=w) for i, e, w in group]
+        sigma_sq = {i: channel.noise_variance(e, self.eb) for i, e, _ in group}
+        ops = dict.fromkeys(sigma_sq, 0)
+        budget = max(1, modem.STACK_ENTRIES // self.params.frame_symbols)
+        live = cells
+        clock = time.perf_counter()
+        while live:
+            batch = []  # (cell, frame index)
+            for cell in live:
+                need = -(-(cfg.min_bit_errors - cell.bit_errors) // bpf)
+                take = min(cfg.max_frames - cell.frames, need, budget - len(batch))
+                batch += [(cell, cell.frames + j) for j in range(take)]
+                if len(batch) == budget:
+                    break
+            bits, model = self.transmit(
+                [(cell.cell_index, index) for cell, index in batch],
+                [sigma_sq[cell.cell_index] for cell, _ in batch],
+            )
+            omega = None
+            if cfg.uses_omega:
+                omega = np.array([cell.omega for cell, _ in batch])[:, None, None]
+            est, frame_ops = self.decode_step(self, model, omega)
+            errors = np.sum(modem.demap_symbols(est, self.constellation) != bits, axis=1)
+            now = time.perf_counter()
+            share, clock = (now - clock) / len(batch), now
+            for i, (cell, _) in enumerate(batch):
+                cell.frames += 1
+                cell.bit_errors += int(errors[i])
+                cell.wall_time += share
+                if frame_ops is not None:
+                    ops[cell.cell_index] += frame_ops[i]
+            live = [
+                cell for cell in live
+                if cell.frames < cfg.max_frames and cell.bit_errors < cfg.min_bit_errors
+            ]
+        for cell in cells:
+            # max_frames >= 1, so every cell ran a frame
+            cell.bits_sent = cell.frames * bpf
+            cell.ber = cell.bit_errors / cell.bits_sent
+            cell.ci_low, cell.ci_high = wilson_interval(cell.bit_errors, cell.bits_sent)
+            cell.mean_decoder_ops = ops[cell.cell_index] / cell.frames
+        return cells
 
 
 def default_workers():
@@ -305,23 +360,29 @@ def default_workers():
 def run_sweep(cfg, workers=None):
     """Map the decoder over the (Eb/N0 x omega) grid and aggregate.
 
-    ``workers`` defaults to the ``DDMOD_WORKERS`` environment variable or one
-    worker per core.  Results are independent of the worker count.
+    The cells are dealt into ``min(workers, cells)`` groups, and each group
+    runs in lockstep (:meth:`_SweepRunner.run_group`), one group per pool
+    process.  ``workers`` defaults to the ``DDMOD_WORKERS`` environment
+    variable or one worker per core.  Results are independent of the worker
+    count.
     """
     if workers is None:
         workers = default_workers()
     cells_spec = cfg.cells()
     try:
-        runner = _CellRunner(cfg)
+        runner = _SweepRunner(cfg)
     except detect.SingularModelError as exc:
         cells = [BerCell(i, e, w, error=str(exc)) for i, e, w in cells_spec]
         return BerResult(config=cfg, cells=cells)
-    columns = zip(*cells_spec)
-    if workers <= 1 or len(cells_spec) <= 1:
-        cells = list(map(runner.run_cell, *columns))
+    # cells are dealt round-robin, so each group mixes low and high Eb/N0
+    n_groups = max(1, min(workers, len(cells_spec)))
+    groups = [cells_spec[g::n_groups] for g in range(n_groups)]
+    if n_groups == 1:
+        done = map(runner.run_group, groups)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(runner.run_cell, *columns))
+        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+            done = list(pool.map(runner.run_group, groups))
+    cells = sorted((c for group in done for c in group), key=lambda c: c.cell_index)
     return BerResult(config=cfg, cells=cells)
 
 

@@ -3,7 +3,10 @@
 The symbol frame ``S`` is an ``N x M`` complex array (Doppler rows, delay
 columns), the time-frequency frame ``X`` an ``N x M`` array (time-slot rows,
 subcarrier columns), and the waveform a length ``N*M`` vector sampled at
-``T/M``.  ``alpha = beta = 1`` reproduces the orthogonal OTFS chain (ISFFT
+``T/M``.  The transmit and receive functions also take a stack of frames
+with a leading frame axis, ``(B, N, M)`` frames or ``(B, N*M)`` waveforms;
+each frame of a stack comes out bit-identical to the same frame passed
+alone.  ``alpha = beta = 1`` reproduces the orthogonal OTFS chain (ISFFT
 followed by a rectangular-pulse Heisenberg transform); compression factors
 below 1 keep the same frame carried in a signal whose effective
 time-bandwidth occupancy shrinks by ``alpha*beta``, making the transform
@@ -17,6 +20,11 @@ The end-to-end bridge used by the detector:
 from dataclasses import dataclass
 
 import numpy as np
+
+# most symbol entries (frames x N x M) stacked into one batched call by the
+# harness and the Eb calibration; it bounds their memory and never changes a
+# result
+STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,14 @@ def build_delay_matrix(beta, m):
     return np.exp(2j * np.pi * beta * np.outer(idx, idx) / m) / np.sqrt(m)
 
 
+def _frames(s, params):
+    """``s`` as a complex ``(N, M)`` frame or ``(B, N, M)`` stack of frames."""
+    s = np.asarray(s, dtype=complex)
+    if s.ndim not in (2, 3) or s.shape[-2:] != (params.n, params.m):
+        raise ValueError(f"frame shape {s.shape} does not match ({params.n}, {params.m})")
+    return s
+
+
 def isfft_nonorth(s, params):
     """Symbol frame to time-frequency frame: ``X = A @ S @ B.conj().T``.
 
@@ -149,9 +165,7 @@ def isfft_nonorth(s, params):
     beta*m*l/M)) / sqrt(N*M)``; at ``alpha = beta = 1`` this is the inverse
     symplectic finite Fourier transform.
     """
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (params.n, params.m):
-        raise ValueError(f"frame shape {s.shape} does not match ({params.n}, {params.m})")
+    s = _frames(s, params)
     a = build_doppler_matrix(params.alpha, params.n)
     b = build_delay_matrix(params.beta, params.m)
     return a @ s @ b.conj().T
@@ -162,11 +176,10 @@ def heisenberg_rect(x_tf, params):
     Block ``n`` of the waveform is the unitary inverse DFT of row ``n``:
     ``samples[n*M + p] = sum_m X[n, m] * exp(2j*pi*m*p/M) / sqrt(M)``.
     """
-    x_tf = np.asarray(x_tf, dtype=complex)
-    if x_tf.shape != (params.n, params.m):
-        raise ValueError(f"frame shape {x_tf.shape} does not match ({params.n}, {params.m})")
-    blocks = np.fft.ifft(x_tf, axis=1) * np.sqrt(params.m)
-    return blocks.reshape(-1)
+    x_tf = _frames(x_tf, params)
+    blocks = np.fft.ifft(x_tf, axis=-1)
+    blocks *= np.sqrt(params.m)
+    return blocks.reshape(*x_tf.shape[:-2], -1)
 
 
 def wigner_rect(y, params):
@@ -174,10 +187,12 @@ def wigner_rect(y, params):
     :func:`heisenberg_rect` (unitary, so white noise statistics carry over).
     """
     y = np.asarray(y, dtype=complex)
-    if y.shape != (params.n * params.m,):
+    if y.ndim not in (1, 2) or y.shape[-1] != params.n * params.m:
         raise ValueError(f"signal length {y.shape} does not match {params.n * params.m}")
-    blocks = y.reshape(params.n, params.m)
-    return np.fft.fft(blocks, axis=1) / np.sqrt(params.m)
+    blocks = y.reshape(*y.shape[:-1], params.n, params.m)
+    tf = np.fft.fft(blocks, axis=-1)
+    tf /= np.sqrt(params.m)
+    return tf
 
 
 def modulate(s, params):
@@ -193,26 +208,34 @@ def overloading_factor(alpha, beta):
 
 
 def map_bits(bits, constellation, n_rows, m_cols):
-    """Map a bit vector onto an ``n_rows x m_cols`` symbol frame."""
-    bits = np.asarray(bits, dtype=int).reshape(-1)
+    """Map a bit vector onto an ``n_rows x m_cols`` symbol frame.
+
+    A ``(B, bits)`` array maps row by row onto a ``(B, n_rows, m_cols)``
+    stack of frames.
+    """
+    bits = np.asarray(bits, dtype=int)
     bps = constellation.bits_per_symbol
-    if bits.size != n_rows * m_cols * bps:
+    if bits.ndim > 2 or bits.shape[-1:] != (n_rows * m_cols * bps,):
         raise ValueError(
-            f"expected {n_rows * m_cols * bps} bits for a {n_rows}x{m_cols} frame, got {bits.size}"
+            f"expected {n_rows * m_cols * bps} bits for a {n_rows}x{m_cols} frame, "
+            f"got shape {bits.shape}"
         )
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(bps - 1, -1, -1)
     idx = bits.reshape(-1, bps) @ weights
-    return constellation.points[idx].reshape(n_rows, m_cols)
+    return constellation.points[idx].reshape(*bits.shape[:-1], n_rows, m_cols)
 
 
 def demap_symbols(frame, constellation):
-    """Nearest-neighbor demap of a symbol frame back to bits.
+    """Nearest-neighbor demap of a symbol frame back to a bit vector.
 
-    Ties break toward the lowest constellation index, so the demap is
-    deterministic for any input.
+    A ``(B, N, M)`` stack of frames demaps to a ``(B, bits)`` array, one row
+    per frame.  Ties break toward the lowest constellation index, so the
+    demap is deterministic for any input.
     """
-    idx = constellation.nearest(frame).reshape(-1, 1)
+    frame = np.asarray(frame)
+    idx = constellation.nearest(frame)[..., None]
     bps = constellation.bits_per_symbol
-    return ((idx >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
+    bits = (idx >> np.arange(bps - 1, -1, -1)) & 1
+    return bits.reshape(*frame.shape[:-2], -1)

@@ -65,14 +65,15 @@ def test_criterion_2_operation_counts():
 def test_criterion_3_ml_equivalence():
     """(2,2) QPSK at alpha=beta=0.775: K=256 decode matches exhaustive search."""
     start = time.perf_counter()
-    runner = harness._CellRunner(
+    runner = harness._SweepRunner(
         harness.SweepConfig(m=2, n=2, alpha=0.775, beta=0.775, decoder="sd2d", master_seed=33)
     )
     q = runner.constellation
     hypotheses = np.array([np.array(p).reshape(2, 2) for p in product(q.points, repeat=4)])
     sigma_sq = channel.noise_variance(4.0, runner.eb)
+    _, models = runner.transmit([(0, f) for f in range(200)], [sigma_sq] * 200)
     for frame_index in range(200):
-        _, model = runner.frame(0, frame_index, sigma_sq)
+        model = models.frame(frame_index)
         s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=256)
         objs = np.array(
             [float(np.sum(np.abs(model.y_t - model.g @ f @ model.h.conj().T) ** 2))
@@ -173,16 +174,19 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
     BER never worse per point (within 2 SE), on both fig4 presets."""
     start = time.perf_counter()
     for preset_name in ("fig4a", "fig4b"):
-        runner = harness._CellRunner(harness.preset(preset_name))
+        runner = harness._SweepRunner(harness.preset(preset_name))
         cfg, q, bits_per_frame = runner.cfg, runner.constellation, runner.bits_per_frame
         omega = cfg.omega_values[0]
         for cell_index, ebn0 in enumerate(cfg.ebn0_db_points):
             sigma_sq = channel.noise_variance(ebn0, runner.eb)
-            err_sd = err_im = bits = 0
+            tx_bits, models = runner.transmit(
+                [(cell_index, f) for f in range(800)], [sigma_sq] * 800
+            )
+            im_frames = detect.hard_demap(runner.im_soft(models, omega), q)
+            sd_frames = np.empty_like(im_frames)
             for frame_index in range(800):
-                tx_bits, model = runner.frame(cell_index, frame_index, sigma_sq)
-                im_frame = detect.hard_demap(runner.im_soft(model, omega), q)
-                sd_frame, sd_loss, _ = detect.sd2d_decode(
+                model, im_frame = models.frame(frame_index), im_frames[frame_index]
+                sd_frames[frame_index], sd_loss, _ = detect.sd2d_decode(
                     model, q, k_list=cfg.k_list, initial=im_frame
                 )
                 im_loss = detect.total_objective(model, im_frame)
@@ -190,9 +194,9 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
                     f"{preset_name} {ebn0} dB frame {frame_index}: "
                     f"SD loss {sd_loss} > IM loss {im_loss}"
                 )
-                err_im += int(np.sum(modem.demap_symbols(im_frame, q) != tx_bits))
-                err_sd += int(np.sum(modem.demap_symbols(sd_frame, q) != tx_bits))
-                bits += bits_per_frame
+            err_im = int(np.sum(modem.demap_symbols(im_frames, q) != tx_bits))
+            err_sd = int(np.sum(modem.demap_symbols(sd_frames, q) != tx_bits))
+            bits = 800 * bits_per_frame
             ber_im, ber_sd = err_im / bits, err_sd / bits
             se = math.sqrt(ber_im * (1 - ber_im) / bits + ber_sd * (1 - ber_sd) / bits)
             assert ber_sd <= ber_im + 2 * se, (

@@ -85,6 +85,18 @@ class TestBuildEffectiveModel:
         assert np.allclose(fresh.u, direct.u)
         assert np.array_equal(fresh.r, direct.r)
 
+    def test_stacked_observation_keeps_frame_shape(self):
+        rng = np.random.default_rng(65)
+        model = make_model(3, 2, 0.9, 0.9)
+        y = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
+        stacked = detect.refresh_observation(model, y)
+        assert stacked.shape == (3, 2) and stacked.u.shape == (5, 3, 2)
+        assert np.array_equal(stacked.frame(4).u, detect.refresh_observation(model, y[4]).u)
+        with pytest.raises(ValueError, match="one frame"):
+            detect.sd2d_decode(stacked, modem.qpsk(), 4)
+        with pytest.raises(ValueError):
+            detect.refresh_observation(model, y[..., :1])
+
 
 class TestObjectiveAndPartialMetric:
     def test_true_frame_zero_noiseless(self):

@@ -3,12 +3,15 @@
 import csv
 import json
 import math
-from dataclasses import replace
+import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddmod import channel, detect, harness
+from ddmod import channel, detect, harness, modem
 
 
 def tiny_config(**overrides):
@@ -193,16 +196,15 @@ class TestRunSweep:
 
     def test_failed_cell_does_not_abort(self, monkeypatch):
         cfg = tiny_config(ebn0_db_points=(0.0, 4.0), max_frames=5, min_bit_errors=1)
-        original = harness._CellRunner.run_cell
+        original = harness._SweepRunner.run_group
 
-        def sabotage(self, cell_index, ebn0_db, omega):
-            if cell_index == 0:
-                cell = harness.BerCell(cell_index=cell_index, ebn0_db=ebn0_db, omega=omega)
-                cell.error = "synthetic failure"
-                return cell
-            return original(self, cell_index, ebn0_db, omega)
+        def sabotage(self, group):
+            # cell 0 fails before its first frame; the rest of its group runs
+            failed = [harness.BerCell(i, e, w, error="synthetic failure")
+                      for i, e, w in group if i == 0]
+            return failed + original(self, [spec for spec in group if spec[0] != 0])
 
-        monkeypatch.setattr(harness._CellRunner, "run_cell", sabotage)
+        monkeypatch.setattr(harness._SweepRunner, "run_group", sabotage)
         result = harness.run_sweep(cfg, workers=1)
         assert not result.completed
         assert result.cells[0].error == "synthetic failure"
@@ -234,6 +236,128 @@ class TestRunSweep:
         monkeypatch.setenv(harness.WORKERS_ENV, "abc")
         with pytest.raises(ValueError, match=f"{harness.WORKERS_ENV}.*'abc'"):
             harness.default_workers()
+
+
+def frame_alone(runner, cell_index, frame_index, sigma_sq):
+    """One frame through the 2-D calls of the chain: (bits, model)."""
+    cfg = runner.cfg
+    rng = channel.substream(cfg.master_seed, cell_index, frame_index)
+    bits = rng.integers(0, 2, size=runner.bits_per_frame)
+    s = modem.map_bits(bits, runner.constellation, cfg.n, cfg.m)
+    rx = channel.awgn(modem.modulate(s, runner.params), sigma_sq, rng)
+    y_tf = modem.wigner_rect(rx, runner.params)
+    return bits, detect.refresh_observation(runner.base_model, y_tf)
+
+
+def results(cells):
+    """Cell fields that a sweep must reproduce (all but the wall time)."""
+    return [{k: v for k, v in asdict(c).items() if k != "wall_time"} for c in cells]
+
+
+class TestBatchedChain:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        iterations=st.integers(1, 12),
+        k_list=st.integers(1, 8),
+        master_seed=st.integers(0, 2**32 - 1),
+        frames=st.lists(
+            st.tuples(
+                st.integers(0, 5),  # cell index
+                st.integers(0, 99),  # frame index
+                st.sampled_from([0.0, 3.0, 6.0, 10.0, 30.0]),  # Eb/N0
+                st.sampled_from([0.25, 0.5, 0.9, 1.2]),  # omega
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_stacked_frames_equal_frames_run_alone(
+        self, n, m, iterations, k_list, master_seed, frames
+    ):
+        runner = harness._SweepRunner(tiny_config(
+            m=m, n=n, alpha=0.8, beta=0.85, decoder="sd2d_im_init", iterations=iterations,
+            k_list=k_list, master_seed=master_seed,
+        ))
+        q = runner.constellation
+        sigma_sq = [channel.noise_variance(e, runner.eb) for _, _, e, _ in frames]
+        bits, models = runner.transmit([(c, f) for c, f, _, _ in frames], sigma_sq)
+        omega = np.array([w for _, _, _, w in frames])[:, None, None]
+        ws = runner.im_soft(models, omega)
+        initial = detect.hard_demap(ws, q)
+        for i, (cell_index, frame_index, _, w) in enumerate(frames):
+            bits_1, model_1 = frame_alone(runner, cell_index, frame_index, sigma_sq[i])
+            assert np.array_equal(bits[i], bits_1)
+            assert np.array_equal(models.y_t[i], model_1.y_t)
+            assert np.array_equal(models.u[i], model_1.u)
+            w_1 = runner.im_soft(model_1, w)
+            assert np.array_equal(ws[i], w_1)
+            sd = detect.sd2d_decode(models.frame(i), q, k_list, initial=initial[i])
+            sd_1 = detect.sd2d_decode(model_1, q, k_list, initial=detect.hard_demap(w_1, q))
+            assert np.array_equal(sd[0], sd_1[0])
+            assert sd[1] == sd_1[1] and sd[2] == sd_1[2]
+
+
+class TestLockstepRounds:
+    @staticmethod
+    def count_harness_substreams(monkeypatch):
+        calls = []
+        original = channel.substream
+
+        def counted(*args):
+            if sys._getframe(1).f_globals["__name__"] == harness.__name__:
+                calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(channel, "substream", counted)
+        return calls
+
+    @pytest.mark.parametrize("cfg", [
+        replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120),
+        tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
+                    omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
+                    max_frames=30),
+    ], ids=["fig3_cut", "tiny_sd2d_im_init"])
+    def test_one_substream_per_counted_frame(self, cfg, monkeypatch):
+        calls = self.count_harness_substreams(monkeypatch)
+        result = harness.run_sweep(cfg, workers=1)
+        assert len(calls) == sum(c.frames for c in result.cells)
+        assert len(set(calls)) == len(calls)
+        # some cells stop on min_bit_errors, some on max_frames
+        assert {c.bit_errors >= cfg.min_bit_errors for c in result.cells} == {True, False}
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
+                    omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
+                    max_frames=30),
+        # one frame often carries the last few errors a cell needs, so a round
+        # that ran past the stop rule would count extra frames here
+        tiny_config(ebn0_db_points=(0.0, 2.0, 4.0), min_bit_errors=5, max_frames=40),
+    ], ids=["tiny_sd2d_im_init", "tiny_matched"])
+    def test_round_budget_does_not_change_results(self, cfg, monkeypatch):
+        # with a budget of one frame every round runs one frame, so the stop
+        # rule is applied after each frame
+        full = harness.run_sweep(cfg, workers=1)
+        monkeypatch.setattr(modem, "STACK_ENTRIES", cfg.m * cfg.n)
+        one_frame = harness.run_sweep(cfg, workers=1)
+        assert results(one_frame.cells) == results(full.cells)
+
+    def test_rounds_never_stack_more_than_the_budget(self, monkeypatch):
+        cfg = replace(harness.preset("fig2a"), ebn0_db_points=(10.0,),
+                      omega_values=(0.25, 0.5, 0.75), min_bit_errors=10**9, max_frames=100)
+        budget = modem.STACK_ENTRIES // (cfg.m * cfg.n)
+        stacked = []
+        original = detect.refresh_observation
+
+        def recorded(model, y_tf):
+            stacked.append(y_tf.shape[0])
+            return original(model, y_tf)
+
+        monkeypatch.setattr(detect, "refresh_observation", recorded)
+        result = harness.run_sweep(cfg, workers=1)
+        assert [c.frames for c in result.cells] == [100] * 3
+        assert sum(stacked) == 300
+        assert max(stacked) == budget
 
 
 class TestEmitResults:
@@ -312,14 +436,15 @@ class TestDecoderOrdering:
         # soft decoder's demapped frame, frame by frame (radius policy);
         # the iterative decoder is compared with the matched start on the
         # correlation residual
-        runner = harness._CellRunner(tiny_config(m=4, n=4, alpha=0.775, beta=0.775,
-                                                 master_seed=17))
+        runner = harness._SweepRunner(tiny_config(m=4, n=4, alpha=0.775, beta=0.775,
+                                                  master_seed=17))
         q = runner.constellation
         sigma_sq = channel.noise_variance(6.0, runner.eb)
         op = detect.distortion_operator(runner.base_model)
+        _, models = runner.transmit([(0, f) for f in range(40)], [sigma_sq] * 40)
+        ws = detect.im_soft_decode(models, 0.5, 20)
         for frame_index in range(40):
-            _, model = runner.frame(0, frame_index, sigma_sq)
-            w = detect.im_soft_decode(model, 0.5, 20)
+            model, w = models.frame(frame_index), ws[frame_index]
             im_frame = detect.hard_demap(w, q)
             sd_frame, sd_loss, _ = detect.sd2d_decode(model, q, k_list=16, initial=im_frame)
             assert sd_loss <= detect.total_objective(model, im_frame) * (1 + 1e-9)

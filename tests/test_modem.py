@@ -253,6 +253,17 @@ class TestBitMapping:
         wobble = 0.09 * np.exp(2j * np.pi * rng.uniform(size=(4, 4)))
         assert np.array_equal(modem.demap_symbols(frame + wobble, q), bits)
 
+    def test_stacked_roundtrip_row_by_row(self):
+        rng = np.random.default_rng(41)
+        q = modem.qpsk()
+        bits = rng.integers(0, 2, size=(3, 2 * 3 * 2))
+        frames = modem.map_bits(bits, q, 2, 3)
+        assert frames.shape == (3, 2, 3)
+        assert np.array_equal(frames[1], modem.map_bits(bits[1], q, 2, 3))
+        assert np.array_equal(modem.demap_symbols(frames, q), bits)
+        with pytest.raises(ValueError):
+            modem.map_bits(bits[None], q, 2, 3)
+
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError):
             modem.map_bits(np.zeros(7, dtype=int), modem.qpsk(), 2, 2)
