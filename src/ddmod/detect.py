@@ -215,12 +215,11 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
         raise ValueError("sd2d_decode takes one frame; pass model.frame(i) of a stacked model")
     if k_list < 1:
         raise ValueError("k_list must be at least 1")
+    init_loss = None if initial is None else total_objective(model, initial)
     if radius_sq is None:
-        radius_sq = np.inf
-        if initial is not None:
-            radius_sq = (1.0 + RADIUS_SLACK) * total_objective(model, initial)
-    if not radius_sq > 0:
-        raise ValueError("radius_sq must be positive or infinite")
+        radius_sq = np.inf if initial is None else (1.0 + RADIUS_SLACK) * init_loss
+    if not radius_sq >= 0:
+        raise ValueError("radius_sq must be non-negative or infinite")
     points = constellation.points
     counter = OpCounter()
     # every survivor lies inside the radius, except a lone best child kept
@@ -249,10 +248,8 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
         frames[:, row, col] = points[keep % points.size]
         losses = flat[keep]
     s_hat, loss = frames[0], float(losses[0])
-    if initial is not None:
-        init_loss = total_objective(model, initial)
-        if init_loss < loss:
-            s_hat, loss = np.asarray(initial, dtype=complex).copy(), init_loss
+    if initial is not None and init_loss < loss:
+        s_hat, loss = np.asarray(initial, dtype=complex).copy(), init_loss
     return s_hat, loss, counter
 
 
@@ -328,17 +325,18 @@ def soft_clip(w, d):
     """Per-axis saturating clipper.
 
     Each real axis maps ``p -> p`` when ``|p| < d`` and to ``sign(p)``
-    otherwise, with ``sign(0) = +1``.  For ``d <= 1`` the output lies in the
-    closed unit square and the map is idempotent.
+    otherwise, with ``sign(0) = +1`` and ``sign(NaN) = +1``.  A kept entry,
+    signed zero included, passes through unchanged.  For ``d <= 1`` the
+    output lies in the closed unit square and the map is idempotent.  The
+    input is not modified.
     """
     if d < 0:
         raise ValueError("threshold must be non-negative")
-    w = np.asarray(w, dtype=complex)
-
-    def axis(p):
-        return np.where(np.abs(p) < d, p, np.where(p < 0, -1.0, 1.0))
-
-    return axis(w.real) + 1j * axis(w.imag)
+    w = np.array(w, dtype=complex, order="C")
+    p = w.reshape(-1).view(float)
+    # not copysign, which differs at -0.0, and not abs(p) >= d, which keeps NaN
+    np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~(np.abs(p) < d))
+    return w
 
 
 def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
@@ -361,8 +359,13 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     w = w0
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
+        # the division stays complex: numpy divides by clip_scale + 0j, and
+        # dividing the real view instead changes the last bit
         s = clip_scale * soft_clip(w / clip_scale, d)
-        w = omega * (w0 - op(s)) + s
+        w = op(s)
+        np.subtract(w0, w, out=w)
+        w *= omega
+        w += s
     return w
 
 

@@ -59,10 +59,6 @@ class ModemParams:
     def frame_symbols(self):
         return self.m * self.n
 
-    @property
-    def sample_step(self):
-        return self.T / self.m
-
 
 @dataclass(frozen=True)
 class Constellation:

@@ -1,5 +1,7 @@
 """Tests for the effective model, iterative decoder, and 2-D sphere decoder."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,8 +316,9 @@ class TestSd2dDecode:
 
     def test_rejects_bad_radius(self):
         model = make_model(2, 2, 0.9, 0.9)
-        with pytest.raises(ValueError):
-            detect.sd2d_decode(model, modem.qpsk(), k_list=4, radius_sq=0.0)
+        for radius_sq in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="radius_sq"):
+                detect.sd2d_decode(model, modem.qpsk(), k_list=4, radius_sq=radius_sq)
 
 
 class TestSd2dContract:
@@ -436,7 +439,58 @@ class TestIterativeMethod:
         assert np.allclose(x, s, atol=1e-5)
 
 
+def two_where_clip(w, d):
+    """The clipper written per axis, as two ``np.where`` passes."""
+    w = np.asarray(w, dtype=complex)
+
+    def axis(p):
+        return np.where(np.abs(p) < d, p, np.where(p < 0, -1.0, 1.0))
+
+    return axis(w.real) + 1j * axis(w.imag)
+
+
 class TestSoftClip:
+    @staticmethod
+    def edge_grid(d):
+        """Every pairing of axis values at and around the threshold ``d``."""
+        axis = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        for v in (d, np.nextafter(d, 0.0), np.nextafter(d, math.inf)):
+            axis += [v, -v]
+        grid = np.empty((len(axis), len(axis)), dtype=complex)
+        grid.real, grid.imag = np.array(axis)[:, None], np.array(axis)[None, :]
+        return grid
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.0, 2.0])
+    def test_matches_two_where_oracle_on_edge_values(self, d):
+        w = self.edge_grid(d)
+        before = w.copy()
+        out = detect.soft_clip(w, d)
+        assert np.array_equal(out, two_where_clip(w, d), equal_nan=True)
+        assert np.array_equal(w, before, equal_nan=True)
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.0, 2.0])
+    def test_kept_entries_keep_their_sign_of_zero(self, d):
+        w = self.edge_grid(d)
+        out = detect.soft_clip(w, d)
+        for part in (np.real, np.imag):
+            kept = np.abs(part(w)) < d
+            assert np.array_equal(np.signbit(part(out))[kept], np.signbit(part(w))[kept])
+
+    @pytest.mark.parametrize("view", [
+        lambda w: w, lambda w: w.T, lambda w: w[:, ::2], lambda w: w[..., ::-1],
+        lambda w: w.real, lambda w: w[0, 0, 0],
+    ], ids=["stack", "transposed", "strided", "reversed", "real", "scalar"])
+    def test_layouts_match_two_where_oracle(self, view):
+        rng = np.random.default_rng(86)
+        w = 1.5 * (rng.normal(size=(3, 4, 6)) + 1j * rng.normal(size=(3, 4, 6)))
+        x = view(w)
+        before = np.array(x, copy=True)
+        for d in (0.0, 0.5, 1.0, 2.0):
+            out = detect.soft_clip(x, d)
+            assert out.shape == np.shape(x) and out.dtype == complex
+            assert np.array_equal(out, two_where_clip(x, d))
+        assert np.array_equal(x, before)
+
     def test_piecewise_rule_per_axis(self):
         out = detect.soft_clip(np.array([[0.3 + 0.7j]]), 0.5)
         assert out[0, 0] == pytest.approx(0.3 + 1.0j)

@@ -219,6 +219,15 @@ class TestRunSweep:
         assert len(result.cells) == 4
         assert all("G is effectively singular" in c.error for c in result.cells)
 
+    def test_noiseless_zero_objective_initial_completes(self):
+        # a 1x1 orthogonal frame's initial estimate has objective exactly 0,
+        # so the sphere decoder runs with a zero radius
+        cfg = tiny_config(m=1, n=1, alpha=1.0, beta=1.0, decoder="sd2d_im_init",
+                          ebn0_db_points=(math.inf,), max_frames=10, min_bit_errors=1)
+        result = harness.run_sweep(cfg, workers=1)
+        assert result.completed
+        assert (result.cells[0].frames, result.cells[0].bit_errors) == (10, 0)
+
     def test_lookup_by_point(self):
         cfg = tiny_config(ebn0_db_points=(2.0, 4.0), max_frames=5, min_bit_errors=1)
         result = harness.run_sweep(cfg, workers=1)

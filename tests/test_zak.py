@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ddmod import numerics, properties, zak
+from ddmod import properties, zak
 from ddmod.properties import random_signal
+from oracles import dirichlet_sq
 
 PARAM_SETS = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
 
@@ -91,7 +92,7 @@ class TestForward:
         x[q * p.block_len:] = 0.0
         m = zak.zak_transform(zak.SampledSignal(samples=x, step=p.step), p)
         profile = np.abs(m.values[0, :]) ** 2
-        expect = p.T * numerics.dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), q)
+        expect = p.T * dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), q)
         assert np.allclose(profile, expect, rtol=1e-10, atol=1e-12)
 
     def test_rejects_misaligned_signal(self):
@@ -174,7 +175,7 @@ class TestSpectrum:
             got = abs(zak.zak_to_spectrum(m, p, f)) ** 2
             expect = abs(self.dft_oracle(sig, p, f)) ** 2
             assert got == pytest.approx(expect, rel=1e-9, abs=1e-15)
-            dirich = p.step**2 * numerics.dirichlet_sq(
+            dirich = p.step**2 * dirichlet_sq(
                 df_blocks / (p.periods * p.block_len), q * p.block_len
             )
             assert got == pytest.approx(dirich, rel=1e-9, abs=1e-15)
@@ -327,7 +328,7 @@ class TestPulseBasis:
         expect = (
             1.0
             / (p.lam * p.mu) ** 2
-            * numerics.dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), n_count)
+            * dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), n_count)
         )
         peak_scale = np.max(expect)
         at_peaks = expect > 1e-2 * peak_scale
