@@ -7,6 +7,17 @@ import sys
 from . import detect, harness, properties
 
 
+def _worker_count(text):
+    """The ``--workers`` value: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_simulate(sub):
     p = sub.add_parser("simulate", help="run a Monte-Carlo BER sweep")
     src = p.add_mutually_exclusive_group(required=True)
@@ -15,7 +26,7 @@ def _add_simulate(sub):
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default="results", help="output directory (default: results/)")
     p.add_argument("--stem", default="results", help="output file stem")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_worker_count, default=None,
                    help=f"worker processes (default: ${harness.WORKERS_ENV} or cpu count)")
 
 

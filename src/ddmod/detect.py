@@ -16,11 +16,13 @@ per-cell terms
 
 each depending only on the lower-right quadrant of ``S``.  The 2-D sphere
 decoder walks cells from the bottom-right corner toward the origin along
-L-shaped shells (so every quadrant is decided before it is read).  Its
-survivors are plain arrays: a ``(k, N, M)`` stack of partial frames, zero in
-the cells not yet decided, and their accumulated losses.  Each cell extends
-every survivor by every constellation point and keeps the ``k <= k_list``
-lowest-loss children inside a squared radius, indexing the stack by parent.
+L-shaped shells (so every quadrant is decided before it is read).  It
+decodes a ``(B, N, M)`` stack of frames in one pass.  Its survivors are plain
+arrays: a ``(B, S, N, M)`` stack of partial frames, zero in the cells not yet
+decided, and their accumulated ``(B, S)`` losses, NaN in the slots a frame
+does not fill.  Each cell extends every survivor by every constellation point
+and keeps each frame's ``k <= k_list`` lowest-loss children inside its
+squared radius, indexing the stack by parent.
 
 Operation counting: the counter attributes to each cell evaluation the
 update recursion along the shorter frame axis: one inner product of the
@@ -28,11 +30,13 @@ remaining min-axis extent plus one cross-axis scaling multiply, i.e.
 ``ext + 1`` multiplies and ``ext`` additions (the inner product's ``ext - 1``
 additions plus the subtraction from ``U``).  Summed over a full
 single-candidate sweep this gives ``M*N*(min(M,N)+3)/2`` multiplies and
-``M*N*(min(M,N)+1)/2`` additions.
+``M*N*(min(M,N)+1)/2`` additions.  Each frame of a stack is counted on its
+own, for its own live survivors.
 """
 
+import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,10 +71,6 @@ class EffectiveModel:
     @property
     def shape(self):
         return self.y_t.shape[-2:]
-
-    def frame(self, index):
-        """The model of frame ``index`` of a stacked model."""
-        return replace(self, y_t=self.y_t[index], u=self.u[index])
 
 
 def _check_full_rank(r, source, name):
@@ -120,32 +120,57 @@ def refresh_observation(model, y_tf):
 
 
 def total_objective(model, s):
-    """Exact Frobenius objective ``|| Y_T - G S H+ ||_F^2``."""
+    """Exact Frobenius objective ``|| Y_T - G S H+ ||_F^2``.
+
+    A float for one frame; a ``(B,)`` array for the ``(B, N, M)`` frames
+    ``s`` of a stacked model.
+    """
     s = np.asarray(s, dtype=complex)
-    if s.shape != model.shape:
-        raise ValueError(f"frame shape {s.shape} does not match {model.shape}")
+    if s.shape != model.y_t.shape:
+        raise ValueError(f"frame shape {s.shape} does not match {model.y_t.shape}")
     resid = model.y_t - model.g @ s @ model.h.conj().T
-    return float(np.sum(np.abs(resid) ** 2))
+    loss = np.sum(np.abs(resid) ** 2, axis=(-2, -1))
+    return float(loss) if loss.ndim == 0 else loss
 
 
 @dataclass
 class OpCounter:
-    """Tally of complex multiplies/adds attributed to partial-metric work."""
+    """Tally of complex multiplies/adds attributed to partial-metric work.
 
-    complex_mults: int = 0
-    complex_adds: int = 0
+    ``frame_mults`` and ``frame_adds`` hold one Python int per frame: one
+    entry for a single frame, ``B`` for a stacked sphere decode.  The
+    ``complex_mults``, ``complex_adds`` and ``total`` properties sum them
+    over the frames.
+    """
+
+    frame_mults: list = field(default_factory=lambda: [0])
+    frame_adds: list = field(default_factory=lambda: [0])
 
     def add(self, mults, adds):
-        self.complex_mults += int(mults)
-        self.complex_adds += int(adds)
+        """Add ``mults`` and ``adds`` to every frame's tally."""
+        self.frame_mults = [x + int(mults) for x in self.frame_mults]
+        self.frame_adds = [x + int(adds) for x in self.frame_adds]
+
+    @property
+    def complex_mults(self):
+        return sum(self.frame_mults)
+
+    @property
+    def complex_adds(self):
+        return sum(self.frame_adds)
 
     @property
     def total(self):
         return self.complex_mults + self.complex_adds
 
+    @property
+    def frame_totals(self):
+        """Each frame's ``mults + adds``."""
+        return [x + y for x, y in zip(self.frame_mults, self.frame_adds)]
 
-def _min_axis_extent(model, row, col):
-    n, m = model.shape
+
+def _min_axis_extent(shape, row, col):
+    n, m = shape
     return m - col if m <= n else n - row
 
 
@@ -161,7 +186,7 @@ def partial_metric(model, s, row, col, counter=None):
         raise ValueError(f"frame shape {s.shape} does not match {model.shape}")
     val = model.r[row, row:] @ s[row:, col:] @ model.l[col:, col]
     if counter is not None:
-        ext = _min_axis_extent(model, row, col)
+        ext = _min_axis_extent(model.shape, row, col)
         counter.add(ext + 1, ext)
     return float(np.abs(model.u[row, col] - val) ** 2)
 
@@ -193,63 +218,102 @@ def wavefront_schedule(n_rows, m_cols):
     return order
 
 
+@functools.lru_cache(maxsize=None)
+def _schedule_arrays(n_rows, m_cols):
+    """The wavefront schedule with its rows, columns and min-axis extents."""
+    schedule = tuple(wavefront_schedule(n_rows, m_cols))
+    rows, cols = np.array(schedule).T
+    exts = _min_axis_extent((n_rows, m_cols), rows, cols)
+    for a in (rows, cols, exts):
+        a.setflags(write=False)
+    return schedule, rows, cols, exts
+
+
 def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     """2-D K-best sphere decode; returns ``(s_hat, final_loss, counter)``.
 
-    The survivors are ``frames``, ``k <= k_list`` partial frames that are zero
-    where undecided, and their accumulated ``losses``.  At each cell of
-    :func:`wavefront_schedule` every survivor is extended by every
-    constellation point; the children are sorted ascending (stable, so ties
-    keep parent-then-point order) and the best ``k_list`` inside the radius
-    survive.  If the radius prunes every child, the single best child is kept
-    so a decode always completes.
+    The survivors are ``frames``, a ``(B, S, N, M)`` stack of partial frames
+    that are zero where undecided, and their accumulated ``(B, S)``
+    ``losses``.  At each cell of :func:`wavefront_schedule` every survivor is
+    extended by every constellation point; each frame's children are sorted
+    ascending (stable, so ties keep parent-then-point order) and its best
+    ``k_list`` inside the radius survive.  If the radius prunes every child
+    of a frame, that frame keeps its single best child, so a decode always
+    completes.
 
-    ``radius_sq`` defaults to infinity, or to ``(1 + 1e-6) * J(initial)``
-    when an initial estimate is supplied, which (together with a final
-    fallback comparison) guarantees the decode never returns a frame worse
-    than its initializer.  ``final_loss`` equals the exact objective of the
-    returned frame.
+    ``S = min(k_list, |A|**cells_decided)`` depends only on the cell, so the
+    products run on the same shapes at any ``B`` and each frame decodes bit
+    for bit as it would alone.  A frame with fewer live survivors pads its
+    losses with NaN, which sorts after every child and never passes a
+    radius, so each frame keeps its own radius, fallback and live count.
+
+    ``radius_sq`` is a scalar or one value per frame.  It defaults to
+    infinity, or to ``(1 + 1e-6) * J(initial)`` for each frame when an
+    initial estimate is supplied, which (together with a final fallback
+    comparison) guarantees the decode never returns a frame worse than its
+    initializer.  ``final_loss`` equals the exact objective of the returned
+    frame.
+
+    A model of one ``(N, M)`` frame returns an ``(N, M)`` frame and a float
+    loss; a stacked model returns ``(B, N, M)`` frames and ``(B,)`` losses.
+    ``counter`` tallies each frame's operations (see :class:`OpCounter`).
     """
     n_rows, m_cols = model.shape
-    if model.u.ndim != 2:
-        raise ValueError("sd2d_decode takes one frame; pass model.frame(i) of a stacked model")
     if k_list < 1:
         raise ValueError("k_list must be at least 1")
-    init_loss = None if initial is None else total_objective(model, initial)
+    single = model.u.ndim == 2
+    u = model.u[None] if single else model.u
+    if initial is not None:
+        init_loss = np.reshape(total_objective(model, initial), len(u))
+        initial = np.asarray(initial, dtype=complex).reshape(u.shape)
     if radius_sq is None:
         radius_sq = np.inf if initial is None else (1.0 + RADIUS_SLACK) * init_loss
-    if not radius_sq >= 0:
+    radius_sq = np.reshape(radius_sq, (-1, 1))
+    if not (radius_sq >= 0).all():
         raise ValueError("radius_sq must be non-negative or infinite")
     points = constellation.points
-    counter = OpCounter()
-    # every survivor lies inside the radius, except a lone best child kept
-    # when the radius pruned them all; a cell term never lowers a loss, so its
-    # descendants stay outside and the survivors need no radius filter
-    frames = np.zeros((1, n_rows, m_cols), dtype=complex)
-    losses = np.zeros(1)
-    for row, col in wavefront_schedule(n_rows, m_cols):
-        # cell (row, col) is still 0, so it enters only via the scale term
-        base = np.einsum(
-            "j,pjk,k->p", model.r[row, row:], frames[:, row:, col:], model.l[col:, col]
-        )
-        scale = model.r[row, row] * model.l[col, col]
-        children = losses[:, None] + np.abs(
-            model.u[row, col] - (base[:, None] + scale * points[None, :])
+    schedule, rows, cols, exts = _schedule_arrays(n_rows, m_cols)
+    # scale * point is a child's own term: its cell is still 0, so it enters
+    # the cell's residual only through the diagonals of R and L
+    scaled = (model.r[rows, rows] * model.l[cols, cols])[:, None] * points
+    # child j of the flattened (survivor, point) grid
+    child_parent = np.repeat(np.arange(k_list), points.size)
+    child_point = np.tile(points, k_list)
+    batch = np.arange(len(u))[:, None]
+    frames = np.zeros((len(u), 1, n_rows, m_cols), dtype=complex)
+    losses = np.zeros((len(u), 1))
+    # survivors after the first of each cell, NaN where not live
+    tails = [losses[:, 1:]]
+    for cell, (row, col) in enumerate(schedule):
+        # this product order gives each frame the same bits at any B
+        base = (frames[:, :, row:, col:] @ model.l[col:, col]) @ model.r[row, row:]
+        children = losses[:, :, None] + np.abs(
+            u[:, row, col, None, None] - (base[:, :, None] + scaled[cell])
         ) ** 2
-        ext = _min_axis_extent(model, row, col)
-        counter.add(len(frames) * (ext + 1), len(frames) * ext)
-
-        flat = children.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        keep = order[flat[order] <= radius_sq][:k_list]
-        if keep.size == 0:
-            keep = order[:1]
-        frames = frames[keep // points.size]
-        frames[:, row, col] = points[keep % points.size]
-        losses = flat[keep]
-    s_hat, loss = frames[0], float(losses[0])
-    if initial is not None and init_loss < loss:
-        s_hat, loss = np.asarray(initial, dtype=complex).copy(), init_loss
+        flat = children.reshape(len(u), -1)
+        keep = flat.argsort(axis=1, kind="stable")[:, :k_list]
+        losses = flat[batch, keep]
+        # every live survivor lies inside its frame's radius, except the
+        # best child, kept alone when the radius prunes them all; a cell
+        # term never lowers a loss, so a pruned survivor's descendants would
+        # stay outside too
+        tail = losses[:, 1:]
+        np.copyto(tail, np.nan, where=tail > radius_sq)
+        tails.append(tail)
+        frames = frames[batch, child_parent[keep]]
+        frames[:, :, row, col] = child_point[keep]
+    # a cell costs ext + 1 multiplies and ext adds per live survivor
+    live = ~np.isnan(np.concatenate(tails[:-1], axis=1))
+    weights = np.repeat(exts, [tail.shape[1] for tail in tails[:-1]])
+    adds = exts.sum() + live @ weights
+    mults = adds + len(exts) + live.sum(axis=1)
+    s_hat, loss = frames[:, 0], losses[:, 0]
+    if initial is not None:
+        better = init_loss < loss
+        s_hat[better], loss[better] = initial[better], init_loss[better]
+    counter = OpCounter(frame_mults=mults.tolist(), frame_adds=adds.tolist())
+    if single:
+        return s_hat[0], float(loss[0]), counter
     return s_hat, loss, counter
 
 
@@ -333,10 +397,16 @@ def soft_clip(w, d):
     if d < 0:
         raise ValueError("threshold must be non-negative")
     w = np.array(w, dtype=complex, order="C")
-    p = w.reshape(-1).view(float)
-    # not copysign, which differs at -0.0, and not abs(p) >= d, which keeps NaN
-    np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~(np.abs(p) < d))
+    _clip_axes(w.reshape(-1).view(float), d)
     return w
+
+
+def _clip_axes(p, d):
+    """Clip the float array ``p`` in place; returns whether no entry was kept."""
+    # not copysign, which differs at -0.0, and not abs(p) >= d, which keeps NaN
+    kept = np.abs(p) < d
+    np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~kept)
+    return not np.count_nonzero(kept)
 
 
 def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
@@ -349,23 +419,39 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     clipped iterate, ``w <- omega * (w_0 - C(s)) + s``, whose fixed point is
     the interference-cancelled observation, stable under noise.
 
-    A stacked model decodes all its frames at once; ``omega`` is then a
-    scalar or a ``(B, 1, 1)`` array with one relaxation factor per frame.
+    The loop stops early at an exact fixed point: once two consecutive steps
+    clip every entry with the same sign pattern, ``s`` and then ``w`` repeat,
+    and since ``d_r`` only shrinks every later step clips ``w`` to the same
+    ``s`` again.  So the result is the ``H``-step iterate.
+
+    A stacked model decodes all its frames at once, and stops when the whole
+    stack has settled; ``omega`` is then a scalar or a ``(B, 1, 1)`` array
+    with one relaxation factor per frame.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     op = distortion_operator(model)
     w0 = matched_filter_estimate(model)
-    w = w0
+    w = w0.copy()
+    s_prev = None
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
-        # the division stays complex: numpy divides by clip_scale + 0j, and
-        # dividing the real view instead changes the last bit
-        s = clip_scale * soft_clip(w / clip_scale, d)
+        # w is this step's own array, so it becomes s; scaling the float
+        # view by 1/clip_scale gives the values of a complex division
+        s, p = w, w.view(float)
+        p *= 1.0 / clip_scale
+        all_clipped = _clip_axes(p, d)
+        p *= clip_scale
+        settled = s_prev is not None and all_clipped and np.array_equal(s, s_prev)
         w = op(s)
         np.subtract(w0, w, out=w)
-        w *= omega
+        p = w.view(float)
+        p *= omega
         w += s
+        if settled:
+            break
+        # only a fully clipped s can start a fixed point
+        s_prev = s if all_clipped else None
     return w
 
 

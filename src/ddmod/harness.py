@@ -10,7 +10,7 @@ calling process.  The cells are dealt round-robin into one group per worker,
 and the pool receives the set-up with each group.  A group runs its cells in
 lockstep rounds: each round, every live cell adds its next frames to one
 ``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
-together; the sphere decoder then runs frame by frame on its slice.  A cell
+together, one call per layer and round.  A cell
 adds no more frames than ``min_bit_errors`` could still need, so a cell
 stops at exactly the frame where a frame-by-frame loop would stop, and
 ``modem.STACK_ENTRIES`` caps the symbols stacked in one round.
@@ -267,15 +267,11 @@ class _SweepRunner:
         )
 
     def sphere(self, model, radius_sq=None, initial=None):
-        """Sphere decode each frame of a stacked model: (estimates, op counts)."""
-        out = [
-            detect.sd2d_decode(
-                model.frame(i), self.constellation, self.cfg.k_list, radius_sq=radius_sq,
-                initial=None if initial is None else initial[i],
-            )
-            for i in range(len(model.y_t))
-        ]
-        return np.array([est for est, _, _ in out]), [counter.total for _, _, counter in out]
+        """Sphere decode a stacked model: (estimates, per-frame op counts)."""
+        est, _, counter = detect.sd2d_decode(
+            model, self.constellation, self.cfg.k_list, radius_sq=radius_sq, initial=initial
+        )
+        return est, counter.frame_totals
 
     def transmit(self, frames, sigma_sq):
         """Sent bits ``(B, bits)`` and the stacked receiver model of ``B`` frames.
@@ -349,12 +345,15 @@ class _SweepRunner:
 
 def default_workers():
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
+    return workers
 
 
 def run_sweep(cfg, workers=None):
@@ -368,6 +367,8 @@ def run_sweep(cfg, workers=None):
     """
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells_spec = cfg.cells()
     try:
         runner = _SweepRunner(cfg)
@@ -375,7 +376,7 @@ def run_sweep(cfg, workers=None):
         cells = [BerCell(i, e, w, error=str(exc)) for i, e, w in cells_spec]
         return BerResult(config=cfg, cells=cells)
     # cells are dealt round-robin, so each group mixes low and high Eb/N0
-    n_groups = max(1, min(workers, len(cells_spec)))
+    n_groups = min(workers, len(cells_spec))
     groups = [cells_spec[g::n_groups] for g in range(n_groups)]
     if n_groups == 1:
         done = map(runner.run_group, groups)

@@ -1,6 +1,8 @@
-"""Closed-form oracles shared by the transform and helper tests."""
+"""Closed-form and reference oracles shared by the tests."""
 
 import numpy as np
+
+from ddmod import detect
 
 
 def dirichlet_sq(x, k):
@@ -21,3 +23,19 @@ def dirichlet_sq(x, k):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):
+    """The iterative soft decoder run for all ``iterations`` steps, no exit.
+
+    Each step clips ``w / clip_scale`` as a complex array, the way the
+    decoder did before it learned to stop at an exact fixed point.
+    """
+    op = detect.distortion_operator(model)
+    w0 = detect.matched_filter_estimate(model)
+    w = w0
+    for r in range(1, iterations + 1):
+        d = max(0.0, 1.0 - r / iterations)
+        s = clip_scale * detect.soft_clip(w / clip_scale, d)
+        w = omega * (w0 - op(s)) + s
+    return w

@@ -50,6 +50,20 @@ def test_simulate_singular_model_exits_1_with_header_only_csv(tmp_path):
     assert len(rows) == 1 and rows[0][0] == "config_hash"
 
 
+@pytest.mark.parametrize("workers,message", [
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+    ("two", "must be an integer, got 'two'"),
+])
+def test_simulate_rejects_bad_worker_counts(tmp_path, capsys, workers, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--preset", "fig4a", "--out", str(tmp_path),
+                  "--workers", workers])
+    assert exc.value.code == 2
+    assert f"argument --workers: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_simulate_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 1, "beta": 1, "bogus": 1}))

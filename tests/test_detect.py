@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel, detect, modem, properties
+from oracles import im_soft_decode_every_step
 
 
 def make_model(n, m, alpha, beta, y=None, h1=None, h2=None):
@@ -93,9 +94,7 @@ class TestBuildEffectiveModel:
         y = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
         stacked = detect.refresh_observation(model, y)
         assert stacked.shape == (3, 2) and stacked.u.shape == (5, 3, 2)
-        assert np.array_equal(stacked.frame(4).u, detect.refresh_observation(model, y[4]).u)
-        with pytest.raises(ValueError, match="one frame"):
-            detect.sd2d_decode(stacked, modem.qpsk(), 4)
+        assert np.array_equal(stacked.u[4], detect.refresh_observation(model, y[4]).u)
         with pytest.raises(ValueError):
             detect.refresh_observation(model, y[..., :1])
 
@@ -353,6 +352,82 @@ class TestSd2dContract:
         assert full_loss == pytest.approx(brute, rel=1e-10)
 
 
+class TestStackedSd2d:
+    """A stacked decode gives each frame exactly what it gets alone."""
+
+    @staticmethod
+    def assert_frames_decode_alone(stacked, models, q, k_list, radius_sq, initial):
+        s_hat, loss, counter = stacked
+        assert s_hat.shape == models.y_t.shape and loss.shape == (len(models.y_t),)
+        assert counter.total == sum(counter.frame_totals)
+        for i, y in enumerate(models.y_t):
+            alone = detect.refresh_observation(models, y)
+            s_1, loss_1, counter_1 = detect.sd2d_decode(
+                alone, q, k_list,
+                radius_sq=radius_sq if np.ndim(radius_sq) == 0 else radius_sq[i],
+                initial=None if initial is None else initial[i],
+            )
+            assert np.array_equal(s_hat[i], s_1)
+            assert loss[i].tobytes() == np.float64(loss_1).tobytes()
+            assert counter.frame_mults[i] == counter_1.complex_mults
+            assert counter.frame_adds[i] == counter_1.complex_adds
+            assert type(counter.frame_mults[i]) is int
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        k_list=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        sigmas=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=6),
+        with_initial=st.booleans(),
+        radius_sq=st.sampled_from([None, 0.0, math.inf]),
+    )
+    def test_stack_equals_frames_decoded_alone(
+        self, n, m, k_list, seed, sigmas, with_initial, radius_sq
+    ):
+        rng = np.random.default_rng(seed)
+        q = modem.qpsk()
+        a = modem.build_doppler_matrix(0.8, n)
+        b = modem.build_delay_matrix(0.75, m)
+        s = q.points[rng.integers(0, 4, size=(len(sigmas), n, m))]
+        noise = rng.normal(size=(2, len(sigmas), n, m))
+        y = a @ s @ b.conj().T + np.array(sigmas)[:, None, None] * (noise[0] + 1j * noise[1])
+        models = detect.refresh_observation(make_model(n, m, 0.8, 0.75), y)
+        initial = None
+        if with_initial:
+            initial = detect.hard_demap(detect.matched_filter_estimate(models), q)
+        stacked = detect.sd2d_decode(models, q, k_list, radius_sq=radius_sq, initial=initial)
+        self.assert_frames_decode_alone(stacked, models, q, k_list, radius_sq, initial)
+
+    def test_one_frame_pruned_by_its_radius(self):
+        # frame 1's zero radius prunes every child at every cell, so it keeps
+        # one survivor throughout; the infinite radii of frames 0 and 2 keep
+        # k_list survivors
+        rng = np.random.default_rng(92)
+        q = modem.qpsk()
+        y = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
+        radius_sq = np.array([math.inf, 0.0, math.inf])
+        stacked = detect.sd2d_decode(models, q, 4, radius_sq=radius_sq)
+        self.assert_frames_decode_alone(stacked, models, q, 4, radius_sq, None)
+        single = detect.predicted_complexity(4, 4)
+        counter = stacked[2]
+        assert (counter.frame_mults[1], counter.frame_adds[1]) == (single.mults, single.adds)
+        assert counter.frame_mults[0] > single.mults and counter.frame_mults[2] > single.mults
+
+    def test_nan_frame_falls_back_to_its_first_child(self):
+        # every child of the NaN frame is NaN, like the padding; it still
+        # keeps one real survivor, and its neighbour decodes as alone
+        q = modem.qpsk()
+        y = np.array([np.full((2, 2), np.nan + 0j), 0.7 * np.ones((2, 2))])
+        models = detect.refresh_observation(make_model(2, 2, 1.0, 1.0), y)
+        s_hat, loss, counter = detect.sd2d_decode(models, q, 4)
+        assert np.array_equal(s_hat[0], np.full((2, 2), q.points[0]))
+        assert np.isnan(loss[0])
+        self.assert_frames_decode_alone((s_hat, loss, counter), models, q, 4, None, None)
+
+
 class TestOperationCounting:
     @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (4, 8)])
     def test_single_candidate_sweep_matches_prediction(self, m, n):
@@ -571,6 +646,70 @@ class TestImSoftDecode:
             err_matched += int(np.sum(detect.hard_demap(x0, q) != s))
             bits += n * m
         assert err_soft < err_matched
+
+
+class TestImSoftFixedPoint:
+    """The early exit returns exactly the iterate of the full loop."""
+
+    @staticmethod
+    def stack(n, frames, sigma, seed):
+        rng = np.random.default_rng(seed)
+        a = modem.build_doppler_matrix(0.8, n)
+        b = modem.build_delay_matrix(0.8, n)
+        s = modem.qpsk().points[rng.integers(0, 4, size=(frames, n, n))]
+        noise = rng.normal(size=(2, frames, n, n))
+        y = a @ s @ b.conj().T + sigma * (noise[0] + 1j * noise[1])
+        return detect.refresh_observation(make_model(n, n, 0.8, 0.8), y)
+
+    @staticmethod
+    def counted_steps(monkeypatch):
+        steps = []
+        original = detect.distortion_operator
+
+        def counting(model):
+            op = original(model)
+
+            def counted(s):
+                steps.append(1)
+                return op(s)
+
+            return counted
+
+        monkeypatch.setattr(detect, "distortion_operator", counting)
+        return steps
+
+    @pytest.mark.parametrize("n,frames", [(4, 40), (16, 8)])
+    @pytest.mark.parametrize("omega", [0.25, 1.0, 1.2])
+    @pytest.mark.parametrize("iterations", [1, 75])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_matches_the_loop_without_exit(self, n, frames, omega, iterations, sigma):
+        models = self.stack(n, frames, sigma, seed=93 + n)
+        want = im_soft_decode_every_step(models, omega, iterations)
+        assert np.array_equal(detect.im_soft_decode(models, omega, iterations), want)
+        # one relaxation factor per frame
+        omegas = np.linspace(0.25, 1.2, frames)[:, None, None]
+        want = im_soft_decode_every_step(models, omegas, iterations)
+        assert np.array_equal(detect.im_soft_decode(models, omegas, iterations), want)
+
+    def test_noiseless_stack_stops_early(self, monkeypatch):
+        models = self.stack(4, 10, 0.0, seed=94)
+        want = im_soft_decode_every_step(models, 0.5, 75)
+        steps = self.counted_steps(monkeypatch)
+        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
+        assert len(steps) < 75
+
+    def test_stack_stops_when_its_last_frame_settles(self, monkeypatch):
+        models = self.stack(4, 6, 0.3, seed=95)
+        want = im_soft_decode_every_step(models, 0.5, 75)
+        steps = self.counted_steps(monkeypatch)
+        alone = []
+        for y in models.y_t:
+            detect.im_soft_decode(detect.refresh_observation(models, y), 0.5, 75)
+            alone.append(len(steps))
+            steps.clear()
+        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
+        assert len(steps) == max(alone)
+        assert min(alone) < max(alone) < 75
 
 
 class TestHardDemap:

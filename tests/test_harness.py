@@ -246,6 +246,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"{harness.WORKERS_ENV}.*'abc'"):
             harness.default_workers()
 
+    @pytest.mark.parametrize("env", ["0", "-2"])
+    def test_workers_env_below_one_rejected(self, monkeypatch, env):
+        monkeypatch.setenv(harness.WORKERS_ENV, env)
+        with pytest.raises(ValueError, match=f"{harness.WORKERS_ENV} must be at least 1"):
+            harness.run_sweep(tiny_config(max_frames=1))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            harness.run_sweep(tiny_config(max_frames=1), workers=workers)
+
 
 def frame_alone(runner, cell_index, frame_index, sigma_sq):
     """One frame through the 2-D calls of the chain: (bits, model)."""
@@ -294,6 +305,7 @@ class TestBatchedChain:
         omega = np.array([w for _, _, _, w in frames])[:, None, None]
         ws = runner.im_soft(models, omega)
         initial = detect.hard_demap(ws, q)
+        sd_hat, sd_loss, sd_ops = detect.sd2d_decode(models, q, k_list, initial=initial)
         for i, (cell_index, frame_index, _, w) in enumerate(frames):
             bits_1, model_1 = frame_alone(runner, cell_index, frame_index, sigma_sq[i])
             assert np.array_equal(bits[i], bits_1)
@@ -301,10 +313,10 @@ class TestBatchedChain:
             assert np.array_equal(models.u[i], model_1.u)
             w_1 = runner.im_soft(model_1, w)
             assert np.array_equal(ws[i], w_1)
-            sd = detect.sd2d_decode(models.frame(i), q, k_list, initial=initial[i])
             sd_1 = detect.sd2d_decode(model_1, q, k_list, initial=detect.hard_demap(w_1, q))
-            assert np.array_equal(sd[0], sd_1[0])
-            assert sd[1] == sd_1[1] and sd[2] == sd_1[2]
+            assert np.array_equal(sd_hat[i], sd_1[0]) and sd_loss[i] == sd_1[1]
+            assert sd_ops.frame_mults[i] == sd_1[2].complex_mults
+            assert sd_ops.frame_adds[i] == sd_1[2].complex_adds
 
 
 class TestLockstepRounds:
@@ -452,11 +464,11 @@ class TestDecoderOrdering:
         op = detect.distortion_operator(runner.base_model)
         _, models = runner.transmit([(0, f) for f in range(40)], [sigma_sq] * 40)
         ws = detect.im_soft_decode(models, 0.5, 20)
+        im_frames = detect.hard_demap(ws, q)
+        _, sd_loss, _ = detect.sd2d_decode(models, q, k_list=16, initial=im_frames)
+        assert np.all(sd_loss <= detect.total_objective(models, im_frames) * (1 + 1e-9))
         for frame_index in range(40):
-            model, w = models.frame(frame_index), ws[frame_index]
-            im_frame = detect.hard_demap(w, q)
-            sd_frame, sd_loss, _ = detect.sd2d_decode(model, q, k_list=16, initial=im_frame)
-            assert sd_loss <= detect.total_objective(model, im_frame) * (1 + 1e-9)
+            model, w = detect.refresh_observation(models, models.y_t[frame_index]), ws[frame_index]
             x0 = detect.matched_filter_estimate(model)
             resid_im = np.linalg.norm(x0 - op(detect.soft_clip(w / q.axis_magnitude, 0.0)
                                               * q.axis_magnitude))
