@@ -10,10 +10,10 @@ calling process.  The cells are dealt round-robin into one group per worker,
 and the pool receives the set-up with each group.  A group runs its cells in
 lockstep rounds: each round, every live cell adds its next frames to one
 ``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
-together, one call per layer and round.  A cell
-adds no more frames than ``min_bit_errors`` could still need, so a cell
-stops at exactly the frame where a frame-by-frame loop would stop, and
-``modem.STACK_ENTRIES`` caps the symbols stacked in one round.
+together, one call per layer and round.  A cell adds no more frames than
+``min_bit_errors`` could still need, so a cell stops at exactly the frame
+where a frame-by-frame loop would stop, and ``modem.STACK_ENTRIES`` caps the
+symbols stacked in one round.
 
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
