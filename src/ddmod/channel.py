@@ -4,7 +4,9 @@ Noise is added in the time domain; every receiver-side domain change in this
 package is unitary, so the noise statistics carry over unchanged.  Random
 streams come from the counter-based Philox generator keyed on
 ``(master_seed, stream, index)``, which makes every frame's noise independent
-of thread scheduling and batch sizes.
+of thread scheduling and batch sizes.  A generator can be reset to another
+substream instead of built anew, and :func:`awgn` adds noise to a whole stack
+of waveforms from draws made frame by frame.
 """
 
 import numpy as np
@@ -17,19 +19,33 @@ _KEY_SALT = 0x9E3779B97F4A7C15
 # reserved stream id for the transmit-energy calibration batch
 CALIBRATION_STREAM = 0xEB
 
+_MASK = 0xFFFFFFFFFFFFFFFF
+# the buffer fields of a new Philox: nothing drawn yet
+_UNBUFFERED = {"buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-def substream(master_seed, stream, index=0):
+
+def substream(master_seed, stream, index=0, rng=None):
     """Deterministic generator for one work item.
 
     Distinct ``(stream, index)`` pairs give statistically independent
-    Philox substreams under the same master seed.
+    Philox substreams under the same master seed.  Given ``rng``, a
+    Philox-backed generator in any state, it resets that generator to the
+    start of the substream and returns it: a Philox stream is fixed by its
+    key and counter, so the reset generator draws bit for bit what a new one
+    would, without the cost of building one.
     """
-    key = np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(_KEY_SALT)])
-    counter = np.array(
-        [0, 0, np.uint64(stream & 0xFFFFFFFFFFFFFFFF), np.uint64(index & 0xFFFFFFFFFFFFFFFF)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    key = (master_seed & _MASK, _KEY_SALT)
+    counter = (0, 0, stream & _MASK, index & _MASK)
+    if rng is None:
+        return np.random.Generator(
+            np.random.Philox(key=np.array(key, np.uint64), counter=np.array(counter, np.uint64))
+        )
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        **_UNBUFFERED,
+    }
+    return rng
 
 
 def noise_variance(ebn0_db, eb):
@@ -43,20 +59,28 @@ def noise_variance(ebn0_db, eb):
     return eb / 10.0 ** (ebn0_db / 10.0)
 
 
-def awgn(samples, sigma_sq, rng):
+def awgn(samples, sigma_sq, noise):
     """Add circularly-symmetric complex Gaussian noise of variance ``sigma_sq``.
 
-    ``sigma_sq / 2`` lands on each real axis; deterministic given the
-    generator state.
+    ``samples`` is one waveform ``(L,)`` or a stack ``(B, L)``, and
+    ``sigma_sq`` a scalar or one variance per waveform.  ``noise`` holds
+    each waveform's standard normal draws, real parts then imaginary parts:
+    ``(2, L)`` for one waveform, ``(B, 2, L)`` for a stack, as
+    ``rng.standard_normal((2, L))`` draws them.  ``sigma_sq / 2`` lands on
+    each real axis, and a waveform of zero variance comes back as an exact
+    copy, signed zeros included.
     """
-    if sigma_sq < 0:
-        raise ValueError("sigma_sq must be non-negative")
     samples = np.asarray(samples, dtype=complex)
-    if sigma_sq == 0.0:
-        return samples.copy()
-    scale = np.sqrt(sigma_sq / 2.0)
-    noise = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
-    return samples + scale * noise
+    sigma_sq = np.asarray(sigma_sq, dtype=float)
+    if not (sigma_sq >= 0).all():
+        raise ValueError("sigma_sq must be non-negative")
+    noise = np.asarray(noise)
+    if noise.shape != (*samples.shape[:-1], 2, samples.shape[-1]):
+        raise ValueError(f"noise shape {noise.shape} does not match samples {samples.shape}")
+    scale = np.sqrt(sigma_sq / 2.0)[..., None]
+    out = samples + scale * (noise[..., 0, :] + 1j * noise[..., 1, :])
+    np.copyto(out, samples, where=(sigma_sq == 0)[..., None])
+    return out
 
 
 def apply_separable_channel(x, h1=None, h2=None):

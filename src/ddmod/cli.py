@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import detect, harness, properties
 
@@ -40,16 +41,21 @@ def _add_complexity(sub):
     p.add_argument("--N", type=int, required=True, dest="n")
 
 
-def _cmd_simulate(args):
-    if args.config:
-        with open(args.config) as fh:
-            cfg = harness.SweepConfig.from_json_dict(json.load(fh))
-        if args.seed is not None:
-            from dataclasses import replace
+def _load_config(args):
+    """The sweep config the ``simulate`` arguments name."""
+    if args.preset:
+        return harness.preset(args.preset, master_seed=args.seed)
+    with open(args.config) as fh:
+        cfg = harness.SweepConfig.from_json_dict(json.load(fh))
+    return cfg if args.seed is None else replace(cfg, master_seed=args.seed)
 
-            cfg = replace(cfg, master_seed=args.seed)
-    else:
-        cfg = harness.preset(args.preset, master_seed=args.seed)
+
+def _cmd_simulate(args):
+    try:
+        cfg = _load_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"ddmod: error: {exc}", file=sys.stderr)
+        return 2
     print(f"sweep: {cfg.decoder} on ({cfg.m}x{cfg.n}) alpha={cfg.alpha} beta={cfg.beta} "
           f"eta={100 * cfg.eta:.1f}% seed={cfg.master_seed}")
     result = harness.run_sweep(cfg, workers=args.workers)

@@ -276,9 +276,6 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     # scale * point is a child's own term: its cell is still 0, so it enters
     # the cell's residual only through the diagonals of R and L
     scaled = (model.r[rows, rows] * model.l[cols, cols])[:, None] * points
-    # child j of the flattened (survivor, point) grid
-    child_parent = np.repeat(np.arange(k_list), points.size)
-    child_point = np.tile(points, k_list)
     batch = np.arange(len(u))[:, None]
     frames = np.zeros((len(u), 1, n_rows, m_cols), dtype=complex)
     losses = np.zeros((len(u), 1))
@@ -300,8 +297,10 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
         tail = losses[:, 1:]
         np.copyto(tail, np.nan, where=tail > radius_sq)
         tails.append(tail)
-        frames = frames[batch, child_parent[keep]]
-        frames[:, :, row, col] = child_point[keep]
+        # child j of the flattened (survivor, point) grid has parent
+        # j // |A| and point j % |A|
+        frames = frames[batch, keep // points.size]
+        frames[:, :, row, col] = points[keep % points.size]
     # a cell costs ext + 1 multiplies and ext adds per live survivor
     live = ~np.isnan(np.concatenate(tails[:-1], axis=1))
     weights = np.repeat(exts, [tail.shape[1] for tail in tails[:-1]])
@@ -424,6 +423,13 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     and since ``d_r`` only shrinks every later step clips ``w`` to the same
     ``s`` again.  So the result is the ``H``-step iterate.
 
+    Each step with ``d_r > 0`` clips with ``abs``, ``>=``, ``copysign`` and
+    a count, in place; the last step (``d_r = 0``) uses the rule of
+    :func:`soft_clip`.  The two agree on every finite or infinite entry,
+    signed zeros included.  A NaN stays NaN here where :func:`soft_clip`
+    maps it to +1, which cannot change the result: a non-finite observation
+    makes the frame's whole ``w_0`` NaN, and with it every iterate.
+
     A stacked model decodes all its frames at once, and stops when the whole
     stack has settled; ``omega`` is then a scalar or a ``(B, 1, 1)`` array
     with one relaxation factor per frame.
@@ -440,7 +446,14 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         # view by 1/clip_scale gives the values of a complex division
         s, p = w, w.view(float)
         p *= 1.0 / clip_scale
-        all_clipped = _clip_axes(p, d)
+        if d > 0:
+            # the rule of _clip_axes in four calls: with d > 0 a signed zero
+            # is kept, so copysign agrees with it on every clipped entry
+            clipped = np.abs(p) >= d
+            np.copysign(1.0, p, out=p, where=clipped)
+            all_clipped = np.count_nonzero(clipped) == p.size
+        else:
+            all_clipped = _clip_axes(p, d)
         p *= clip_scale
         settled = s_prev is not None and all_clipped and np.array_equal(s, s_prev)
         w = op(s)

@@ -3,7 +3,8 @@
 A sweep maps a decoder over an (Eb/N0 x omega) grid of cells.  Every random
 draw inside a cell comes from a Philox substream keyed on
 ``(master_seed, cell_index, frame_index)``, so results are bit-identical
-regardless of worker count, execution order or how frames are stacked.
+regardless of worker count, execution order or how frames are stacked.  A
+runner keeps one generator and resets it to each frame's substream.
 
 The set-up (Eb calibration, QR factors) is built once per sweep, in the
 calling process.  The cells are dealt round-robin into one group per worker,
@@ -34,7 +35,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 
@@ -114,6 +115,10 @@ class SweepConfig:
     max_frames: int = 1000
 
     def __post_init__(self):
+        for field in ("constellation", "decoder", "radius_policy"):
+            value = getattr(self, field)
+            if not isinstance(value, str):
+                raise ValueError(f"{field} must be a string, got {value!r}")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.radius_policy not in RADIUS_POLICIES:
@@ -122,6 +127,7 @@ class SweepConfig:
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         for field in ("alpha", "beta"):
             value = getattr(self, field)
             if not _is_real(value):
@@ -173,10 +179,23 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The config of a parsed JSON object; ``ValueError`` names any bad key."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(_JSON_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [key for key in _REQUIRED_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(**{field: data[key] for key, field in _JSON_KEYS.items() if key in data})
+
+
+# keys of the fields without a default, in file order
+_REQUIRED_KEYS = [
+    key for key, field in _JSON_KEYS.items()
+    if SweepConfig.__dataclass_fields__[field].default is MISSING
+]
 
 
 def _is_real(value):
@@ -253,13 +272,16 @@ class _SweepRunner:
         self.cfg = cfg
         self.params = modem.ModemParams(m=cfg.m, n=cfg.n, alpha=cfg.alpha, beta=cfg.beta)
         self.constellation = modem.get_constellation(cfg.constellation)
-        self.a = modem.build_doppler_matrix(cfg.alpha, cfg.n)
-        self.b = modem.build_delay_matrix(cfg.beta, cfg.m)
         self.eb = channel.measure_eb(self.params, self.constellation, cfg.master_seed)
-        zero_obs = np.zeros((cfg.n, cfg.m), dtype=complex)
-        self.base_model = detect.build_effective_model(self.a, self.b, zero_obs)
+        self.base_model = detect.build_effective_model(
+            self.params.doppler_matrix,
+            modem.build_delay_matrix(cfg.beta, cfg.m),
+            np.zeros((cfg.n, cfg.m), dtype=complex),
+        )
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
         self.decode_step = _DECODER_TABLE[cfg.decoder][0]
+        # reset to each frame's substream before it draws
+        self.rng = np.random.Generator(np.random.Philox(0))
 
     def im_soft(self, model, omega):
         return detect.im_soft_decode(
@@ -277,15 +299,21 @@ class _SweepRunner:
         """Sent bits ``(B, bits)`` and the stacked receiver model of ``B`` frames.
 
         ``frames`` holds ``(cell_index, frame_index)`` keys and ``sigma_sq``
-        each frame's noise variance.  A frame draws its bits and noise from
-        its own substream, so it comes out as it would alone.
+        each frame's noise variance.  Each frame resets the runner's one
+        generator to its own substream and draws its bits, then its
+        ``(2, N*M)`` standard normals, so it comes out as it would alone;
+        one :func:`channel.awgn` call then adds the noise on the stack.
         """
-        cfg = self.cfg
-        rngs = [channel.substream(cfg.master_seed, cell, index) for cell, index in frames]
-        bits = np.array([rng.integers(0, 2, size=self.bits_per_frame) for rng in rngs])
+        cfg, rng = self.cfg, self.rng
+        noise = np.empty((len(frames), 2, self.params.frame_symbols))
+        bits = []
+        for (cell, index), z in zip(frames, noise):
+            channel.substream(cfg.master_seed, cell, index, rng)
+            bits.append(rng.integers(0, 2, size=self.bits_per_frame))
+            rng.standard_normal(out=z)
+        bits = np.array(bits)
         x = modem.modulate(modem.map_bits(bits, self.constellation, cfg.n, cfg.m), self.params)
-        rx = np.array([channel.awgn(*args) for args in zip(x, sigma_sq, rngs)])
-        y_tf = modem.wigner_rect(rx, self.params)
+        y_tf = modem.wigner_rect(channel.awgn(x, sigma_sq, noise), self.params)
         return bits, detect.refresh_observation(self.base_model, y_tf)
 
     def run_group(self, group):
@@ -295,8 +323,10 @@ class _SweepRunner:
         most ``modem.STACK_ENTRIES`` symbols in all: as many as it may still
         send, but no more than ``min_bit_errors`` could need, so no frame
         before a cell's last in a round can reach the stop threshold and no
-        frame is run past the stop rule.  A cell's ``wall_time`` is its share
-        of the rounds, split by frames.
+        frame is run past the stop rule.  A cell's frames are contiguous in
+        the stack, so its frames, errors and operations are booked once per
+        round.  A cell's ``wall_time`` is its share of the rounds, split by
+        frames.
         """
         cfg, bpf = self.cfg, self.bits_per_frame
         cells = [BerCell(cell_index=i, ebn0_db=e, omega=w) for i, e, w in group]
@@ -306,30 +336,35 @@ class _SweepRunner:
         live = cells
         clock = time.perf_counter()
         while live:
-            batch = []  # (cell, frame index)
+            takes, size = [], 0  # (cell, frames it adds), frames in the round
             for cell in live:
                 need = -(-(cfg.min_bit_errors - cell.bit_errors) // bpf)
-                take = min(cfg.max_frames - cell.frames, need, budget - len(batch))
-                batch += [(cell, cell.frames + j) for j in range(take)]
-                if len(batch) == budget:
+                take = min(cfg.max_frames - cell.frames, need, budget - size)
+                takes.append((cell, take))
+                size += take
+                if size == budget:
                     break
+            counts = [take for _, take in takes]
             bits, model = self.transmit(
-                [(cell.cell_index, index) for cell, index in batch],
-                [sigma_sq[cell.cell_index] for cell, _ in batch],
+                [(cell.cell_index, cell.frames + j) for cell, take in takes for j in range(take)],
+                np.repeat([sigma_sq[cell.cell_index] for cell, _ in takes], counts),
             )
             omega = None
             if cfg.uses_omega:
-                omega = np.array([cell.omega for cell, _ in batch])[:, None, None]
+                omega = np.repeat([cell.omega for cell, _ in takes], counts)[:, None, None]
             est, frame_ops = self.decode_step(self, model, omega)
             errors = np.sum(modem.demap_symbols(est, self.constellation) != bits, axis=1)
             now = time.perf_counter()
-            share, clock = (now - clock) / len(batch), now
-            for i, (cell, _) in enumerate(batch):
-                cell.frames += 1
-                cell.bit_errors += int(errors[i])
-                cell.wall_time += share
+            share, clock = (now - clock) / size, now
+            start = 0
+            for cell, take in takes:
+                stop = start + take
+                cell.frames += take
+                cell.bit_errors += int(errors[start:stop].sum())
+                cell.wall_time += share * take
                 if frame_ops is not None:
-                    ops[cell.cell_index] += frame_ops[i]
+                    ops[cell.cell_index] += sum(frame_ops[start:stop])
+                start = stop
             live = [
                 cell for cell in live
                 if cell.frames < cfg.max_frames and cell.bit_errors < cfg.min_bit_errors

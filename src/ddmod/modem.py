@@ -17,6 +17,7 @@ The end-to-end bridge used by the detector:
 ``alpha, beta``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class ModemParams:
     and ``beta`` the delay compression, both in (0, 1].  The time-frequency
     grid stays critically sampled for every compression (no truncation of
     slots or subcarriers), so the transmit chain is always invertible.
+
+    The transform factors ``doppler_matrix`` (A) and ``delay_adjoint`` (B+)
+    are built on first use and cached on the instance, read-only.
     """
 
     m: int
@@ -58,6 +62,18 @@ class ModemParams:
     @property
     def frame_symbols(self):
         return self.m * self.n
+
+    @functools.cached_property
+    def doppler_matrix(self):
+        a = build_doppler_matrix(self.alpha, self.n)
+        a.setflags(write=False)
+        return a
+
+    @functools.cached_property
+    def delay_adjoint(self):
+        b = build_delay_matrix(self.beta, self.m).conj()
+        b.setflags(write=False)
+        return b.T
 
 
 @dataclass(frozen=True)
@@ -162,9 +178,7 @@ def isfft_nonorth(s, params):
     symplectic finite Fourier transform.
     """
     s = _frames(s, params)
-    a = build_doppler_matrix(params.alpha, params.n)
-    b = build_delay_matrix(params.beta, params.m)
-    return a @ s @ b.conj().T
+    return params.doppler_matrix @ s @ params.delay_adjoint
 
 def heisenberg_rect(x_tf, params):
     """Time-frequency frame to waveform with the rectangular transmit pulse.

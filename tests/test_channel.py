@@ -8,6 +8,11 @@ import pytest
 from ddmod import channel, modem
 
 
+def normals(master_seed, stream, index, length):
+    """The ``(2, length)`` noise draws of one substream."""
+    return channel.substream(master_seed, stream, index).standard_normal((2, length))
+
+
 class TestNoiseVariance:
     def test_zero_db(self):
         assert channel.noise_variance(0.0, 1.0) == pytest.approx(1.0)
@@ -37,28 +42,55 @@ class TestNoiseVariance:
             channel.noise_variance(0.0, 0.0)
 
 
+class TestSubstream:
+    @staticmethod
+    def draws(rng):
+        return rng.integers(0, 2, size=33), rng.standard_normal((2, 7)), rng.random(3)
+
+    @pytest.mark.parametrize("key", [(5, 1, 2), (0, 0, 0), (2**64 + 3, -1, 2**70)])
+    def test_reset_generator_draws_what_a_fresh_one_draws(self, key):
+        rng = channel.substream(9, 8, 7)
+        # leave it mid-stream, with half a 64-bit word buffered
+        rng.integers(0, 2, size=33)
+        rng.standard_normal(5)
+        while not rng.bit_generator.state["has_uint32"]:
+            rng.integers(0, 2**32, dtype=np.uint32)
+        reset = channel.substream(*key, rng)
+        assert reset is rng
+        fresh = channel.substream(*key)
+        assert str(reset.bit_generator.state) == str(fresh.bit_generator.state)
+        for got, want in zip(self.draws(reset), self.draws(fresh)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+
+    def test_noise_draws_equal_two_separate_draws(self):
+        a, b = channel.substream(3, 4, 5), channel.substream(3, 4, 5)
+        both = a.standard_normal((2, 16))
+        assert np.array_equal(both[0], b.standard_normal(16))
+        assert np.array_equal(both[1], b.standard_normal(16))
+
+
 class TestAwgn:
     def test_zero_variance_is_identity(self):
         x = np.arange(8, dtype=complex)
-        out = channel.awgn(x, 0.0, channel.substream(0, 0))
+        out = channel.awgn(x, 0.0, normals(0, 0, 0, 8))
         assert np.array_equal(out, x)
 
     def test_fixed_seed_is_bit_identical(self):
         x = np.zeros(64, dtype=complex)
-        a = channel.awgn(x, 1.0, channel.substream(5, 1, 2))
-        b = channel.awgn(x, 1.0, channel.substream(5, 1, 2))
+        a = channel.awgn(x, 1.0, normals(5, 1, 2, 64))
+        b = channel.awgn(x, 1.0, normals(5, 1, 2, 64))
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         x = np.zeros(64, dtype=complex)
-        a = channel.awgn(x, 1.0, channel.substream(5, 1, 2))
-        b = channel.awgn(x, 1.0, channel.substream(5, 1, 3))
+        a = channel.awgn(x, 1.0, normals(5, 1, 2, 64))
+        b = channel.awgn(x, 1.0, normals(5, 1, 3, 64))
         assert not np.array_equal(a, b)
 
     def test_empirical_variance(self):
         x = np.zeros(100_000, dtype=complex)
         sigma_sq = 0.37
-        out = channel.awgn(x, sigma_sq, channel.substream(7, 0))
+        out = channel.awgn(x, sigma_sq, normals(7, 0, 0, 100_000))
         measured = float(np.mean(np.abs(out) ** 2))
         assert measured == pytest.approx(sigma_sq, rel=0.02)
         # circular symmetry: equal per-axis split
@@ -66,7 +98,27 @@ class TestAwgn:
 
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
-            channel.awgn(np.zeros(4), -1.0, channel.substream(0, 0))
+            channel.awgn(np.zeros(4), -1.0, normals(0, 0, 0, 4))
+
+    def test_stack_equals_each_waveform_alone(self):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(5, 12)) + 1j * rng.normal(size=(5, 12))
+        x[3, ::2] = -0.0  # kept exactly where the variance is zero
+        x[3, 1::2] = complex(-0.0, -0.0)
+        sigma_sq = np.array([0.5, 1.0, 2.0, 0.0, 1e-300])
+        noise = rng.standard_normal((5, 2, 12))
+        out = channel.awgn(x, sigma_sq, noise)
+        for i in range(5):
+            # the per-waveform formula with its two separate draws
+            want = x[i] + np.sqrt(sigma_sq[i] / 2.0) * (noise[i, 0] + 1j * noise[i, 1])
+            if sigma_sq[i] == 0:
+                want = x[i]
+            assert np.array_equal(out[i].view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(channel.awgn(x[i], sigma_sq[i], noise[i]), out[i])
+
+    def test_rejects_mismatched_noise(self):
+        with pytest.raises(ValueError, match="noise shape"):
+            channel.awgn(np.zeros((3, 4)), 1.0, np.zeros((2, 4)))
 
 
 class TestSeparableChannel:
@@ -113,7 +165,8 @@ class TestNoiseWhiteness:
         rng = channel.substream(11, 0)
         frames = np.empty((trials, 16), dtype=complex)
         for t in range(trials):
-            noise = channel.awgn(np.zeros(16, dtype=complex), sigma_sq, rng)
+            draws = rng.standard_normal((2, 16))
+            noise = channel.awgn(np.zeros(16, dtype=complex), sigma_sq, draws)
             frames[t] = modem.wigner_rect(noise, params).reshape(-1)
         cov = frames.conj().T @ frames / trials
         off = cov - np.diag(np.diag(cov))

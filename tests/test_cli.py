@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ddmod
 from ddmod import cli
 
 
@@ -64,11 +68,48 @@ def test_simulate_rejects_bad_worker_counts(tmp_path, capsys, workers, message):
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_simulate_rejects_unknown_config_keys(tmp_path):
+def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 1, "beta": 1, "bogus": 1}))
-    with pytest.raises(ValueError, match="unknown config keys"):
-        cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "ddmod: error: unknown config keys: ['bogus']\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"N": 2, "alpha": 1, "beta": 1}', "missing config keys: ['M']"),
+    ("[1, 2]", "config must be a JSON object, got list"),
+    ('{"M": 2, "N": 2, "alpha": 1.5, "beta": 1}', "compression factors must lie in (0, 1]"),
+    ('{"M": 2, "N": 2,', "Expecting property name enclosed in double quotes"),
+    (None, "No such file or directory"),
+], ids=["missing_key", "list", "bad_value", "bad_json", "no_file"])
+def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "sweep.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ddmod: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_bad_config_exits_2_without_traceback(tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text('{"N": 2, "alpha": 1, "beta": 1}')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddmod.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddmod.cli", "simulate", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "ddmod: error: missing config keys: ['M']\n"
 
 
 def test_simulate_preset_resolves_and_runs(tmp_path, capsys, monkeypatch):

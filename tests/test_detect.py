@@ -691,6 +691,27 @@ class TestImSoftFixedPoint:
         want = im_soft_decode_every_step(models, omegas, iterations)
         assert np.array_equal(detect.im_soft_decode(models, omegas, iterations), want)
 
+    @pytest.mark.parametrize("omega", [0.25, 1.0, 1.2])
+    @pytest.mark.parametrize("iterations", [1, 75])
+    def test_special_observations_match_bitwise(self, omega, iterations):
+        models = self.stack(4, 10, 0.3, seed=96)
+        y = models.y_t.copy()
+        p = y.view(float)  # (frames, 4, 8)
+        p[0] = 0.0
+        p[1] = -0.0
+        p[2, ::2] = -0.0
+        p[3, 1, 3] = np.inf
+        p[4, 0, 0] = -np.inf
+        p[5, 2, 5] = np.nan
+        p[6, 3, 7] = -np.nan
+        p[7, 0, :4] = [np.inf, -np.inf, np.nan, -0.0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            models = detect.refresh_observation(models, y)
+            want = im_soft_decode_every_step(models, omega, iterations)
+            got = detect.im_soft_decode(models, omega, iterations)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isfinite(got[8:]).all()
+
     def test_noiseless_stack_stops_early(self, monkeypatch):
         models = self.stack(4, 10, 0.0, seed=94)
         want = im_soft_decode_every_step(models, 0.5, 75)

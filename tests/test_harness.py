@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import re
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ddmod import channel, detect, harness, modem
@@ -40,6 +42,25 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             harness.SweepConfig.from_json_dict(data)
 
+    def test_missing_keys_named(self):
+        data = tiny_config().to_json_dict()
+        del data["M"], data["beta"]
+        with pytest.raises(ValueError, match=re.escape("missing config keys: ['M', 'beta']")):
+            harness.SweepConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [[1, 2], [], "M", 4, None])
+    def test_top_level_must_be_an_object(self, data):
+        kind = type(data).__name__
+        with pytest.raises(ValueError, match=f"config must be a JSON object, got {kind}"):
+            harness.SweepConfig.from_json_dict(data)
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = tiny_config(m=np.int64(3), k_list=np.uint8(4), master_seed=np.int32(-2))
+        assert [type(v) for v in (cfg.m, cfg.k_list, cfg.master_seed)] == [int] * 3
+        assert harness.config_hash(cfg) == harness.config_hash(
+            tiny_config(m=3, k_list=4, master_seed=-2)
+        )
+
     def test_invalid_decoder(self):
         with pytest.raises(ValueError):
             tiny_config(decoder="genie")
@@ -67,6 +88,9 @@ class TestSweepConfig:
         ({"ebn0_db_points": None}, "ebn0_db_points"),
         ({"ebn0_db_points": ["x"]}, "ebn0_db_points"),
         ({"omega_values": [False]}, "omega_values"),
+        ({"constellation": ["qpsk"]}, "constellation must be a string"),
+        ({"decoder": None}, "decoder must be a string"),
+        ({"radius_policy": {}}, "radius_policy must be a string"),
     ]
 
     @pytest.mark.parametrize("override, match", [
@@ -97,6 +121,48 @@ class TestSweepConfig:
     def test_eta(self):
         cfg = tiny_config(alpha=0.8, beta=0.8)
         assert cfg.eta == pytest.approx(0.5625, abs=1e-12)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+ints = st.integers(-(2**70), 2**70) | st.integers(0, 2**31).map(np.int64)
+
+
+class TestConfigRoundTrip:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        fields=st.fixed_dictionaries(
+            {
+                "m": st.integers(1, 64) | st.integers(-2, 2**40),
+                "n": st.integers(1, 64),
+                "alpha": st.floats(0, 1, exclude_min=True) | st.just(1) | finite,
+                "beta": st.floats(0, 1, exclude_min=True) | st.sampled_from([1, np.float32(0.5)]),
+            },
+            optional={
+                "constellation": st.sampled_from(["qpsk", "16qam"]),
+                "ebn0_db_points": st.lists(
+                    st.floats(allow_nan=False) | st.integers(-50, 50), max_size=4
+                ).map(tuple) | st.lists(finite, min_size=1, max_size=3),
+                "decoder": st.sampled_from(harness.DECODERS),
+                "omega_values": st.lists(finite | st.integers(-3, 3), max_size=3),
+                "iterations": ints,
+                "k_list": ints,
+                "radius_policy": st.sampled_from(harness.RADIUS_POLICIES),
+                "master_seed": ints,
+                "min_bit_errors": ints,
+                "max_frames": ints,
+            },
+        )
+    )
+    def test_accepted_configs_survive_json(self, fields):
+        try:
+            cfg = harness.SweepConfig(**fields)
+        except ValueError:
+            reject()
+        text = json.dumps(cfg.to_json_dict())
+        again = harness.SweepConfig.from_json_dict(json.loads(text))
+        assert again == cfg
+        assert harness.config_hash(again) == harness.config_hash(cfg)
+        assert json.dumps(again.to_json_dict()) == text
 
 
 class TestConfigHash:
@@ -228,6 +294,19 @@ class TestRunSweep:
         assert result.completed
         assert (result.cells[0].frames, result.cells[0].bit_errors) == (10, 0)
 
+    def test_k_list_beyond_the_survivors_costs_nothing(self):
+        # a 2x2 QPSK frame has at most 4**4 = 256 survivors
+        cfg = tiny_config(decoder="sd2d", ebn0_db_points=(0.0, 6.0), max_frames=8)
+        exhaustive = harness.run_sweep(replace(cfg, k_list=256), workers=1)
+        tracemalloc.start()
+        try:
+            huge = harness.run_sweep(replace(cfg, k_list=10**9), workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results(huge.cells) == results(exhaustive.cells)
+        assert peak < 4 * 2**20
+
     def test_lookup_by_point(self):
         cfg = tiny_config(ebn0_db_points=(2.0, 4.0), max_frames=5, min_bit_errors=1)
         result = harness.run_sweep(cfg, workers=1)
@@ -259,14 +338,27 @@ class TestRunSweep:
 
 
 def frame_alone(runner, cell_index, frame_index, sigma_sq):
-    """One frame through the 2-D calls of the chain: (bits, model)."""
+    """One frame through the 2-D calls of the chain: (bits, model).
+
+    The frame gets a generator of its own and its noise from two separate
+    draws, so it pins the stacked chain to the frame-by-frame one.
+    """
     cfg = runner.cfg
     rng = channel.substream(cfg.master_seed, cell_index, frame_index)
     bits = rng.integers(0, 2, size=runner.bits_per_frame)
     s = modem.map_bits(bits, runner.constellation, cfg.n, cfg.m)
-    rx = channel.awgn(modem.modulate(s, runner.params), sigma_sq, rng)
+    rx = modem.modulate(s, runner.params)
+    if sigma_sq > 0:
+        noise = rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape)
+        rx = rx + np.sqrt(sigma_sq / 2.0) * noise
     y_tf = modem.wigner_rect(rx, runner.params)
     return bits, detect.refresh_observation(runner.base_model, y_tf)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, so signed zeros and NaN payloads count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def results(cells):
@@ -286,7 +378,7 @@ class TestBatchedChain:
             st.tuples(
                 st.integers(0, 5),  # cell index
                 st.integers(0, 99),  # frame index
-                st.sampled_from([0.0, 3.0, 6.0, 10.0, 30.0]),  # Eb/N0
+                st.sampled_from([0.0, 3.0, 6.0, 10.0, 30.0, math.inf]),  # Eb/N0
                 st.sampled_from([0.25, 0.5, 0.9, 1.2]),  # omega
             ),
             min_size=1, max_size=6,
@@ -309,14 +401,30 @@ class TestBatchedChain:
         for i, (cell_index, frame_index, _, w) in enumerate(frames):
             bits_1, model_1 = frame_alone(runner, cell_index, frame_index, sigma_sq[i])
             assert np.array_equal(bits[i], bits_1)
-            assert np.array_equal(models.y_t[i], model_1.y_t)
-            assert np.array_equal(models.u[i], model_1.u)
+            assert same_bits(models.y_t[i], model_1.y_t)
+            assert same_bits(models.u[i], model_1.u)
             w_1 = runner.im_soft(model_1, w)
             assert np.array_equal(ws[i], w_1)
             sd_1 = detect.sd2d_decode(model_1, q, k_list, initial=detect.hard_demap(w_1, q))
             assert np.array_equal(sd_hat[i], sd_1[0]) and sd_loss[i] == sd_1[1]
             assert sd_ops.frame_mults[i] == sd_1[2].complex_mults
             assert sd_ops.frame_adds[i] == sd_1[2].complex_adds
+
+
+    def test_noiseless_frames_are_exact_copies_in_a_mixed_stack(self):
+        runner = harness._SweepRunner(tiny_config(m=3, n=2, alpha=0.8, beta=0.85))
+        frames = [(0, 0), (1, 0), (0, 1), (2, 5)]
+        noisy, noiseless = (channel.noise_variance(e, runner.eb) for e in (2.0, math.inf))
+        assert noiseless == 0.0
+        sigma_sq = [noiseless, noisy, noiseless, noiseless]
+        bits, models = runner.transmit(frames, sigma_sq)
+        cfg = runner.cfg
+        clean = modem.wigner_rect(modem.modulate(
+            modem.map_bits(bits, runner.constellation, cfg.n, cfg.m), runner.params
+        ), runner.params)
+        for i in (0, 2, 3):
+            assert same_bits(models.y_t[i], clean[i])
+        assert not np.array_equal(models.y_t[1], clean[1])
 
 
 class TestLockstepRounds:

@@ -288,3 +288,25 @@ class TestModemParams:
     def test_rejects_empty_frame(self):
         with pytest.raises(ValueError):
             modem.ModemParams(m=0, n=4)
+
+    def test_cached_factors_equal_fresh_builds(self):
+        params = modem.ModemParams(m=3, n=5, alpha=0.8, beta=0.7)
+        a, b_h = params.doppler_matrix, params.delay_adjoint
+        assert params.doppler_matrix is a and params.delay_adjoint is b_h
+        assert np.array_equal(a, modem.build_doppler_matrix(0.8, 5))
+        assert np.array_equal(b_h, modem.build_delay_matrix(0.7, 3).conj().T)
+        assert not a.flags.writeable and not b_h.flags.writeable
+        # the cache is no part of the value
+        fresh = modem.ModemParams(m=3, n=5, alpha=0.8, beta=0.7)
+        assert fresh == params and hash(fresh) == hash(params)
+        assert repr(fresh) == repr(params)
+
+    def test_isfft_bitwise_equals_freshly_built_factors(self):
+        rng = np.random.default_rng(33)
+        params = modem.ModemParams(m=4, n=3, alpha=0.85, beta=0.75)
+        s = rng.normal(size=(6, 3, 4)) + 1j * rng.normal(size=(6, 3, 4))
+        a = modem.build_doppler_matrix(0.85, 3)
+        b = modem.build_delay_matrix(0.75, 4)
+        for _ in range(2):
+            assert np.array_equal(modem.isfft_nonorth(s, params), a @ s @ b.conj().T)
+            assert np.array_equal(modem.isfft_nonorth(s[2], params), a @ s[2] @ b.conj().T)
