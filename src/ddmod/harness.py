@@ -280,8 +280,8 @@ class _SweepRunner:
         )
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
         self.decode_step = _DECODER_TABLE[cfg.decoder][0]
-        # reset to each frame's substream before it draws
-        self.rng = np.random.Generator(np.random.Philox(0))
+        # built by the first frame's substream, then reset for every frame
+        self.rng = None
 
     def im_soft(self, model, omega):
         return detect.im_soft_decode(
@@ -308,9 +308,10 @@ class _SweepRunner:
         noise = np.empty((len(frames), 2, self.params.frame_symbols))
         bits = []
         for (cell, index), z in zip(frames, noise):
-            channel.substream(cfg.master_seed, cell, index, rng)
+            rng = channel.substream(cfg.master_seed, cell, index, rng)
             bits.append(rng.integers(0, 2, size=self.bits_per_frame))
             rng.standard_normal(out=z)
+        self.rng = rng
         bits = np.array(bits)
         x = modem.modulate(modem.map_bits(bits, self.constellation, cfg.n, cfg.m), self.params)
         y_tf = modem.wigner_rect(channel.awgn(x, sigma_sq, noise), self.params)
