@@ -11,10 +11,12 @@ calling process.  The cells are dealt round-robin into one group per worker,
 and the pool receives the set-up with each group.  A group runs its cells in
 lockstep rounds: each round, every live cell adds its next frames to one
 ``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
-together, one call per layer and round.  A cell adds no more frames than
-``min_bit_errors`` could still need, so a cell stops at exactly the frame
-where a frame-by-frame loop would stop, and ``modem.STACK_ENTRIES`` caps the
-symbols stacked in one round.
+together, one call per layer and round.  A cell sizes its share of a round
+from its running BER, so a round may compute frames past a cell's stop
+rule, but the cell counts its frames only up to the first at which a
+frame-by-frame loop would stop: frames past the stop rule may be computed,
+and are never counted.  ``modem.STACK_ENTRIES`` caps the symbols stacked in
+one round and the survivors stacked in one sphere decode.
 
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
@@ -280,6 +282,10 @@ class _SweepRunner:
         )
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
         self.decode_step = _DECODER_TABLE[cfg.decoder][0]
+        # a sphere decode keeps (frames, survivors, N, M) entries
+        fs = self.params.frame_symbols
+        survivors = min(cfg.k_list, self.constellation.points.size ** fs)
+        self.sphere_chunk = max(1, modem.STACK_ENTRIES // (survivors * fs))
         # built by the first frame's substream, then reset for every frame
         self.rng = None
 
@@ -289,11 +295,24 @@ class _SweepRunner:
         )
 
     def sphere(self, model, radius_sq=None, initial=None):
-        """Sphere decode a stacked model: (estimates, per-frame op counts)."""
-        est, _, counter = detect.sd2d_decode(
-            model, self.constellation, self.cfg.k_list, radius_sq=radius_sq, initial=initial
-        )
-        return est, counter.frame_totals
+        """Sphere decode a stacked model: (estimates, per-frame op counts).
+
+        The stack is decoded in chunks of frames whose survivors hold at most
+        ``modem.STACK_ENTRIES`` symbol entries (one frame at least);
+        :func:`detect.sd2d_decode` decodes each frame bit for bit the same
+        at any stack size.  ``radius_sq`` is a scalar.
+        """
+        est, ops = np.empty(model.u.shape, dtype=complex), []
+        for start in range(0, len(est), self.sphere_chunk):
+            part = slice(start, start + self.sphere_chunk)
+            # copied out of the chunk's survivor stack, which it would pin
+            est[part], _, counter = detect.sd2d_decode(
+                replace(model, y_t=model.y_t[part], u=model.u[part]),
+                self.constellation, self.cfg.k_list, radius_sq=radius_sq,
+                initial=None if initial is None else initial[part],
+            )
+            ops += counter.frame_totals
+        return est, ops
 
     def transmit(self, frames, sigma_sq):
         """Sent bits ``(B, bits)`` and the stacked receiver model of ``B`` frames.
@@ -321,13 +340,19 @@ class _SweepRunner:
         """Run the cells ``[(cell_index, ebn0_db, omega)]`` in lockstep rounds.
 
         Each round every live cell adds its next frames to one stack, at
-        most ``modem.STACK_ENTRIES`` symbols in all: as many as it may still
-        send, but no more than ``min_bit_errors`` could need, so no frame
-        before a cell's last in a round can reach the stop threshold and no
-        frame is run past the stop rule.  A cell's frames are contiguous in
-        the stack, so its frames, errors and operations are booked once per
-        round.  A cell's ``wall_time`` is its share of the rounds, split by
-        frames.
+        most ``modem.STACK_ENTRIES`` symbols in all.  A cell adds as many as
+        its missing errors take at the three-sigma Wilson upper bound of its
+        BER (inverse binomial sampling; the bound is 1.0 before its first
+        frame), at least as many as ``min_bit_errors`` could need, at most an
+        even share of the budget above that, and never more than it may
+        still send.  After the decode a cell counts its frames in order up
+        to the first at which its running error count reaches
+        ``min_bit_errors``; the frames after it were computed but are
+        dropped: neither their errors nor their operations are counted.  So a
+        cell stops at exactly the frame where a frame-by-frame loop would
+        stop.  A cell's frames are contiguous in the stack, so its frames,
+        errors and operations are booked once per round.  A cell's ``wall_time`` is its share of the rounds, split by
+        the frames computed.
         """
         cfg, bpf = self.cfg, self.bits_per_frame
         cells = [BerCell(cell_index=i, ebn0_db=e, omega=w) for i, e, w in group]
@@ -339,8 +364,13 @@ class _SweepRunner:
         while live:
             takes, size = [], 0  # (cell, frames it adds), frames in the round
             for cell in live:
-                need = -(-(cfg.min_bit_errors - cell.bit_errors) // bpf)
-                take = min(cfg.max_frames - cell.frames, need, budget - size)
+                left = cfg.min_bit_errors - cell.bit_errors
+                need = -(-left // bpf)
+                # three sigma rather than 1.96 computes fewer frames past the
+                # stop rule, in about as many rounds
+                high = wilson_interval(cell.bit_errors, cell.frames * bpf, z=3.0)[1]
+                guess = min(math.ceil(left / (bpf * high)), budget // len(live))
+                take = min(cfg.max_frames - cell.frames, max(need, guess), budget - size)
                 takes.append((cell, take))
                 size += take
                 if size == budget:
@@ -359,13 +389,17 @@ class _SweepRunner:
             share, clock = (now - clock) / size, now
             start = 0
             for cell, take in takes:
-                stop = start + take
-                cell.frames += take
-                cell.bit_errors += int(errors[start:stop].sum())
+                # the cell ends at the first frame whose running count
+                # reaches min_bit_errors; the frames after it are dropped
+                running = np.cumsum(errors[start:start + take])
+                left = cfg.min_bit_errors - cell.bit_errors
+                used = min(take, int(running.searchsorted(left)) + 1)
+                cell.frames += used
+                cell.bit_errors += int(running[used - 1])
                 cell.wall_time += share * take
                 if frame_ops is not None:
-                    ops[cell.cell_index] += sum(frame_ops[start:stop])
-                start = stop
+                    ops[cell.cell_index] += sum(frame_ops[start:start + used])
+                start += take
             live = [
                 cell for cell in live
                 if cell.frames < cfg.max_frames and cell.bit_errors < cfg.min_bit_errors

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # most symbol entries (frames x N x M) stacked into one batched call by the
-# harness and the Eb calibration; it bounds their memory and never changes a
+# harness and the Eb calibration, and survivor entries (frames x survivors x
+# N x M) in one sphere decode; it bounds their memory and never changes a
 # result
-STACK_ENTRIES = 1 << 14
+STACK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,19 @@ class Constellation:
         return float(np.mean(np.abs(self.points.real)))
 
     def nearest(self, w):
-        """Entrywise index of the nearest point; ties break to the lowest index."""
+        """Entrywise index of the nearest point; ties break to the lowest index.
+
+        The points are compared one at a time, so the work arrays keep the
+        shape of ``w``.
+        """
         w = np.asarray(w, dtype=complex)
-        dist = np.abs(w.reshape(-1)[:, None] - self.points[None, :])
-        return np.argmin(dist, axis=1).reshape(w.shape)
+        best = np.abs(w - self.points[0])
+        idx = np.zeros(w.shape, dtype=np.intp)
+        for k in range(1, self.points.size):
+            dist = np.abs(w - self.points[k])
+            idx[dist < best] = k
+            np.minimum(best, dist, out=best)
+        return idx
 
 
 def qpsk():

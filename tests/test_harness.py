@@ -441,19 +441,37 @@ class TestLockstepRounds:
         monkeypatch.setattr(channel, "substream", counted)
         return calls
 
-    @pytest.mark.parametrize("cfg", [
-        replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120),
-        tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
-                    omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
-                    max_frames=30),
+    @pytest.mark.parametrize("cfg, drops", [
+        (replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120), True),
+        (tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
+                     omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
+                     max_frames=30), False),
     ], ids=["fig3_cut", "tiny_sd2d_im_init"])
-    def test_one_substream_per_counted_frame(self, cfg, monkeypatch):
+    def test_counted_frames_drawn_once_dropped_frames_after_them(self, cfg, drops, monkeypatch):
         calls = self.count_harness_substreams(monkeypatch)
         result = harness.run_sweep(cfg, workers=1)
-        assert len(calls) == sum(c.frames for c in result.cells)
-        assert len(set(calls)) == len(calls)
+        drawn = [args[1:3] for args in calls]  # (cell_index, frame_index)
+        assert len(set(drawn)) == len(drawn)
+        counted = {(c.cell_index, j) for c in result.cells for j in range(c.frames)}
+        assert counted <= set(drawn)
+        frames = {c.cell_index: c.frames for c in result.cells}
+        dropped = set(drawn) - counted
+        assert all(index >= frames[cell] for cell, index in dropped)
+        if drops:
+            assert dropped
         # some cells stop on min_bit_errors, some on max_frames
         assert {c.bit_errors >= cfg.min_bit_errors for c in result.cells} == {True, False}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dropped_frames_leave_cells_independent_of_workers(self, workers, monkeypatch):
+        cfg = replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120)
+        calls = self.count_harness_substreams(monkeypatch)
+        alone = harness.run_sweep(cfg, workers=1)
+        assert len(calls) > sum(c.frames for c in alone.cells)
+        # every field but the wall time, so a new BerCell field that depends
+        # on how the cells are grouped fails here too
+        pooled = harness.run_sweep(cfg, workers=workers)
+        assert results(pooled.cells) == results(alone.cells)
 
     @pytest.mark.parametrize("cfg", [
         tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
@@ -487,6 +505,34 @@ class TestLockstepRounds:
         assert [c.frames for c in result.cells] == [100] * 3
         assert sum(stacked) == 300
         assert max(stacked) == budget
+
+    @pytest.mark.parametrize("cfg", [
+        replace(harness.preset("fig4a"), ebn0_db_points=(0.0, 6.0), max_frames=300),
+        # a 2x2 QPSK frame has at most 4**4 = 256 survivors
+        tiny_config(decoder="sd2d", ebn0_db_points=(0.0, 6.0), k_list=10**6, max_frames=40),
+        # a chunk of one frame holds more than STACK_ENTRIES survivor entries
+        replace(harness.preset("fig4a"), ebn0_db_points=(6.0,), k_list=10**3, max_frames=20),
+    ], ids=["fig4a_cut", "tiny_sd2d_huge_k_list", "fig4a_one_frame_chunks"])
+    def test_sphere_decodes_stay_within_the_stack_budget(self, cfg, monkeypatch):
+        entries = min(cfg.k_list, 4 ** (cfg.m * cfg.n)) * cfg.m * cfg.n
+        rounds, decodes = [], []
+        refresh, decode = detect.refresh_observation, detect.sd2d_decode
+
+        def refresh_recorded(model, y_tf):
+            rounds.append(len(y_tf))
+            return refresh(model, y_tf)
+
+        def decode_recorded(model, *args, **kwargs):
+            decodes.append(len(model.u))
+            return decode(model, *args, **kwargs)
+
+        monkeypatch.setattr(detect, "refresh_observation", refresh_recorded)
+        monkeypatch.setattr(detect, "sd2d_decode", decode_recorded)
+        harness.run_sweep(cfg, workers=1)
+        assert sum(decodes) == sum(rounds)
+        assert all(b * entries <= modem.STACK_ENTRIES or b == 1 for b in decodes)
+        # some round holds more frames than one decode may take
+        assert max(decodes) == max(1, modem.STACK_ENTRIES // entries) < max(rounds)
 
 
 class TestEmitResults:

@@ -278,6 +278,21 @@ class TestBitMapping:
         assert q.axis_magnitude == pytest.approx(2**-0.5)
 
 
+class TestNearest:
+    def test_equals_argmin_over_all_points(self):
+        # the one-point-at-a-time search against the argmin of the full
+        # distance table, on random stacks, exact ties and special values
+        q = modem.qpsk()
+        rng = np.random.default_rng(90)
+        axis = [0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan]
+        special = np.array([complex(a, b) for a in axis for b in axis])
+        cases = [rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4)),
+                 q.points, q.points * 3, special, special.reshape(8, 8)]
+        for w in cases:
+            dist = np.abs(w.reshape(-1)[:, None] - q.points[None, :])
+            assert np.array_equal(q.nearest(w), np.argmin(dist, axis=1).reshape(w.shape))
+
+
 class TestModemParams:
     def test_rejects_out_of_range_compression(self):
         with pytest.raises(ValueError):
