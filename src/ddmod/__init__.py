@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 - ``numerics``  dense complex linear algebra (QR with a fixed diagonal
-  convention) and the periodic Dirichlet kernel
+  convention)
 - ``zak``       discrete delay-Doppler (Zak-type) transform and the basis
   constructions behind the modulation
 - ``modem``     the digital modulator/demodulator with compression factors

@@ -53,12 +53,13 @@ def _load_config(args):
 def _cmd_simulate(args):
     try:
         cfg = _load_config(args)
+        workers = harness.default_workers() if args.workers is None else args.workers
     except (OSError, ValueError) as exc:
         print(f"ddmod: error: {exc}", file=sys.stderr)
         return 2
     print(f"sweep: {cfg.decoder} on ({cfg.m}x{cfg.n}) alpha={cfg.alpha} beta={cfg.beta} "
           f"eta={100 * cfg.eta:.1f}% seed={cfg.master_seed}")
-    result = harness.run_sweep(cfg, workers=args.workers)
+    result = harness.run_sweep(cfg, workers=workers)
     csv_path, json_path = harness.emit_results(result, args.out, stem=args.stem)
     for cell in result.cells:
         tag = f"omega={cell.omega}" if cell.omega is not None else "        "

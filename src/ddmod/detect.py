@@ -17,7 +17,8 @@ per-cell terms
 each depending only on the lower-right quadrant of ``S``.  The 2-D sphere
 decoder walks cells from the bottom-right corner toward the origin along
 L-shaped shells (so every quadrant is decided before it is read).  It
-decodes a ``(B, N, M)`` stack of frames in one pass.  Its survivors are plain
+decodes a ``(B, N, M)`` stack of frames in chunks of frames whose survivors
+hold at most ``modem.STACK_ENTRIES`` entries.  Its survivors are plain
 arrays: a ``(B, S, N, M)`` stack of partial frames, zero in the cells not yet
 decided, and their accumulated ``(B, S)`` losses, NaN in the slots a frame
 does not fill.  Each cell extends every survivor by every constellation point
@@ -35,14 +36,16 @@ own, for its own live survivors.
 """
 
 import functools
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
+from . import modem, numerics
 
 RADIUS_SLACK = 1e-6
+# Smallest |R_ii| relative to ||A||_F at or below which a QR factor is
+# considered effectively rank deficient.
+RANK_EPS = 1e-12
 
 
 class SingularModelError(ValueError):
@@ -75,7 +78,7 @@ class EffectiveModel:
 
 def _check_full_rank(r, source, name):
     diag = np.abs(np.diagonal(r))
-    if diag.min() <= numerics.RANK_EPS * np.linalg.norm(source):
+    if diag.min() <= RANK_EPS * np.linalg.norm(source):
         raise SingularModelError(f"{name} is effectively singular; decode refused")
 
 
@@ -96,10 +99,8 @@ def build_effective_model(a, b, y_tf, h1=None, h2=None):
         raise ValueError(
             f"observation shape {y_tf.shape} does not match ({g.shape[0]}, {h.shape[0]})"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", numerics.RankLossWarning)
-        q_g, r = numerics.qr_decompose(g)
-        q_h, r_h = numerics.qr_decompose(h)
+    q_g, r = numerics.qr_decompose(g)
+    q_h, r_h = numerics.qr_decompose(h)
     _check_full_rank(r, g, "G")
     _check_full_rank(r_h, h, "H")
     l = r_h.conj().T
@@ -143,13 +144,8 @@ class OpCounter:
     over the frames.
     """
 
-    frame_mults: list = field(default_factory=lambda: [0])
-    frame_adds: list = field(default_factory=lambda: [0])
-
-    def add(self, mults, adds):
-        """Add ``mults`` and ``adds`` to every frame's tally."""
-        self.frame_mults = [x + int(mults) for x in self.frame_mults]
-        self.frame_adds = [x + int(adds) for x in self.frame_adds]
+    frame_mults: list
+    frame_adds: list
 
     @property
     def complex_mults(self):
@@ -169,12 +165,7 @@ class OpCounter:
         return [x + y for x, y in zip(self.frame_mults, self.frame_adds)]
 
 
-def _min_axis_extent(shape, row, col):
-    n, m = shape
-    return m - col if m <= n else n - row
-
-
-def partial_metric(model, s, row, col, counter=None):
+def partial_metric(model, s, row, col):
     """Per-cell squared residual ``J_{row,col}``.
 
     Reads only the lower-right quadrant ``s[row:, col:]``; the triangularity
@@ -185,9 +176,6 @@ def partial_metric(model, s, row, col, counter=None):
     if s.shape != model.shape:
         raise ValueError(f"frame shape {s.shape} does not match {model.shape}")
     val = model.r[row, row:] @ s[row:, col:] @ model.l[col:, col]
-    if counter is not None:
-        ext = _min_axis_extent(model.shape, row, col)
-        counter.add(ext + 1, ext)
     return float(np.abs(model.u[row, col] - val) ** 2)
 
 
@@ -223,55 +211,20 @@ def _schedule_arrays(n_rows, m_cols):
     """The wavefront schedule with its rows, columns and min-axis extents."""
     schedule = tuple(wavefront_schedule(n_rows, m_cols))
     rows, cols = np.array(schedule).T
-    exts = _min_axis_extent((n_rows, m_cols), rows, cols)
+    exts = m_cols - cols if m_cols <= n_rows else n_rows - rows
     for a in (rows, cols, exts):
         a.setflags(write=False)
     return schedule, rows, cols, exts
 
 
-def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
-    """2-D K-best sphere decode; returns ``(s_hat, final_loss, counter)``.
+def _kbest(model, u, points, k_list, radius_sq):
+    """Each frame's best survivor for the ``(B, N, M)`` observations ``u``.
 
-    The survivors are ``frames``, a ``(B, S, N, M)`` stack of partial frames
-    that are zero where undecided, and their accumulated ``(B, S)``
-    ``losses``.  At each cell of :func:`wavefront_schedule` every survivor is
-    extended by every constellation point; each frame's children are sorted
-    ascending (stable, so ties keep parent-then-point order) and its best
-    ``k_list`` inside the radius survive.  If the radius prunes every child
-    of a frame, that frame keeps its single best child, so a decode always
-    completes.
-
-    ``S = min(k_list, |A|**cells_decided)`` depends only on the cell, so the
-    products run on the same shapes at any ``B`` and each frame decodes bit
-    for bit as it would alone.  A frame with fewer live survivors pads its
-    losses with NaN, which sorts after every child and never passes a
-    radius, so each frame keeps its own radius, fallback and live count.
-
-    ``radius_sq`` is a scalar or one value per frame.  It defaults to
-    infinity, or to ``(1 + 1e-6) * J(initial)`` for each frame when an
-    initial estimate is supplied, which (together with a final fallback
-    comparison) guarantees the decode never returns a frame worse than its
-    initializer.  ``final_loss`` equals the exact objective of the returned
-    frame.
-
-    A model of one ``(N, M)`` frame returns an ``(N, M)`` frame and a float
-    loss; a stacked model returns ``(B, N, M)`` frames and ``(B,)`` losses.
-    ``counter`` tallies each frame's operations (see :class:`OpCounter`).
+    Returns the ``(B, N, M)`` frames and ``(B,)`` losses of the best
+    survivors, and each frame's ``(B,)`` multiplies and adds; ``radius_sq``
+    is ``(B, 1)``.
     """
     n_rows, m_cols = model.shape
-    if k_list < 1:
-        raise ValueError("k_list must be at least 1")
-    single = model.u.ndim == 2
-    u = model.u[None] if single else model.u
-    if initial is not None:
-        init_loss = np.reshape(total_objective(model, initial), len(u))
-        initial = np.asarray(initial, dtype=complex).reshape(u.shape)
-    if radius_sq is None:
-        radius_sq = np.inf if initial is None else (1.0 + RADIUS_SLACK) * init_loss
-    radius_sq = np.reshape(radius_sq, (-1, 1))
-    if not (radius_sq >= 0).all():
-        raise ValueError("radius_sq must be non-negative or infinite")
-    points = constellation.points
     schedule, rows, cols, exts = _schedule_arrays(n_rows, m_cols)
     # scale * point is a child's own term: its cell is still 0, so it enters
     # the cell's residual only through the diagonals of R and L
@@ -305,8 +258,66 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     live = ~np.isnan(np.concatenate(tails[:-1], axis=1))
     weights = np.repeat(exts, [tail.shape[1] for tail in tails[:-1]])
     adds = exts.sum() + live @ weights
-    mults = adds + len(exts) + live.sum(axis=1)
-    s_hat, loss = frames[:, 0], losses[:, 0]
+    return frames[:, 0], losses[:, 0], adds + len(exts) + live.sum(axis=1), adds
+
+
+def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
+    """2-D K-best sphere decode; returns ``(s_hat, final_loss, counter)``.
+
+    The survivors are ``frames``, a ``(B, S, N, M)`` stack of partial frames
+    that are zero where undecided, and their accumulated ``(B, S)``
+    ``losses``.  At each cell of :func:`wavefront_schedule` every survivor is
+    extended by every constellation point; each frame's children are sorted
+    ascending (stable, so ties keep parent-then-point order) and its best
+    ``k_list`` inside the radius survive.  If the radius prunes every child
+    of a frame, that frame keeps its single best child, so a decode always
+    completes.
+
+    ``S = min(k_list, |A|**cells_decided)`` depends only on the cell, so the
+    products run on the same shapes at any ``B`` and each frame decodes bit
+    for bit as it would alone.  A frame with fewer live survivors pads its
+    losses with NaN, which sorts after every child and never passes a
+    radius, so each frame keeps its own radius, fallback and live count.
+    The stack is decoded in chunks of
+    ``max(1, modem.STACK_ENTRIES // (min(k_list, |A|**(N*M)) * N * M))``
+    frames, so one chunk's survivors hold at most ``STACK_ENTRIES`` entries
+    (a chunk of one frame may hold more), and the returned arrays hold no
+    survivors.
+
+    ``radius_sq`` is a scalar or one value per frame.  It defaults to
+    infinity, or to ``(1 + 1e-6) * J(initial)`` for each frame when an
+    initial estimate is supplied, which (together with a final fallback
+    comparison) guarantees the decode never returns a frame worse than its
+    initializer.  ``final_loss`` equals the exact objective of the returned
+    frame.
+
+    A model of one ``(N, M)`` frame returns an ``(N, M)`` frame and a float
+    loss; a stacked model returns ``(B, N, M)`` frames and ``(B,)`` losses.
+    ``counter`` tallies each frame's operations (see :class:`OpCounter`).
+    """
+    n_rows, m_cols = model.shape
+    if k_list < 1:
+        raise ValueError("k_list must be at least 1")
+    single = model.u.ndim == 2
+    u = model.u[None] if single else model.u
+    if initial is not None:
+        init_loss = np.reshape(total_objective(model, initial), len(u))
+        initial = np.asarray(initial, dtype=complex).reshape(u.shape)
+    if radius_sq is None:
+        radius_sq = np.inf if initial is None else (1.0 + RADIUS_SLACK) * init_loss
+    radius_sq = np.broadcast_to(np.reshape(radius_sq, (-1, 1)), (len(u), 1))
+    if not (radius_sq >= 0).all():
+        raise ValueError("radius_sq must be non-negative or infinite")
+    points = constellation.points
+    survivors = min(k_list, points.size ** (n_rows * m_cols))
+    chunk = max(1, modem.STACK_ENTRIES // (survivors * n_rows * m_cols))
+    s_hat, loss = np.empty(u.shape, dtype=complex), np.empty(len(u))
+    mults, adds = np.empty(len(u), dtype=int), np.empty(len(u), dtype=int)
+    for start in range(0, len(u), chunk):
+        part = slice(start, start + chunk)
+        s_hat[part], loss[part], mults[part], adds[part] = _kbest(
+            model, u[part], points, k_list, radius_sq[part]
+        )
     if initial is not None:
         better = init_loss < loss
         s_hat[better], loss[better] = initial[better], init_loss[better]

@@ -16,7 +16,7 @@ from its running BER, so a round may compute frames past a cell's stop
 rule, but the cell counts its frames only up to the first at which a
 frame-by-frame loop would stop: frames past the stop rule may be computed,
 and are never counted.  ``modem.STACK_ENTRIES`` caps the symbols stacked in
-one round and the survivors stacked in one sphere decode.
+one round.
 
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
@@ -52,14 +52,17 @@ def _im_soft(runner, model, omega):
     return runner.im_soft(model, omega), None
 
 
-def _sd2d(runner, model, omega):
-    return runner.sphere(model)
+def _sd2d(runner, model, omega, radius_sq=None, initial=None):
+    est, _, counter = detect.sd2d_decode(
+        model, runner.constellation, runner.cfg.k_list, radius_sq=radius_sq, initial=initial
+    )
+    return est, counter.frame_totals
 
 
 def _sd2d_im_init(runner, model, omega):
     initial = detect.hard_demap(runner.im_soft(model, omega), runner.constellation)
     radius = None if runner.cfg.radius_policy == "im_init" else np.inf
-    return runner.sphere(model, radius_sq=radius, initial=initial)
+    return _sd2d(runner, model, omega, radius_sq=radius, initial=initial)
 
 
 # decoder name -> (decode step, whether the decoder takes omega).  A step maps
@@ -282,10 +285,6 @@ class _SweepRunner:
         )
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
         self.decode_step = _DECODER_TABLE[cfg.decoder][0]
-        # a sphere decode keeps (frames, survivors, N, M) entries
-        fs = self.params.frame_symbols
-        survivors = min(cfg.k_list, self.constellation.points.size ** fs)
-        self.sphere_chunk = max(1, modem.STACK_ENTRIES // (survivors * fs))
         # built by the first frame's substream, then reset for every frame
         self.rng = None
 
@@ -293,26 +292,6 @@ class _SweepRunner:
         return detect.im_soft_decode(
             model, omega, self.cfg.iterations, clip_scale=self.constellation.axis_magnitude
         )
-
-    def sphere(self, model, radius_sq=None, initial=None):
-        """Sphere decode a stacked model: (estimates, per-frame op counts).
-
-        The stack is decoded in chunks of frames whose survivors hold at most
-        ``modem.STACK_ENTRIES`` symbol entries (one frame at least);
-        :func:`detect.sd2d_decode` decodes each frame bit for bit the same
-        at any stack size.  ``radius_sq`` is a scalar.
-        """
-        est, ops = np.empty(model.u.shape, dtype=complex), []
-        for start in range(0, len(est), self.sphere_chunk):
-            part = slice(start, start + self.sphere_chunk)
-            # copied out of the chunk's survivor stack, which it would pin
-            est[part], _, counter = detect.sd2d_decode(
-                replace(model, y_t=model.y_t[part], u=model.u[part]),
-                self.constellation, self.cfg.k_list, radius_sq=radius_sq,
-                initial=None if initial is None else initial[part],
-            )
-            ops += counter.frame_totals
-        return est, ops
 
     def transmit(self, frames, sigma_sq):
         """Sent bits ``(B, bits)`` and the stacked receiver model of ``B`` frames.

@@ -24,8 +24,8 @@ import numpy as np
 
 # most symbol entries (frames x N x M) stacked into one batched call by the
 # harness and the Eb calibration, and survivor entries (frames x survivors x
-# N x M) in one sphere decode; it bounds their memory and never changes a
-# result
+# N x M) in one chunk of a sphere decode; it bounds their memory and never
+# changes a result
 STACK_ENTRIES = 1 << 13
 
 
@@ -46,19 +46,12 @@ class ModemParams:
     n: int
     alpha: float = 1.0
     beta: float = 1.0
-    T: float = 1.0
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("frame dimensions must be at least 1")
         if not (0.0 < self.alpha <= 1.0) or not (0.0 < self.beta <= 1.0):
             raise ValueError("compression factors must lie in (0, 1]")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-
-    @property
-    def delta_f(self):
-        return 1.0 / self.T
 
     @property
     def frame_symbols(self):

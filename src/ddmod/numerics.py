@@ -4,17 +4,7 @@ Everything here is pure and operates on plain numpy arrays.  Frame sizes in
 this package are small (at most 16 x 16), so dense storage is used throughout.
 """
 
-import warnings
-
 import numpy as np
-
-# Smallest |R_ii| relative to ||A||_F below which a QR factor is considered
-# effectively rank deficient.
-RANK_EPS = 1e-12
-
-
-class RankLossWarning(UserWarning):
-    """A QR factor has an effectively vanishing diagonal entry."""
 
 
 def as_matrix(a):
@@ -34,11 +24,8 @@ def qr_decompose(a):
     triangular with a real non-negative diagonal.  The diagonal convention
     makes the factors unique for full-rank input, so repeated runs on the
     same matrix are bit-identical (the underlying Householder factorization
-    is deterministic).
-
-    Emits :class:`RankLossWarning` when the smallest ``|r_ii|`` falls below
-    ``RANK_EPS * ||a||_F``; callers that cannot tolerate rank loss must check
-    the diagonal themselves.
+    is deterministic).  Rank is not checked; callers that cannot tolerate
+    rank loss check the diagonal themselves.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -52,10 +39,4 @@ def qr_decompose(a):
     # the diagonal is now real non-negative up to rounding; pin it exactly
     idx = np.arange(n)
     r[idx, idx] = np.abs(diag)
-    if np.min(np.abs(diag)) < RANK_EPS * np.linalg.norm(a):
-        warnings.warn(
-            "effective rank loss: smallest |R_ii| below threshold",
-            RankLossWarning,
-            stacklevel=2,
-        )
     return q, r

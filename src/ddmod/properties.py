@@ -257,7 +257,7 @@ CHECKS = [
         check_schedule_soundness(n, m) for n, m in product(range(1, 7), repeat=2)
     )),
     ("operation-counter conformance", lambda _rng: max(
-        check_counter_conformance(n, m, 0.9, 0.9) for n, m in [(2, 2), (4, 4), (8, 4)]
+        check_counter_conformance(n, m, 0.9, 0.9) for n, m in [(2, 2), (4, 4), (8, 4), (4, 8)]
     )),
     ("small-frame ML equivalence", _each(check_ml_equivalence, [(2, 2, 0.775, 0.775)])),
 ]

@@ -97,6 +97,24 @@ def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("env,message", [
+    ("abc", "DDMOD_WORKERS must be an integer, got 'abc'"),
+    ("0", "DDMOD_WORKERS must be at least 1, got '0'"),
+], ids=["abc", "zero"])
+def test_simulate_reports_a_bad_worker_env_in_one_line(tmp_path, capsys, monkeypatch,
+                                                       env, message):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9,
+                                    "decoder": "matched", "max_frames": 2}))
+    monkeypatch.setenv("DDMOD_WORKERS", env)
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ddmod: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_bad_config_exits_2_without_traceback(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text('{"N": 2, "alpha": 1, "beta": 1}')

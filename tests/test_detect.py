@@ -1,6 +1,8 @@
 """Tests for the effective model, iterative decoder, and 2-D sphere decoder."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,14 +141,6 @@ class TestObjectiveAndPartialMetric:
     def test_decomposition_identity(self, n, m):
         err = properties.check_objective_decomposition(n, m, 0.8, 0.9, np.random.default_rng(68))
         assert err <= 1e-10
-
-    def test_counter_tally(self):
-        model = make_model(4, 4, 0.9, 0.9)
-        s = np.zeros((4, 4), dtype=complex)
-        counter = detect.OpCounter()
-        detect.partial_metric(model, s, 1, 1, counter=counter)
-        # min-axis extent is 3 at (1, 1) on a 4x4 frame
-        assert (counter.complex_mults, counter.complex_adds) == (4, 3)
 
 
 class TestWavefrontSchedule:
@@ -373,19 +367,25 @@ class TestStackedSd2d:
             assert counter.frame_adds[i] == counter_1.complex_adds
             assert type(counter.frame_mults[i]) is int
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
     @given(
         n=st.integers(1, 4),
         m=st.integers(1, 4),
         k_list=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
-        sigmas=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=6),
+        sigmas=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=7),
         with_initial=st.booleans(),
         radius_sq=st.sampled_from([None, 0.0, math.inf]),
+        chunk=st.sampled_from([None, 1, 2, 3]),
     )
     def test_stack_equals_frames_decoded_alone(
-        self, n, m, k_list, seed, sigmas, with_initial, radius_sq
+        self, n, m, k_list, seed, sigmas, with_initial, radius_sq, chunk
     ):
+        # STACK_ENTRIES then holds the survivors of `chunk` frames, so the
+        # stack is decoded in chunks of that many frames, the last maybe fewer
+        entries = modem.STACK_ENTRIES
+        if chunk is not None:
+            entries = chunk * min(k_list, 4 ** (n * m)) * n * m
         rng = np.random.default_rng(seed)
         q = modem.qpsk()
         a = modem.build_doppler_matrix(0.8, n)
@@ -397,8 +397,35 @@ class TestStackedSd2d:
         initial = None
         if with_initial:
             initial = detect.hard_demap(detect.matched_filter_estimate(models), q)
-        stacked = detect.sd2d_decode(models, q, k_list, radius_sq=radius_sq, initial=initial)
+        with mock.patch.object(modem, "STACK_ENTRIES", entries):
+            stacked = detect.sd2d_decode(models, q, k_list, radius_sq=radius_sq, initial=initial)
         self.assert_frames_decode_alone(stacked, models, q, k_list, radius_sq, initial)
+
+    def test_estimates_hold_no_survivors(self):
+        rng = np.random.default_rng(93)
+        y = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
+        models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
+        for model in (models, detect.refresh_observation(models, y[0])):
+            s_hat = detect.sd2d_decode(model, modem.qpsk(), 16)[0]
+            owner = s_hat if s_hat.base is None else s_hat.base
+            assert owner.size <= s_hat.size
+
+    def test_memory_does_not_grow_with_the_stack(self):
+        # 32 frames of 16 survivors fill one chunk at 4x4; 512 frames take 16
+        rng = np.random.default_rng(94)
+        y = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
+        models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
+        small = detect.refresh_observation(models, y[:32])
+
+        def traced_peak(model):
+            tracemalloc.start()
+            try:
+                detect.sd2d_decode(model, modem.qpsk(), 16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(models) < 2 * traced_peak(small)
 
     def test_one_frame_pruned_by_its_radius(self):
         # frame 1's zero radius prunes every child at every cell, so it keeps
@@ -429,7 +456,7 @@ class TestStackedSd2d:
 
 
 class TestOperationCounting:
-    @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (4, 8)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (4, 4), (4, 8), (8, 4)])
     def test_single_candidate_sweep_matches_prediction(self, m, n):
         assert properties.check_counter_conformance(n, m, 0.9, 0.9) == 0.0
 

@@ -506,34 +506,6 @@ class TestLockstepRounds:
         assert sum(stacked) == 300
         assert max(stacked) == budget
 
-    @pytest.mark.parametrize("cfg", [
-        replace(harness.preset("fig4a"), ebn0_db_points=(0.0, 6.0), max_frames=300),
-        # a 2x2 QPSK frame has at most 4**4 = 256 survivors
-        tiny_config(decoder="sd2d", ebn0_db_points=(0.0, 6.0), k_list=10**6, max_frames=40),
-        # a chunk of one frame holds more than STACK_ENTRIES survivor entries
-        replace(harness.preset("fig4a"), ebn0_db_points=(6.0,), k_list=10**3, max_frames=20),
-    ], ids=["fig4a_cut", "tiny_sd2d_huge_k_list", "fig4a_one_frame_chunks"])
-    def test_sphere_decodes_stay_within_the_stack_budget(self, cfg, monkeypatch):
-        entries = min(cfg.k_list, 4 ** (cfg.m * cfg.n)) * cfg.m * cfg.n
-        rounds, decodes = [], []
-        refresh, decode = detect.refresh_observation, detect.sd2d_decode
-
-        def refresh_recorded(model, y_tf):
-            rounds.append(len(y_tf))
-            return refresh(model, y_tf)
-
-        def decode_recorded(model, *args, **kwargs):
-            decodes.append(len(model.u))
-            return decode(model, *args, **kwargs)
-
-        monkeypatch.setattr(detect, "refresh_observation", refresh_recorded)
-        monkeypatch.setattr(detect, "sd2d_decode", decode_recorded)
-        harness.run_sweep(cfg, workers=1)
-        assert sum(decodes) == sum(rounds)
-        assert all(b * entries <= modem.STACK_ENTRIES or b == 1 for b in decodes)
-        # some round holds more frames than one decode may take
-        assert max(decodes) == max(1, modem.STACK_ENTRIES // entries) < max(rounds)
-
 
 class TestEmitResults:
     def test_empty_sweep_writes_header_only(self, tmp_path):

@@ -52,11 +52,6 @@ class TestQRDecompose:
         with pytest.raises(ValueError, match="square"):
             numerics.qr_decompose(np.ones((2, 3)))
 
-    def test_rank_loss_is_flagged(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        with pytest.warns(numerics.RankLossWarning):
-            numerics.qr_decompose(a)
-
     def test_rejects_nonfinite(self):
         a = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
