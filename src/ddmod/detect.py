@@ -43,6 +43,11 @@ import numpy as np
 from . import modem, numerics
 
 RADIUS_SLACK = 1e-6
+# OpenBLAS (0.3.31) runs a complex GEMM with M*N*K >= 2^16 on several
+# threads.  The iterative decoder keeps each of its products below that:
+# threads cost more than they save on products this small, and a pool of
+# one worker per core would run more threads than there are cores.
+SERIAL_GEMM_MNK = 1 << 16
 # Smallest |R_ii| relative to ||A||_F at or below which a QR factor is
 # considered effectively rank deficient.
 RANK_EPS = 1e-12
@@ -365,6 +370,11 @@ def matched_filter_estimate(model):
     return model.g.conj().T @ model.y_t @ model.h
 
 
+def _gram_matrices(model):
+    """``G+G`` and ``H+H``, the two sides of the correlation operator."""
+    return model.g.conj().T @ model.g, model.h.conj().T @ model.h
+
+
 def distortion_operator(model):
     """The composite correlation operator ``S -> (G+G) @ S @ (H+H)``.
 
@@ -372,9 +382,65 @@ def distortion_operator(model):
     unit diagonal for the modem factors, so the matched-filter output is
     symbol plus interference at the symbol's own scale.
     """
-    gtg = model.g.conj().T @ model.g
-    hth = model.h.conj().T @ model.h
+    gtg, hth = _gram_matrices(model)
     return lambda s: gtg @ s @ hth
+
+
+def _wide_operator(gtg, hth):
+    """The correlation operator on an ``(N, B, M)`` stack, one GEMM per side."""
+    n_rows, m_cols = len(gtg), len(hth)
+
+    def op(x):
+        left = gtg @ x.reshape(n_rows, -1)
+        return (left.reshape(-1, m_cols) @ hth).reshape(x.shape)
+
+    return op
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_frames(n_rows, m_cols, entries):
+    """Most frames the wide operator may take at this frame shape; 0 for none.
+
+    The wide products keep each frame's bits only where the BLAS kernel
+    sums every output entry in the same order as the per-frame products.
+    That depends on the shape and on the kernel chosen for this CPU, so it
+    is checked here, on the machine that decodes: on random operands, at
+    every stack of 1..9 frames and at the largest wide stack.  That is the
+    largest stack a harness round holds, ``entries // (N * M)`` frames, or
+    fewer where a product would reach ``SERIAL_GEMM_MNK``.  Shapes with
+    ``N < 2`` or ``M % 4 != 0`` are refused unchecked: of those with
+    ``N, M <= 16`` all but 1x1 and 1x4 differ on OpenBLAS's Haswell kernels.
+    """
+    largest = min(
+        entries // (n_rows * m_cols),
+        (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)),
+    )
+    if n_rows < 2 or m_cols % 4 or largest < 1:
+        return 0
+    rng = np.random.default_rng(0)
+    gtg = rng.normal(size=(n_rows, 2 * n_rows)).view(complex)
+    hth = rng.normal(size=(m_cols, 2 * m_cols)).view(complex)
+    op = _wide_operator(gtg, hth)
+    for frames in sorted({*range(1, min(9, largest) + 1), largest}):
+        s = rng.normal(size=(frames, n_rows, 2 * m_cols)).view(complex)
+        want = (gtg @ s @ hth).transpose(1, 0, 2)
+        got = op(np.ascontiguousarray(s.transpose(1, 0, 2)))
+        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            return 0
+    return largest
+
+
+def _stack_operator(model, frames):
+    """The operator of :func:`im_soft_decode` and whether it runs wide.
+
+    The wide operator takes the iterate as ``(N, B, M)``, the batched one as
+    ``(B, N, M)`` (or ``(N, M)`` for one frame); both give every frame the
+    bits of :func:`distortion_operator`.
+    """
+    n_rows, m_cols = model.shape
+    if frames <= _wide_frames(n_rows, m_cols, modem.STACK_ENTRIES):
+        return _wide_operator(*_gram_matrices(model)), True
+    return distortion_operator(model), False
 
 
 def im_decode(model, omega, iterations):
@@ -434,23 +500,39 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     and since ``d_r`` only shrinks every later step clips ``w`` to the same
     ``s`` again.  So the result is the ``H``-step iterate.
 
-    Each step with ``d_r > 0`` clips with ``abs``, ``>=``, ``copysign`` and
-    a count, in place; the last step (``d_r = 0``) uses the rule of
+    Each step with ``d_r > 0`` clips in place with no mask: it keeps
+    ``|p|`` where ``|p| < d_r`` and ``1`` elsewhere, then copies the sign of
+    ``p`` back onto it.  The last step (``d_r = 0``) uses the rule of
     :func:`soft_clip`.  The two agree on every finite or infinite entry,
-    signed zeros included.  A NaN stays NaN here where :func:`soft_clip`
-    maps it to +1, which cannot change the result: a non-finite observation
-    makes the frame's whole ``w_0`` NaN, and with it every iterate.
+    signed zeros included.  A NaN stays the same NaN here where
+    :func:`soft_clip` maps it to +1, which cannot change the result: a
+    non-finite observation makes the frame's whole ``w_0`` NaN, and with it
+    every iterate.
 
     A stacked model decodes all its frames at once, and stops when the whole
     stack has settled; ``omega`` is then a scalar or a ``(B, 1, 1)`` array
-    with one relaxation factor per frame.
+    with one relaxation factor per frame.  Where a set-up check has found
+    the wide products bitwise equal to the per-frame ones on this machine
+    (``N >= 2``, ``M % 4 == 0`` and at most ``modem.STACK_ENTRIES // (N*M)``
+    frames, fewer where a product would reach ``SERIAL_GEMM_MNK``), the
+    iterate is held as an ``(N, B, M)`` stack, so each side of ``C`` is one
+    2-D GEMM over all frames; otherwise it stays ``(B, N, M)`` and ``C``
+    runs frame by frame.  Either way each frame comes out with the bits it
+    has alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    op = distortion_operator(model)
     w0 = matched_filter_estimate(model)
+    shape = w0.shape
+    op, wide = _stack_operator(model, 1 if w0.ndim == 2 else len(w0))
+    if wide:
+        w0 = np.ascontiguousarray(w0.reshape(-1, *model.shape).transpose(1, 0, 2))
+        omega = np.reshape(omega, (-1, 1))
     w = w0.copy()
-    s_prev = None
+    if np.ndim(omega):
+        # a full operand multiplies faster than one broadcast on short rows
+        omega = np.broadcast_to(omega, w.view(float).shape).copy()
+    p_prev = None
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
         # w is this step's own array, so it becomes s; scaling the float
@@ -458,15 +540,17 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         s, p = w, w.view(float)
         p *= 1.0 / clip_scale
         if d > 0:
-            # the rule of _clip_axes in four calls: with d > 0 a signed zero
-            # is kept, so copysign agrees with it on every clipped entry
-            clipped = np.abs(p) >= d
-            np.copysign(1.0, p, out=p, where=clipped)
+            # the rule of _clip_axes with no mask: with d > 0 a signed zero
+            # is kept, and copysign restores it, as it restores p's NaNs
+            a = np.abs(p)
+            clipped = a >= d
+            np.copysign(np.where(clipped, 1.0, a), p, out=p)
             all_clipped = np.count_nonzero(clipped) == p.size
         else:
             all_clipped = _clip_axes(p, d)
         p *= clip_scale
-        settled = s_prev is not None and all_clipped and np.array_equal(s, s_prev)
+        # the float views compare as the complex entries do, in less time
+        settled = p_prev is not None and all_clipped and np.array_equal(p, p_prev)
         w = op(s)
         np.subtract(w0, w, out=w)
         p = w.view(float)
@@ -475,7 +559,9 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         if settled:
             break
         # only a fully clipped s can start a fixed point
-        s_prev = s if all_clipped else None
+        p_prev = s.view(float) if all_clipped else None
+    if wide:
+        w = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(shape)
     return w
 
 

@@ -330,8 +330,9 @@ class _SweepRunner:
         dropped: neither their errors nor their operations are counted.  So a
         cell stops at exactly the frame where a frame-by-frame loop would
         stop.  A cell's frames are contiguous in the stack, so its frames,
-        errors and operations are booked once per round.  A cell's ``wall_time`` is its share of the rounds, split by
-        the frames computed.
+        errors and operations are booked once per round.  A cell's
+        ``wall_time`` is its share of the rounds, split by the frames
+        computed.
         """
         cfg, bpf = self.cfg, self.bits_per_frame
         cells = [BerCell(cell_index=i, ebn0_db=e, omega=w) for i, e, w in group]

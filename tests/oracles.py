@@ -39,3 +39,25 @@ def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):
         s = clip_scale * detect.soft_clip(w / clip_scale, d)
         w = omega * (w0 - op(s)) + s
     return w
+
+
+def im_soft_settling_step(model, omega, iterations, clip_scale=2**-0.5):
+    """The step at which the iterative soft decoder may stop, by its rule.
+
+    The first step whose clipped frame repeats the previous step's, with
+    every axis of both clipped to the constellation's; ``iterations`` when
+    no step does.  A stacked model settles when all its frames do at once.
+    """
+    op = detect.distortion_operator(model)
+    w0 = detect.matched_filter_estimate(model)
+    w, s_prev = w0, None
+    for r in range(1, iterations + 1):
+        d = max(0.0, 1.0 - r / iterations)
+        s = clip_scale * detect.soft_clip(w / clip_scale, d)
+        # below one, d keeps no axis at the clip level, so these were clipped
+        clipped = np.all(np.abs(s.view(float)) == clip_scale)
+        if clipped and s_prev is not None and np.array_equal(s, s_prev):
+            return r
+        s_prev = s if clipped else None
+        w = omega * (w0 - op(s)) + s
+    return iterations

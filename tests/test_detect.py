@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel, detect, modem, properties
-from oracles import im_soft_decode_every_step
+from oracles import im_soft_decode_every_step, im_soft_settling_step
 
 
 def make_model(n, m, alpha, beta, y=None, h1=None, h2=None):
@@ -691,18 +691,18 @@ class TestImSoftFixedPoint:
     @staticmethod
     def counted_steps(monkeypatch):
         steps = []
-        original = detect.distortion_operator
+        original = detect._stack_operator
 
-        def counting(model):
-            op = original(model)
+        def counting(model, frames):
+            op, wide = original(model, frames)
 
             def counted(s):
                 steps.append(1)
                 return op(s)
 
-            return counted
+            return counted, wide
 
-        monkeypatch.setattr(detect, "distortion_operator", counting)
+        monkeypatch.setattr(detect, "_stack_operator", counting)
         return steps
 
     @pytest.mark.parametrize("n,frames", [(4, 40), (16, 8)])
@@ -742,9 +742,10 @@ class TestImSoftFixedPoint:
     def test_noiseless_stack_stops_early(self, monkeypatch):
         models = self.stack(4, 10, 0.0, seed=94)
         want = im_soft_decode_every_step(models, 0.5, 75)
+        settle = im_soft_settling_step(models, 0.5, 75)
         steps = self.counted_steps(monkeypatch)
         assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
-        assert len(steps) < 75
+        assert len(steps) == settle < 75
 
     def test_stack_stops_when_its_last_frame_settles(self, monkeypatch):
         models = self.stack(4, 6, 0.3, seed=95)
@@ -752,12 +753,150 @@ class TestImSoftFixedPoint:
         steps = self.counted_steps(monkeypatch)
         alone = []
         for y in models.y_t:
-            detect.im_soft_decode(detect.refresh_observation(models, y), 0.5, 75)
+            model = detect.refresh_observation(models, y)
+            detect.im_soft_decode(model, 0.5, 75)
+            assert len(steps) == im_soft_settling_step(model, 0.5, 75)
             alone.append(len(steps))
             steps.clear()
         assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
-        assert len(steps) == max(alone)
+        assert len(steps) == max(alone) == im_soft_settling_step(models, 0.5, 75)
         assert min(alone) < max(alone) < 75
+
+
+class TestWideOperator:
+    """The ``(N, B, M)`` iterate with one GEMM per side keeps every frame's bits."""
+
+    # (float-view index, value) written into one frame's observation: the
+    # special observations of TestImSoftFixedPoint
+    SPECIALS = (
+        (np.s_[:], 0.0),
+        (np.s_[:], -0.0),
+        (np.s_[::2], -0.0),
+        (np.s_[-1, 3], np.inf),
+        (np.s_[0, 0], -np.inf),
+        (np.s_[1, 5], np.nan),
+        (np.s_[-1, -1], -np.nan),
+        (np.s_[0, :4], [np.inf, -np.inf, np.nan, -0.0]),
+    )
+
+    @staticmethod
+    def stack(n, m, frames, sigma, seed, specials=()):
+        rng = np.random.default_rng(seed)
+        base = make_model(n, m, 0.8, 0.85)
+        s = modem.qpsk().points[rng.integers(0, 4, size=(frames, n, m))]
+        noise = rng.normal(size=(2, frames, n, m))
+        y = base.g @ s @ base.h.conj().T + sigma * (noise[0] + 1j * noise[1])
+        for frame, kind in specials:
+            index, value = TestWideOperator.SPECIALS[kind]
+            y[frame % frames].view(float)[index] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            return detect.refresh_observation(base, y)
+
+    @staticmethod
+    def forced_wide():
+        """Skip the set-up check: every stack up to the round budget runs wide."""
+        return mock.patch.object(detect, "_wide_frames", lambda n, m, entries: entries // (n * m))
+
+    @staticmethod
+    def recorded_paths():
+        """A patch of the operator choice, and the list of its frame counts
+        and whether each decode under the patch ran wide, in call order."""
+        paths = []
+        original = detect._stack_operator
+
+        def recording(model, frames):
+            op, wide = original(model, frames)
+            paths.append((frames, wide))
+            return op, wide
+
+        return mock.patch.object(detect, "_stack_operator", recording), paths
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        shape=st.sampled_from([(4, 4), (2, 4), (8, 16), (16, 16)]),
+        data=st.data(),
+        iterations=st.integers(1, 20),
+        sigma=st.sampled_from([0.0, 0.3, 1.0]),
+        specials=st.lists(st.tuples(st.integers(0, 511), st.integers(0, 7)), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_frames_decoded_alone(
+        self, shape, data, iterations, sigma, specials, seed
+    ):
+        n, m = shape
+        bound = modem.STACK_ENTRIES // (n * m)
+        frames = data.draw(st.one_of(st.just(bound), st.integers(1, bound)), label="frames")
+        models = self.stack(n, m, frames, sigma, seed, specials)
+        omegas = np.random.default_rng(seed).uniform(0.2, 1.3, size=(frames, 1, 1))
+        recording, paths = self.recorded_paths()
+        with self.forced_wide(), np.errstate(invalid="ignore", over="ignore"):
+            with recording:
+                stacked = detect.im_soft_decode(models, omegas, iterations)
+            assert paths == [(frames, True)]
+            assert self.same_bits(stacked, im_soft_decode_every_step(models, omegas, iterations))
+            for y, omega, w in zip(models.y_t, omegas, stacked):
+                model = detect.refresh_observation(models, y)
+                assert self.same_bits(detect.im_soft_decode(model, omega, iterations), w)
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (1, 16), (3, 5), (4, 3)])
+    def test_check_refuses_shapes_before_any_product(self, n, m, monkeypatch):
+        def no_products(gtg, hth):
+            raise AssertionError("the check formed a wide product")
+
+        monkeypatch.setattr(detect, "_wide_operator", no_products)
+        assert detect._wide_frames.__wrapped__(n, m, modem.STACK_ENTRIES) == 0
+        models = self.stack(n, m, 3, 0.3, seed=97)
+        recording, paths = self.recorded_paths()
+        with recording:
+            got = detect.im_soft_decode(models, 0.5, 20)
+        assert paths == [(3, False)]
+        assert self.same_bits(got, im_soft_decode_every_step(models, 0.5, 20))
+
+    # a whole round at 4x4; at 16 rows the most frames whose products stay
+    # on one BLAS thread
+    @pytest.mark.parametrize("n,m,bound", [(4, 4, 512), (16, 8, 31), (16, 16, 15)])
+    def test_check_accepts_the_preset_shapes(self, n, m, bound, monkeypatch):
+        # on this machine's BLAS
+        sizes = []
+        original = detect._wide_operator
+
+        def sized(gtg, hth):
+            op = original(gtg, hth)
+            return lambda x: sizes.append(x.size) or op(x)
+
+        monkeypatch.setattr(detect, "_wide_operator", sized)
+        assert detect._wide_frames.__wrapped__(n, m, modem.STACK_ENTRIES) == bound
+        assert sizes == [k * n * m for k in sorted({*range(1, min(9, bound) + 1), bound})]
+        assert bound * n * m <= modem.STACK_ENTRIES
+        assert bound * n * m * max(n, m) < detect.SERIAL_GEMM_MNK
+
+    def test_check_off_gives_the_batched_path_with_the_same_bits(self, monkeypatch):
+        models = self.stack(4, 4, 50, 0.3, seed=98)
+        omegas = np.linspace(0.25, 1.2, 50)[:, None, None]
+        recording, paths = self.recorded_paths()
+        with recording:
+            with self.forced_wide():
+                wide = detect.im_soft_decode(models, omegas, 75)
+            monkeypatch.setattr(detect, "_wide_frames", lambda n, m, entries: False)
+            batched = detect.im_soft_decode(models, omegas, 75)
+        assert paths == [(50, True), (50, False)]
+        assert self.same_bits(wide, batched)
+
+    def test_stack_above_the_probed_bound_runs_batched(self, monkeypatch):
+        monkeypatch.setattr(modem, "STACK_ENTRIES", 4 * 16)  # four 4x4 frames
+        models = self.stack(4, 4, 5, 0.3, seed=99)
+        head = detect.refresh_observation(models, models.y_t[:4])
+        recording, paths = self.recorded_paths()
+        with recording:
+            got = detect.im_soft_decode(models, 0.5, 30)
+            head_got = detect.im_soft_decode(head, 0.5, 30)
+        assert paths == [(5, False), (4, True)]
+        assert self.same_bits(got, im_soft_decode_every_step(models, 0.5, 30))
+        assert self.same_bits(head_got, got[:4])
 
 
 class TestHardDemap:
