@@ -25,6 +25,12 @@ def dirichlet_sq(x, k):
     return out
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits, so signed zeros and NaN payloads count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):
     """The iterative soft decoder run for all ``iterations`` steps, no exit.
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import channel, detect, modem, properties
-from oracles import im_soft_decode_every_step, im_soft_settling_step
+from oracles import im_soft_decode_every_step, im_soft_settling_step, same_bits
 
 
 def make_model(n, m, alpha, beta, y=None, h1=None, h2=None):
@@ -811,10 +811,6 @@ class TestWideOperator:
 
         return mock.patch.object(detect, "_stack_operator", recording), paths
 
-    @staticmethod
-    def same_bits(a, b):
-        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
         shape=st.sampled_from([(4, 4), (2, 4), (8, 16), (16, 16)]),
@@ -837,10 +833,10 @@ class TestWideOperator:
             with recording:
                 stacked = detect.im_soft_decode(models, omegas, iterations)
             assert paths == [(frames, True)]
-            assert self.same_bits(stacked, im_soft_decode_every_step(models, omegas, iterations))
+            assert same_bits(stacked, im_soft_decode_every_step(models, omegas, iterations))
             for y, omega, w in zip(models.y_t, omegas, stacked):
                 model = detect.refresh_observation(models, y)
-                assert self.same_bits(detect.im_soft_decode(model, omega, iterations), w)
+                assert same_bits(detect.im_soft_decode(model, omega, iterations), w)
 
     @pytest.mark.parametrize("n,m", [(1, 4), (1, 16), (3, 5), (4, 3)])
     def test_check_refuses_shapes_before_any_product(self, n, m, monkeypatch):
@@ -854,7 +850,7 @@ class TestWideOperator:
         with recording:
             got = detect.im_soft_decode(models, 0.5, 20)
         assert paths == [(3, False)]
-        assert self.same_bits(got, im_soft_decode_every_step(models, 0.5, 20))
+        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 20))
 
     # a whole round at 4x4; at 16 rows the most frames whose products stay
     # on one BLAS thread
@@ -884,7 +880,7 @@ class TestWideOperator:
             monkeypatch.setattr(detect, "_wide_frames", lambda n, m, entries: False)
             batched = detect.im_soft_decode(models, omegas, 75)
         assert paths == [(50, True), (50, False)]
-        assert self.same_bits(wide, batched)
+        assert same_bits(wide, batched)
 
     def test_stack_above_the_probed_bound_runs_batched(self, monkeypatch):
         monkeypatch.setattr(modem, "STACK_ENTRIES", 4 * 16)  # four 4x4 frames
@@ -895,8 +891,8 @@ class TestWideOperator:
             got = detect.im_soft_decode(models, 0.5, 30)
             head_got = detect.im_soft_decode(head, 0.5, 30)
         assert paths == [(5, False), (4, True)]
-        assert self.same_bits(got, im_soft_decode_every_step(models, 0.5, 30))
-        assert self.same_bits(head_got, got[:4])
+        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 30))
+        assert same_bits(head_got, got[:4])
 
 
 class TestHardDemap:

@@ -14,6 +14,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ddmod import channel, detect, harness, modem
+from oracles import same_bits
 
 
 def tiny_config(**overrides):
@@ -353,12 +354,6 @@ def frame_alone(runner, cell_index, frame_index, sigma_sq):
         rx = rx + np.sqrt(sigma_sq / 2.0) * noise
     y_tf = modem.wigner_rect(rx, runner.params)
     return bits, detect.refresh_observation(runner.base_model, y_tf)
-
-
-def same_bits(a, b):
-    """Equal shapes and equal bits, so signed zeros and NaN payloads count."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def results(cells):
