@@ -32,7 +32,8 @@ remaining min-axis extent plus one cross-axis scaling multiply, i.e.
 additions plus the subtraction from ``U``).  Summed over a full
 single-candidate sweep this gives ``M*N*(min(M,N)+3)/2`` multiplies and
 ``M*N*(min(M,N)+1)/2`` additions.  Each frame of a stack is counted on its
-own, for its own live survivors.
+own, for its own live survivors, and :class:`OpCounter` holds the counts as
+one ``(B,)`` integer array each for multiplies and additions.
 """
 
 import functools
@@ -61,10 +62,10 @@ class SingularModelError(ValueError):
 class EffectiveModel:
     """Matrices and QR factors driving both decoders.
 
-    ``g`` is N x N, ``h`` is M x M, ``y_t`` and ``u`` are N x M, ``r`` is
-    upper triangular with real non-negative diagonal, ``l`` lower triangular.
-    A stacked model holds ``(B, N, M)`` observations ``y_t`` and ``u`` of
-    ``B`` frames that share the factors; ``shape`` is still the frame shape.
+    ``g`` is N x N, ``h`` is M x M, ``y_t`` is N x M, ``r`` is upper
+    triangular with real non-negative diagonal, ``l`` lower triangular.  A
+    stacked model holds the ``(B, N, M)`` observations ``y_t`` of ``B``
+    frames that share the factors; ``shape`` is still the frame shape.
     """
 
     g: np.ndarray
@@ -74,11 +75,19 @@ class EffectiveModel:
     r: np.ndarray
     q_h: np.ndarray
     l: np.ndarray
-    u: np.ndarray
 
     @property
     def shape(self):
         return self.y_t.shape[-2:]
+
+    @functools.cached_property
+    def u(self):
+        """The rotated observation ``Q_G+ Y_T Q_H``, shaped like ``y_t``.
+
+        Computed on first use; a new observation is a new model (see
+        :func:`refresh_observation`), so it never outlives its ``y_t``.
+        """
+        return self.q_g.conj().T @ self.y_t @ self.q_h
 
 
 def _check_full_rank(r, source, name):
@@ -108,9 +117,7 @@ def build_effective_model(a, b, y_tf, h1=None, h2=None):
     q_h, r_h = numerics.qr_decompose(h)
     _check_full_rank(r, g, "G")
     _check_full_rank(r_h, h, "H")
-    l = r_h.conj().T
-    u = q_g.conj().T @ y_tf @ q_h
-    return EffectiveModel(g=g, h=h, y_t=y_tf, q_g=q_g, r=r, q_h=q_h, l=l, u=u)
+    return EffectiveModel(g=g, h=h, y_t=y_tf, q_g=q_g, r=r, q_h=q_h, l=r_h.conj().T)
 
 
 def refresh_observation(model, y_tf):
@@ -121,8 +128,7 @@ def refresh_observation(model, y_tf):
     y_tf = np.asarray(y_tf, dtype=complex)
     if y_tf.ndim not in (2, 3) or y_tf.shape[-2:] != model.shape:
         raise ValueError(f"observation shape {y_tf.shape} does not match {model.shape}")
-    u = model.q_g.conj().T @ y_tf @ model.q_h
-    return replace(model, y_t=y_tf, u=u)
+    return replace(model, y_t=y_tf)
 
 
 def total_objective(model, s):
@@ -139,35 +145,21 @@ def total_objective(model, s):
     return float(loss) if loss.ndim == 0 else loss
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpCounter:
-    """Tally of complex multiplies/adds attributed to partial-metric work.
+    """Complex multiplies and adds attributed to partial-metric work.
 
-    ``frame_mults`` and ``frame_adds`` hold one Python int per frame: one
-    entry for a single frame, ``B`` for a stacked sphere decode.  The
-    ``complex_mults``, ``complex_adds`` and ``total`` properties sum them
-    over the frames.
+    ``mults`` and ``adds`` are ``(B,)`` integer arrays with one count per
+    frame: ``(1,)`` for a single frame, ``(B,)`` for a stacked sphere decode.
     """
 
-    frame_mults: list
-    frame_adds: list
-
-    @property
-    def complex_mults(self):
-        return sum(self.frame_mults)
-
-    @property
-    def complex_adds(self):
-        return sum(self.frame_adds)
+    mults: np.ndarray
+    adds: np.ndarray
 
     @property
     def total(self):
-        return self.complex_mults + self.complex_adds
-
-    @property
-    def frame_totals(self):
-        """Each frame's ``mults + adds``."""
-        return [x + y for x, y in zip(self.frame_mults, self.frame_adds)]
+        """All frames' multiplies and adds, as one int."""
+        return int(self.mults.sum() + self.adds.sum())
 
 
 def partial_metric(model, s, row, col):
@@ -298,7 +290,8 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
 
     A model of one ``(N, M)`` frame returns an ``(N, M)`` frame and a float
     loss; a stacked model returns ``(B, N, M)`` frames and ``(B,)`` losses.
-    ``counter`` tallies each frame's operations (see :class:`OpCounter`).
+    ``counter`` holds each frame's multiplies and adds as ``(B,)`` arrays,
+    ``(1,)`` for one frame (see :class:`OpCounter`).
     """
     n_rows, m_cols = model.shape
     if k_list < 1:
@@ -326,7 +319,7 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     if initial is not None:
         better = init_loss < loss
         s_hat[better], loss[better] = initial[better], init_loss[better]
-    counter = OpCounter(frame_mults=mults.tolist(), frame_adds=adds.tolist())
+    counter = OpCounter(mults, adds)
     if single:
         return s_hat[0], float(loss[0]), counter
     return s_hat, loss, counter

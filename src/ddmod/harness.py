@@ -56,7 +56,7 @@ def _sd2d(runner, model, omega, radius_sq=None, initial=None):
     est, _, counter = detect.sd2d_decode(
         model, runner.constellation, runner.cfg.k_list, radius_sq=radius_sq, initial=initial
     )
-    return est, counter.frame_totals
+    return est, counter.mults + counter.adds
 
 
 def _sd2d_im_init(runner, model, omega):
@@ -66,9 +66,9 @@ def _sd2d_im_init(runner, model, omega):
 
 
 # decoder name -> (decode step, whether the decoder takes omega).  A step maps
-# (runner, stacked model, (B, 1, 1) omega or None) to (estimates, per-frame
-# operation counts or None) and looks the detect functions up when called, so
-# wrappers installed on the module see the calls.
+# (runner, stacked model, (B, 1, 1) omega or None) to (estimates, a (B,) int
+# array of each frame's multiplies plus adds, or None) and looks the detect
+# functions up when called, so wrappers installed on the module see the calls.
 _DECODER_TABLE = {
     "matched": (_matched, False),
     "im_soft": (_im_soft, True),
@@ -378,7 +378,7 @@ class _SweepRunner:
                 cell.bit_errors += int(running[used - 1])
                 cell.wall_time += share * take
                 if frame_ops is not None:
-                    ops[cell.cell_index] += sum(frame_ops[start:start + used])
+                    ops[cell.cell_index] += int(frame_ops[start:start + used].sum())
                 start += take
             live = [
                 cell for cell in live

@@ -107,7 +107,6 @@ class SampledSignal:
 
     samples: np.ndarray
     step: float
-    origin: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
@@ -119,10 +118,6 @@ class SampledSignal:
             np.isfinite(self.samples.imag)
         ):
             raise ValueError("samples must be finite")
-
-    @property
-    def times(self):
-        return self.origin + np.arange(len(self.samples)) * self.step
 
     def __len__(self):
         return len(self.samples)
@@ -252,7 +247,7 @@ def dd_shift(x, tau0, nu0):
     shift = _aligned_index(tau0, x.step, "tau0")
     t_rel = (np.arange(len(x)) - shift) * x.step
     samples = np.roll(x.samples, shift) * np.exp(2j * np.pi * nu0 * t_rel)
-    return SampledSignal(samples=samples, step=x.step, origin=x.origin)
+    return SampledSignal(samples=samples, step=x.step)
 
 
 def _check_cell(tau0, nu0, p):

@@ -1,6 +1,7 @@
 """Tests for the effective model, iterative decoder, and 2-D sphere decoder."""
 
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -89,6 +90,21 @@ class TestBuildEffectiveModel:
         direct = make_model(3, 3, 0.9, 0.9, y=y)
         assert np.allclose(fresh.u, direct.u)
         assert np.array_equal(fresh.r, direct.r)
+
+    def test_refreshed_u_is_never_stale(self):
+        # u is computed on first read, so read it before each refresh: a
+        # refreshed model must not keep the u of the model it came from, nor
+        # of its pickled copy, which is how a pool worker gets the base model
+        rng = np.random.default_rng(66)
+        model = make_model(3, 2, 0.9, 0.9, y=rng.normal(size=(3, 2)) + 0j)
+        y = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
+        direct = [make_model(3, 2, 0.9, 0.9, y=frame).u for frame in y]
+        base_u = model.u
+        for base in (model, pickle.loads(pickle.dumps(model))):
+            assert same_bits(base.u, base_u)
+            assert same_bits(detect.refresh_observation(base, y[0]).u, direct[0])
+            stacked = detect.refresh_observation(base, y)
+            assert all(same_bits(u, want) for u, want in zip(stacked.u, direct))
 
     def test_stacked_observation_keeps_frame_shape(self):
         rng = np.random.default_rng(65)
@@ -353,7 +369,10 @@ class TestStackedSd2d:
     def assert_frames_decode_alone(stacked, models, q, k_list, radius_sq, initial):
         s_hat, loss, counter = stacked
         assert s_hat.shape == models.y_t.shape and loss.shape == (len(models.y_t),)
-        assert counter.total == sum(counter.frame_totals)
+        assert counter.mults.shape == counter.adds.shape == loss.shape
+        assert counter.mults.dtype.kind == counter.adds.dtype.kind == "i"
+        assert counter.total == sum(int(x) + int(y) for x, y in zip(counter.mults, counter.adds))
+        assert type(counter.total) is int
         for i, y in enumerate(models.y_t):
             alone = detect.refresh_observation(models, y)
             s_1, loss_1, counter_1 = detect.sd2d_decode(
@@ -363,9 +382,9 @@ class TestStackedSd2d:
             )
             assert np.array_equal(s_hat[i], s_1)
             assert loss[i].tobytes() == np.float64(loss_1).tobytes()
-            assert counter.frame_mults[i] == counter_1.complex_mults
-            assert counter.frame_adds[i] == counter_1.complex_adds
-            assert type(counter.frame_mults[i]) is int
+            assert counter_1.mults.shape == counter_1.adds.shape == (1,)
+            assert counter.mults[i] == counter_1.mults[0]
+            assert counter.adds[i] == counter_1.adds[0]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=120)
     @given(
@@ -440,8 +459,8 @@ class TestStackedSd2d:
         self.assert_frames_decode_alone(stacked, models, q, 4, radius_sq, None)
         single = detect.predicted_complexity(4, 4)
         counter = stacked[2]
-        assert (counter.frame_mults[1], counter.frame_adds[1]) == (single.mults, single.adds)
-        assert counter.frame_mults[0] > single.mults and counter.frame_mults[2] > single.mults
+        assert (counter.mults[1], counter.adds[1]) == (single.mults, single.adds)
+        assert counter.mults[0] > single.mults and counter.mults[2] > single.mults
 
     def test_nan_frame_falls_back_to_its_first_child(self):
         # every child of the NaN frame is NaN, like the padding; it still

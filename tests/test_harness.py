@@ -402,8 +402,8 @@ class TestBatchedChain:
             assert np.array_equal(ws[i], w_1)
             sd_1 = detect.sd2d_decode(model_1, q, k_list, initial=detect.hard_demap(w_1, q))
             assert np.array_equal(sd_hat[i], sd_1[0]) and sd_loss[i] == sd_1[1]
-            assert sd_ops.frame_mults[i] == sd_1[2].complex_mults
-            assert sd_ops.frame_adds[i] == sd_1[2].complex_adds
+            assert sd_ops.mults[i] == sd_1[2].mults[0]
+            assert sd_ops.adds[i] == sd_1[2].adds[0]
 
 
     def test_noiseless_frames_are_exact_copies_in_a_mixed_stack(self):
@@ -468,18 +468,25 @@ class TestLockstepRounds:
         pooled = harness.run_sweep(cfg, workers=workers)
         assert results(pooled.cells) == results(alone.cells)
 
-    @pytest.mark.parametrize("cfg", [
-        tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
-                    omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
-                    max_frames=30),
+    @pytest.mark.parametrize("cfg, drops", [
+        (tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
+                     omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
+                     max_frames=30), False),
         # one frame often carries the last few errors a cell needs, so a round
         # that ran past the stop rule would count extra frames here
-        tiny_config(ebn0_db_points=(0.0, 2.0, 4.0), min_bit_errors=5, max_frames=40),
-    ], ids=["tiny_sd2d_im_init", "tiny_matched"])
-    def test_round_budget_does_not_change_results(self, cfg, monkeypatch):
+        (tiny_config(ebn0_db_points=(0.0, 2.0, 4.0), min_bit_errors=5, max_frames=40), False),
+        # the sphere decoder's operations of a dropped frame would change
+        # mean_decoder_ops here
+        (replace(harness.preset("fig4a"), ebn0_db_points=(0.0, 2.0), max_frames=120,
+                 master_seed=1), True),
+    ], ids=["tiny_sd2d_im_init", "tiny_matched", "fig4a_cut"])
+    def test_round_budget_does_not_change_results(self, cfg, drops, monkeypatch):
+        calls = self.count_harness_substreams(monkeypatch)
+        full = harness.run_sweep(cfg, workers=1)
+        if drops:
+            assert len(calls) > sum(c.frames for c in full.cells)
         # with a budget of one frame every round runs one frame, so the stop
         # rule is applied after each frame
-        full = harness.run_sweep(cfg, workers=1)
         monkeypatch.setattr(modem, "STACK_ENTRIES", cfg.m * cfg.n)
         one_frame = harness.run_sweep(cfg, workers=1)
         assert results(one_frame.cells) == results(full.cells)
