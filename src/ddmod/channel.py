@@ -16,8 +16,9 @@ from . import modem
 # fixed second key word so user seeds never collide with numpy defaults
 _KEY_SALT = 0x9E3779B97F4A7C15
 
-# reserved stream id for the transmit-energy calibration batch
+# reserved stream id and frame count of the transmit-energy calibration batch
 CALIBRATION_STREAM = 0xEB
+CALIBRATION_FRAMES = 200
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 # the buffer fields of a new Philox: nothing drawn yet
@@ -100,25 +101,24 @@ def apply_separable_channel(x, h1=None, h2=None):
     return out
 
 
-def measure_eb(params, constellation, master_seed, n_frames=200):
-    """Average transmitted energy per bit over a seeded calibration batch.
+def measure_eb(params, constellation, master_seed):
+    """Average transmitted energy per bit over a seeded calibration batch of
+    ``CALIBRATION_FRAMES`` frames.
 
     Measured from the actual waveform rather than assumed from constellation
     energy: for compression factors below 1 the transform is non-unitary and
     per-frame energy fluctuates, so measured-energy normalization keeps Eb/N0
     comparisons fair across overloading factors.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be at least 1")
     rng = substream(master_seed, CALIBRATION_STREAM)
     bits_per_frame = params.frame_symbols * constellation.bits_per_symbol
     chunk = max(1, modem.STACK_ENTRIES // params.frame_symbols)
     energy = 0.0
-    for start in range(0, n_frames, chunk):
-        bits = rng.integers(0, 2, size=(min(chunk, n_frames - start), bits_per_frame))
+    for start in range(0, CALIBRATION_FRAMES, chunk):
+        bits = rng.integers(0, 2, size=(min(chunk, CALIBRATION_FRAMES - start), bits_per_frame))
         x = modem.modulate(modem.map_bits(bits, constellation, params.n, params.m), params)
         # frame energies are added left to right, one at a time, so Eb does
         # not depend on the chunk size or on how a reduction groups them
         for frame_energy in np.sum(np.abs(x) ** 2, axis=1):
             energy += float(frame_energy)
-    return energy / (n_frames * bits_per_frame)
+    return energy / (CALIBRATION_FRAMES * bits_per_frame)

@@ -2,21 +2,22 @@
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 from . import detect, harness, properties
 
 
-def _worker_count(text):
-    """The ``--workers`` value: an integer of at least 1."""
+def _positive_int(text):
+    """An argument type for ``--workers``, ``--M`` and ``--N``: an integer of at least 1."""
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_simulate(sub):
@@ -27,26 +28,30 @@ def _add_simulate(sub):
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default="results", help="output directory (default: results/)")
     p.add_argument("--stem", default="results", help="output file stem")
-    p.add_argument("--workers", type=_worker_count, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help=f"worker processes (default: ${harness.WORKERS_ENV} or cpu count)")
+    p.set_defaults(handler=_cmd_simulate)
 
 
 def _add_verify(sub):
-    sub.add_parser("verify-properties", help="run the transform/decoder invariant suite")
+    p = sub.add_parser("verify-properties", help="run the transform/decoder invariant suite")
+    p.set_defaults(handler=_cmd_verify)
 
 
 def _add_complexity(sub):
     p = sub.add_parser("complexity", help="print decoder operation budgets")
-    p.add_argument("--M", type=int, required=True, dest="m")
-    p.add_argument("--N", type=int, required=True, dest="n")
+    p.add_argument("--M", type=_positive_int, required=True, dest="m")
+    p.add_argument("--N", type=_positive_int, required=True, dest="n")
+    p.set_defaults(handler=_cmd_complexity)
 
 
 def _load_config(args):
-    """The sweep config the ``simulate`` arguments name."""
+    """The sweep config the ``simulate`` arguments name, ``--seed`` applied."""
     if args.preset:
-        return harness.preset(args.preset, master_seed=args.seed)
-    with open(args.config) as fh:
-        cfg = harness.SweepConfig.from_json_dict(json.load(fh))
+        cfg = harness.preset(args.preset)
+    else:
+        with open(args.config) as fh:
+            cfg = harness.SweepConfig.from_json_dict(json.load(fh))
     return cfg if args.seed is None else replace(cfg, master_seed=args.seed)
 
 
@@ -54,6 +59,7 @@ def _cmd_simulate(args):
     try:
         cfg = _load_config(args)
         workers = harness.default_workers() if args.workers is None else args.workers
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"ddmod: error: {exc}", file=sys.stderr)
         return 2
@@ -101,11 +107,7 @@ def main(argv=None):
     _add_verify(sub)
     _add_complexity(sub)
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "verify-properties":
-        return _cmd_verify(args)
-    return _cmd_complexity(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

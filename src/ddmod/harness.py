@@ -37,7 +37,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -79,25 +79,9 @@ DECODERS = tuple(_DECODER_TABLE)
 RADIUS_POLICIES = ("im_init", "infinite")
 WORKERS_ENV = "DDMOD_WORKERS"
 
-# JSON key <-> dataclass field (keys follow the config-file contract)
-_JSON_KEYS = {
-    "M": "m",
-    "N": "n",
-    "alpha": "alpha",
-    "beta": "beta",
-    "constellation": "constellation",
-    "ebn0_db_points": "ebn0_db_points",
-    "decoder": "decoder",
-    "omega_values": "omega_values",
-    "iterations": "iterations",
-    "K_list": "k_list",
-    "radius_policy": "radius_policy",
-    "master_seed": "master_seed",
-    "min_bit_errors": "min_bit_errors",
-    "max_frames": "max_frames",
-}
-
-_INT_FIELDS = ("m", "n", "iterations", "k_list", "master_seed", "min_bit_errors", "max_frames")
+# the config-file keys that differ from their field's name; the SweepConfig
+# fields give every key, its order in the file and whether it is required
+_JSON_KEYS = {"m": "M", "n": "N", "k_list": "K_list"}
 
 
 @dataclass(frozen=True)
@@ -120,29 +104,27 @@ class SweepConfig:
     max_frames: int = 1000
 
     def __post_init__(self):
-        for field in ("constellation", "decoder", "radius_policy"):
-            value = getattr(self, field)
-            if not isinstance(value, str):
-                raise ValueError(f"{field} must be a string, got {value!r}")
+        # each field is checked and stored as the type it is declared with
+        for field in fields(self):
+            name, kind, value = field.name, field.type, getattr(self, field.name)
+            if kind is str and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+            if kind is int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
+            if kind is float:
+                if not _is_real(value):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
+                object.__setattr__(self, name, float(value))
+            if kind is tuple:
+                if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
+                    raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
+                object.__setattr__(self, name, tuple(float(x) for x in value))
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.radius_policy not in RADIUS_POLICIES:
             raise ValueError(f"radius_policy must be one of {RADIUS_POLICIES}")
-        for field in _INT_FIELDS:
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
-            object.__setattr__(self, field, int(value))
-        for field in ("alpha", "beta"):
-            value = getattr(self, field)
-            if not _is_real(value):
-                raise ValueError(f"{field} must be a real number, got {value!r}")
-            object.__setattr__(self, field, float(value))
-        for field in ("ebn0_db_points", "omega_values"):
-            values = getattr(self, field)
-            if not isinstance(values, (list, tuple)) or not all(map(_is_real, values)):
-                raise ValueError(f"{field} must be a list of real numbers, got {values!r}")
-            object.__setattr__(self, field, tuple(float(x) for x in values))
         modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
         modem.get_constellation(self.constellation)
         if self.iterations < 1 or self.k_list < 1:
@@ -179,28 +161,26 @@ class SweepConfig:
         return out
 
     def to_json_dict(self):
-        d = asdict(self)
-        return {key: _to_plain(d[field]) for key, field in _JSON_KEYS.items()}
+        return {key: _to_plain(getattr(self, field.name)) for key, field in _FIELDS.items()}
 
     @classmethod
     def from_json_dict(cls, data):
         """The config of a parsed JSON object; ``ValueError`` names any bad key."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_JSON_KEYS)
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = [key for key in _REQUIRED_KEYS if key not in data]
+        missing = [
+            key for key, field in _FIELDS.items() if field.default is MISSING and key not in data
+        ]
         if missing:
             raise ValueError(f"missing config keys: {missing}")
-        return cls(**{field: data[key] for key, field in _JSON_KEYS.items() if key in data})
+        return cls(**{field.name: data[key] for key, field in _FIELDS.items() if key in data})
 
 
-# keys of the fields without a default, in file order
-_REQUIRED_KEYS = [
-    key for key, field in _JSON_KEYS.items()
-    if SweepConfig.__dataclass_fields__[field].default is MISSING
-]
+# config-file key -> SweepConfig field, in field order
+_FIELDS = {_JSON_KEYS.get(field.name, field.name): field for field in fields(SweepConfig)}
 
 
 def _is_real(value):
@@ -248,15 +228,6 @@ class BerResult:
     @property
     def completed(self):
         return all(c.error is None for c in self.cells)
-
-    def cell(self, ebn0_db, omega=None):
-        for c in self.cells:
-            same_omega = (c.omega is None and omega is None) or (
-                c.omega is not None and omega is not None and math.isclose(c.omega, omega)
-            )
-            if math.isclose(c.ebn0_db, ebn0_db) and same_omega:
-                return c
-        raise KeyError(f"no cell at ebn0={ebn0_db}, omega={omega}")
 
 
 def wilson_interval(errors, trials, z=1.96):
@@ -444,10 +415,11 @@ def emit_results(result, out_dir, stem="results"):
     decoder, bits, errors, ber, ci_low, ci_high, mean_ops, seed.  Failed
     cells are skipped in the CSV (their diagnostics live on the result
     object); floats are written with full precision so reruns are
-    byte-comparable.  Each file is written to a temporary name in ``out_dir``
-    and moved into place with ``os.replace``.
+    byte-comparable.  ``out_dir`` is created if missing.  Each file is
+    written to a temporary name in ``out_dir`` and moved into place with
+    ``os.replace``; any ``OSError`` on the way, ``out_dir``'s creation
+    included, is raised as one that names ``out_dir``.
     """
-    os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
     chash = config_hash(cfg)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
@@ -460,6 +432,7 @@ def emit_results(result, out_dir, stem="results"):
     # previous results in place and no partial file behind
     tmp = {path: f"{path}.{os.getpid()}.tmp" for path in (csv_path, json_path)}
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(tmp[csv_path], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -485,7 +458,7 @@ def emit_results(result, out_dir, stem="results"):
         raise OSError(f"failed writing results under {out_dir}: {exc}") from exc
     finally:
         for tmp_path in tmp.values():
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(tmp_path)
     return csv_path, json_path
 
@@ -526,11 +499,8 @@ PRESETS = {
 }
 
 
-def preset(name, master_seed=None):
+def preset(name):
     try:
-        cfg = PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
-    if master_seed is not None:
-        cfg = replace(cfg, master_seed=master_seed)
-    return cfg

@@ -78,7 +78,6 @@ class Constellation:
     expansion of ``i`` over ``bits_per_symbol`` bits.
     """
 
-    name: str
     points: np.ndarray
 
     def __post_init__(self):
@@ -123,17 +122,14 @@ def qpsk():
     first bit selects the imaginary sign, second the real sign.
     """
     pts = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
-    return Constellation(name="qpsk", points=pts)
-
-
-_CONSTELLATIONS = {"qpsk": qpsk}
+    return Constellation(points=pts)
 
 
 def get_constellation(name):
-    try:
-        return _CONSTELLATIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown constellation {name!r}") from None
+    """The constellation a config names; QPSK is the only one."""
+    if name != "qpsk":
+        raise ValueError(f"unknown constellation {name!r}")
+    return qpsk()
 
 
 def build_doppler_matrix(alpha, n):

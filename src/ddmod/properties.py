@@ -6,8 +6,8 @@ from the generator it is given, evaluates both sides of one identity
 numerically and returns the worst relative error (0.0 or 1.0 for the exact
 combinatorial checks).  The test suite and the acceptance criteria call these
 functions with their own parameters, seeds and bounds; :func:`run_all` runs
-every entry of :data:`CHECKS` on its default parameter sets for the
-``verify-properties`` command.
+every entry of :data:`CHECKS` on its default parameter sets, each from a
+generator seeded 0, for the ``verify-properties`` command.
 """
 
 from itertools import product
@@ -263,10 +263,10 @@ CHECKS = [
 ]
 
 
-def run_all(seed=0):
+def run_all():
     """Run every check; returns a list of (name, passed, worst_rel_error)."""
     results = []
     for name, fn in CHECKS:
-        worst = fn(np.random.default_rng(seed))
+        worst = fn(np.random.default_rng(0))
         results.append((name, worst <= REL_TOL, worst))
     return results

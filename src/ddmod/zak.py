@@ -114,9 +114,7 @@ class SampledSignal:
             raise ValueError("samples must be a 1-d sequence")
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if not np.all(np.isfinite(self.samples.real)) or not np.all(
-            np.isfinite(self.samples.imag)
-        ):
+        if not np.isfinite(self.samples).all():
             raise ValueError("samples must be finite")
 
     def __len__(self):
@@ -163,7 +161,7 @@ class ImpulseTrain:
             raise ValueError("times and weights must be matching 1-d sequences")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("atom times must be strictly increasing")
-        if not np.all(np.isfinite(self.weights.real)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
 
 
@@ -257,17 +255,15 @@ def _check_cell(tau0, nu0, p):
         raise ValueError(f"nu0={nu0} outside the fundamental cell [0, {p.mu * p.delta_f})")
 
 
-def impulse_basis(tau0, nu0, p, n_range=None):
+def impulse_basis(tau0, nu0, p):
     """Delta-train basis element located at ``(tau0, nu0)``.
 
     Atoms sit at ``t = tau0 + n*lam*T`` with weights
-    ``sqrt(lam*T)/(lam*mu) * exp(2j*pi*nu0*n*T/mu)`` for ``n`` in ``n_range``
-    (defaults to one atom per frame block).
+    ``sqrt(lam*T)/(lam*mu) * exp(2j*pi*nu0*n*T/mu)``, one per frame block:
+    ``n = 0 .. periods-1``.
     """
     _check_cell(tau0, nu0, p)
-    if n_range is None:
-        n_range = range(p.periods)
-    n = np.asarray(list(n_range), dtype=int)
+    n = np.arange(p.periods)
     times = tau0 + n * p.lam * p.T
     weights = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * np.exp(2j * np.pi * nu0 * n * p.T / p.mu)
     return ImpulseTrain(times=times, weights=weights)

@@ -188,7 +188,3 @@ class TestMeasureEb:
         q = modem.qpsk()
         assert channel.measure_eb(params, q, 42) == channel.measure_eb(params, q, 42)
 
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ValueError):
-            channel.measure_eb(modem.ModemParams(m=2, n=2), modem.qpsk(), 0, n_frames=0)
-

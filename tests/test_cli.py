@@ -20,6 +20,20 @@ def test_complexity_prints_budget(capsys):
     assert "136" in out  # 1-D reference
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--M", "0", "--N", "4"], "argument --M: must be at least 1, got 0"),
+    (["--M", "4", "--N", "-2"], "argument --N: must be at least 1, got -2"),
+    (["--M", "x", "--N", "4"], "argument --M: must be an integer, got 'x'"),
+], ids=["M_zero", "N_negative", "M_text"])
+def test_complexity_rejects_bad_dimensions_in_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["complexity", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"ddmod complexity: error: {message}"
+    assert "Traceback" not in err
+
+
 def test_simulate_from_config_file(tmp_path, capsys):
     config = {
         "M": 2, "N": 2, "alpha": 0.9, "beta": 0.9,
@@ -147,6 +161,25 @@ def test_simulate_preset_resolves_and_runs(tmp_path, capsys, monkeypatch):
     assert captured["cfg"].master_seed == 7
     assert captured["cfg"].alpha == 0.775
     assert (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "under_file"])
+def test_simulate_reports_an_unusable_out_dir_before_the_sweep(tmp_path, capsys, monkeypatch,
+                                                                sub):
+    from ddmod import harness
+
+    def no_sweep(cfg, workers=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_sweep", no_sweep)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = cli.main(["simulate", "--preset", "fig4b", "--out", str(blocker.joinpath(*sub))])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ddmod: error: ") and captured.err.count("\n") == 1
+    assert str(blocker) in captured.err
 
 
 def test_verify_properties(capsys):

@@ -255,7 +255,7 @@ class TestSd2dUpdate:
 
     def test_empty_constellation_rejected(self):
         with pytest.raises(ValueError):
-            modem.Constellation(name="empty", points=np.array([]))
+            modem.Constellation(points=np.array([]))
 
 
 class TestSd2dDecode:

@@ -167,6 +167,25 @@ class TestConfigRoundTrip:
 
 
 class TestConfigHash:
+    # the config-file contract: a renamed key or value changes a hash, and a
+    # reordered key changes every sidecar's bytes
+    @pytest.mark.parametrize("name, chash", [
+        ("fig2a", "f4e308db6e5bd782"),
+        ("fig2b", "8316653985ee1d26"),
+        ("fig3", "206d65363a473bb4"),
+        ("fig4a", "cf217d98d9775aa5"),
+        ("fig4b", "779f3811ae8b2dfc"),
+    ])
+    def test_preset_hashes_are_pinned(self, name, chash):
+        assert harness.config_hash(harness.preset(name)) == chash
+
+    def test_config_file_key_order_is_pinned(self):
+        assert list(tiny_config().to_json_dict()) == [
+            "M", "N", "alpha", "beta", "constellation", "ebn0_db_points", "decoder",
+            "omega_values", "iterations", "K_list", "radius_policy", "master_seed",
+            "min_bit_errors", "max_frames",
+        ]
+
     def test_identical_configs_share_hash(self):
         assert harness.config_hash(tiny_config()) == harness.config_hash(tiny_config())
 
@@ -307,13 +326,6 @@ class TestRunSweep:
             tracemalloc.stop()
         assert results(huge.cells) == results(exhaustive.cells)
         assert peak < 4 * 2**20
-
-    def test_lookup_by_point(self):
-        cfg = tiny_config(ebn0_db_points=(2.0, 4.0), max_frames=5, min_bit_errors=1)
-        result = harness.run_sweep(cfg, workers=1)
-        assert result.cell(4.0).ebn0_db == 4.0
-        with pytest.raises(KeyError):
-            result.cell(99.0)
 
     def test_worker_count_env_var(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV, "3")
@@ -557,6 +569,16 @@ class TestEmitResults:
         assert open(csv_path, "rb").read() == old_bytes
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "under_file"])
+    def test_out_dir_blocked_by_a_file_names_it(self, tmp_path, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker.joinpath(*sub)
+        result = harness.BerResult(config=tiny_config(), cells=[])
+        with pytest.raises(OSError, match=re.escape(f"failed writing results under {out_dir}")):
+            harness.emit_results(result, out_dir)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
     def test_eta_column_matches_formula(self, tmp_path):
         cfg = tiny_config(alpha=0.775, beta=0.775, max_frames=3, min_bit_errors=1)
         result = harness.run_sweep(cfg, workers=1)
@@ -570,9 +592,6 @@ class TestPresets:
         for name in ("fig2a", "fig2b", "fig3", "fig4a", "fig4b"):
             cfg = harness.preset(name)
             assert isinstance(cfg, harness.SweepConfig)
-
-    def test_seed_override(self):
-        assert harness.preset("fig3", master_seed=99).master_seed == 99
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

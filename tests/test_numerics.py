@@ -57,6 +57,11 @@ class TestQRDecompose:
         with pytest.raises(ValueError, match="finite"):
             numerics.qr_decompose(a)
 
+    @pytest.mark.parametrize("bad", [complex(0, np.inf), complex(0, np.nan)])
+    def test_rejects_nonfinite_imaginary_parts(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            numerics.as_matrix([[1.0, bad]])
+
     def test_norm_identities(self):
         rng = np.random.default_rng(3)
         a = random_complex(rng, (7, 7))

@@ -52,6 +52,20 @@ class TestParams:
         assert p.nu_grid[-1] < p.mu * p.delta_f
 
 
+NONFINITE = [complex(np.inf, 0), complex(0, np.inf), complex(0, np.nan)]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+class TestFiniteValues:
+    def test_impulse_train_rejects_nonfinite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            zak.ImpulseTrain(times=[0.0, 1.0], weights=[1.0, bad])
+
+    def test_sampled_signal_rejects_nonfinite_samples(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            zak.SampledSignal(samples=[0.0, bad], step=1.0)
+
+
 class TestForward:
     def test_unit_impulse(self):
         p = make_params(T=2.0)
