@@ -66,7 +66,6 @@ def _cmd_simulate(args):
     print(f"sweep: {cfg.decoder} on ({cfg.m}x{cfg.n}) alpha={cfg.alpha} beta={cfg.beta} "
           f"eta={100 * cfg.eta:.1f}% seed={cfg.master_seed}")
     result = harness.run_sweep(cfg, workers=workers)
-    csv_path, json_path = harness.emit_results(result, args.out, stem=args.stem)
     for cell in result.cells:
         tag = f"omega={cell.omega}" if cell.omega is not None else "        "
         if cell.error is not None:
@@ -74,6 +73,11 @@ def _cmd_simulate(args):
         else:
             print(f"  ebn0={cell.ebn0_db:5.1f} {tag}  ber={cell.ber:.3e} "
                   f"({cell.bit_errors}/{cell.bits_sent} bits, {cell.frames} frames)")
+    try:
+        csv_path, json_path = harness.emit_results(result, args.out, stem=args.stem)
+    except OSError as exc:
+        print(f"ddmod: error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {csv_path} and {json_path}")
     return 0 if result.completed else 1
 

@@ -502,19 +502,25 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     non-finite observation makes the frame's whole ``w_0`` NaN, and with it
     every iterate.
 
+    ``omega`` is a scalar, or one relaxation factor per frame shaped like
+    the observation with unit frame axes: ``(1, 1)`` for one frame and
+    ``(B, 1, 1)`` for a stack; any other shape raises ``ValueError``.
+
     A stacked model decodes all its frames at once, and stops when the whole
-    stack has settled; ``omega`` is then a scalar or a ``(B, 1, 1)`` array
-    with one relaxation factor per frame.  Where a set-up check has found
-    the wide products bitwise equal to the per-frame ones on this machine
-    (``N >= 2``, ``M % 4 == 0`` and at most ``modem.STACK_ENTRIES // (N*M)``
-    frames, fewer where a product would reach ``SERIAL_GEMM_MNK``), the
-    iterate is held as an ``(N, B, M)`` stack, so each side of ``C`` is one
-    2-D GEMM over all frames; otherwise it stays ``(B, N, M)`` and ``C``
-    runs frame by frame.  Either way each frame comes out with the bits it
+    stack has settled.  Where a set-up check has found the wide products
+    bitwise equal to the per-frame ones on this machine (``N >= 2``,
+    ``M % 4 == 0`` and at most ``modem.STACK_ENTRIES // (N*M)`` frames,
+    fewer where a product would reach ``SERIAL_GEMM_MNK``), the iterate is
+    held as an ``(N, B, M)`` stack, so each side of ``C`` is one 2-D GEMM
+    over all frames; otherwise it stays ``(B, N, M)`` and ``C`` runs frame
+    by frame.  Either way each frame comes out with the bits it
     has alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    per_frame = model.y_t.shape[:-2] + (1, 1)
+    if np.ndim(omega) and np.shape(omega) != per_frame:
+        raise ValueError(f"omega must be a scalar or shaped {per_frame}, got {np.shape(omega)}")
     w0 = matched_filter_estimate(model)
     shape = w0.shape
     op, wide = _stack_operator(model, 1 if w0.ndim == 2 else len(w0))

@@ -417,8 +417,11 @@ def emit_results(result, out_dir, stem="results"):
     object); floats are written with full precision so reruns are
     byte-comparable.  ``out_dir`` is created if missing.  Each file is
     written to a temporary name in ``out_dir`` and moved into place with
-    ``os.replace``; any ``OSError`` on the way, ``out_dir``'s creation
-    included, is raised as one that names ``out_dir``.
+    ``os.replace``, the sidecar first and the CSV last, so a failed write
+    always leaves the previous CSV in place; the sidecar may already be the
+    new one, and the CSV's ``config_hash`` column tells them apart.  Any
+    ``OSError`` on the way, ``out_dir``'s creation included, is raised as
+    one that names ``out_dir``.
     """
     cfg = result.config
     chash = config_hash(cfg)
@@ -428,9 +431,9 @@ def emit_results(result, out_dir, stem="results"):
         "config_hash", "M", "N", "alpha", "beta", "eta", "ebn0_db", "omega",
         "decoder", "bits", "errors", "ber", "ci_low", "ci_high", "mean_ops", "seed",
     ]
-    # both files go to temporary names first, so a failed write leaves any
-    # previous results in place and no partial file behind
-    tmp = {path: f"{path}.{os.getpid()}.tmp" for path in (csv_path, json_path)}
+    # both files go to temporary names first, so a failed write leaves no
+    # partial file behind; the dict's order moves the CSV into place last
+    tmp = {path: f"{path}.{os.getpid()}.tmp" for path in (json_path, csv_path)}
     try:
         os.makedirs(out_dir, exist_ok=True)
         with open(tmp[csv_path], "w", newline="") as fh:

@@ -22,16 +22,11 @@ never resampled).  With ``P = periods`` and ``L = block_len``:
   ``x(tau_a + n*lam*T) = sqrt(lam*T)/(lam*mu) * nu_step
   * sum_b map[a, b] * exp(+2j*pi*n*b/P)``
 
-Delta conventions
------------------
-Two renderings of point masses appear and each call site states which one it
-uses: an :class:`ImpulseTrain` renders atoms as single samples of
-``weight / step`` (unit-area delta, the right dual wherever an *integral*
-consumes the samples), while the ``"impulse"`` pulse kind of ``pulse_basis``
-places a value-1 single-sample rectangle (the right dual for the transform's
-block *sum*).
+A map is a plain ``(L, P)`` complex array indexed ``map[a, b]``; the grid
+it lives on is the ``ZakParams`` passed beside it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +55,18 @@ class ZakParams:
     periods: int = 8
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("lam and mu must be positive")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.lam, self.mu, self.T)):
+            raise ValueError(
+                f"lam, mu and T must be finite and positive, got "
+                f"lam={self.lam}, mu={self.mu}, T={self.T}"
+            )
         if self.samples_per_T < 1 or self.periods < 1:
             raise ValueError("samples_per_T and periods must be at least 1")
         blocks = self.lam * self.samples_per_T
-        if abs(blocks - round(blocks)) > ALIGN_TOL:
+        if round(blocks) < 1 or abs(blocks - round(blocks)) > ALIGN_TOL:
             raise GridAlignmentError(
-                f"lam*T is not a multiple of the sampling step: lam*samples_per_T={blocks}"
+                f"lam*T is not a positive multiple of the sampling step: "
+                f"lam*samples_per_T={blocks}"
             )
 
     @property
@@ -121,50 +118,6 @@ class SampledSignal:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class DDMap:
-    """Delay-Doppler image on the fundamental cell.
-
-    ``values[a, b]`` is indexed by (delay index, Doppler index).
-    """
-
-    tau_grid: np.ndarray
-    nu_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
-        object.__setattr__(self, "nu_grid", np.asarray(self.nu_grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if self.values.shape != (len(self.tau_grid), len(self.nu_grid)):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grids "
-                f"({len(self.tau_grid)}, {len(self.nu_grid)})"
-            )
-        if len(self.tau_grid) == 0 or len(self.nu_grid) == 0:
-            raise ValueError("grids must be non-empty")
-        if np.any(np.diff(self.tau_grid) <= 0) or np.any(np.diff(self.nu_grid) <= 0):
-            raise ValueError("grids must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class ImpulseTrain:
-    """Weighted delta atoms at strictly increasing times."""
-
-    times: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
-        if self.times.shape != self.weights.shape or self.times.ndim != 1:
-            raise ValueError("times and weights must be matching 1-d sequences")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("atom times must be strictly increasing")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
-
-
 def _aligned_index(value, unit, what):
     """Integer multiple of ``unit`` that equals ``value``, or raise."""
     ratio = value / unit
@@ -183,6 +136,17 @@ def _check_frame(x, p):
         )
 
 
+def _check_map(values, p):
+    """``values`` as an array, refused unless it is shaped to ``p``'s grid."""
+    values = np.asarray(values)
+    if values.shape != (p.block_len, p.periods):
+        raise ValueError(
+            f"map shape {values.shape} does not match the grid "
+            f"({p.block_len}, {p.periods})"
+        )
+    return values
+
+
 def inner_product(a, b):
     """Discretized L2 inner product ``integral conj(a) * b dt``."""
     if len(a) != len(b) or abs(a.step - b.step) > ALIGN_TOL * a.step:
@@ -195,12 +159,12 @@ def zak_transform(x, p):
 
     ``map[a, b] = sqrt(lam*T) * sum_n x(tau_a + n*lam*T) * exp(-2j*pi*n*nu_b*T/mu)``
     with the sum over the frame's ``periods`` blocks.  On the Doppler grid the
-    phase factors reduce to a DFT across blocks.
+    phase factors reduce to a DFT across blocks.  Returns the
+    ``(block_len, periods)`` map.
     """
     _check_frame(x, p)
     blocks = x.samples.reshape(p.periods, p.block_len)
-    values = np.sqrt(p.lam * p.T) * np.fft.fft(blocks, axis=0).T
-    return DDMap(tau_grid=p.tau_grid, nu_grid=p.nu_grid, values=values)
+    return np.sqrt(p.lam * p.T) * np.fft.fft(blocks, axis=0).T
 
 
 def zak_to_time(m, p):
@@ -210,12 +174,7 @@ def zak_to_time(m, p):
     the quasi-periodic extension, so the round trip with
     :func:`zak_transform` is exact.
     """
-    values = m.values
-    if values.shape != (p.block_len, p.periods):
-        raise ValueError(
-            f"map shape {values.shape} does not match the grid "
-            f"({p.block_len}, {p.periods})"
-        )
+    values = _check_map(m, p)
     coeff = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * p.nu_step
     blocks = coeff * (p.periods * np.fft.ifft(values, axis=1)).T
     return SampledSignal(samples=blocks.reshape(-1), step=p.step)
@@ -229,10 +188,11 @@ def zak_to_spectrum(m, p, f):
     must land on the Doppler grid modulo ``mu*delta_f``, i.e. ``f`` must be a
     multiple of the frame's frequency resolution ``1/(periods*lam*T)``.
     """
+    values = _check_map(m, p)
     b = _aligned_index(p.lam * p.mu * f, p.nu_step, "lam*mu*f") % p.periods
-    tau = m.tau_grid
     return complex(
-        p.step / np.sqrt(p.lam * p.T) * np.sum(m.values[:, b] * np.exp(-2j * np.pi * f * tau))
+        p.step / np.sqrt(p.lam * p.T)
+        * np.sum(values[:, b] * np.exp(-2j * np.pi * f * p.tau_grid))
     )
 
 
@@ -255,45 +215,6 @@ def _check_cell(tau0, nu0, p):
         raise ValueError(f"nu0={nu0} outside the fundamental cell [0, {p.mu * p.delta_f})")
 
 
-def impulse_basis(tau0, nu0, p):
-    """Delta-train basis element located at ``(tau0, nu0)``.
-
-    Atoms sit at ``t = tau0 + n*lam*T`` with weights
-    ``sqrt(lam*T)/(lam*mu) * exp(2j*pi*nu0*n*T/mu)``, one per frame block:
-    ``n = 0 .. periods-1``.
-    """
-    _check_cell(tau0, nu0, p)
-    n = np.arange(p.periods)
-    times = tau0 + n * p.lam * p.T
-    weights = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * np.exp(2j * np.pi * nu0 * n * p.T / p.mu)
-    return ImpulseTrain(times=times, weights=weights)
-
-
-def render_impulse_train(train, p):
-    """Render delta atoms onto the frame as samples of ``weight / step``."""
-    samples = np.zeros(p.frame_len, dtype=complex)
-    for t, w in zip(train.times, train.weights):
-        idx = _aligned_index(t, p.step, "atom time") % p.frame_len
-        samples[idx] += w / p.step
-    return SampledSignal(samples=samples, step=p.step)
-
-
-def basis_coefficient(x, tau0, nu0, p):
-    """Projection of ``x`` onto the delta-train basis element at ``(tau0, nu0)``.
-
-    Evaluates ``<basis, x>`` directly on the atoms (a delta against a sum, so
-    no ``dt`` factor); equals ``1/(lam*mu)`` times the transform value at the
-    same cell point.
-    """
-    _check_frame(x, p)
-    train = impulse_basis(tau0, nu0, p)
-    total = 0.0 + 0.0j
-    for t, w in zip(train.times, train.weights):
-        idx = _aligned_index(t, p.step, "atom time") % p.frame_len
-        total += np.conj(w) * x.samples[idx]
-    return complex(total)
-
-
 def pulse_basis(tau0, nu0, p, n_count, pulse="impulse", tones=None):
     """Pulse-train basis element ``psi`` rendered over the frame.
 
@@ -301,9 +222,11 @@ def pulse_basis(tau0, nu0, p, n_count, pulse="impulse", tones=None):
     exp(2j*pi*nu0*n*T/mu) * s(t - tau0 - n*lam*T)`` where the pulse ``s`` is
     selected by ``pulse``:
 
-    - ``"impulse"``: value-1 single-sample rectangle (grid-aligned ``tau0``)
-    - ``"rect"``: width-``lam*T`` unit rectangle, genuinely translated
-      (grid-aligned ``tau0``)
+    - ``"impulse"``: value-1 single-sample rectangle (grid-aligned ``tau0``).
+      With ``n_count = periods`` this is the delta-train basis element at
+      ``(tau0, nu0)``: ``np.vdot(psi.samples, x.samples)`` equals the map of
+      ``x`` at that cell point divided by ``lam*mu``, and the elements over
+      the whole grid, weighted ``nu_step * lam * mu``, rebuild ``x``.
     - ``"multitone"``: sum of ``tones`` complex exponentials spaced
       ``1/(lam*T)`` — a pulse rectangular in frequency rather than in time.
       Being block-periodic, its translate acts on the phase content inside
@@ -327,9 +250,6 @@ def pulse_basis(tau0, nu0, p, n_count, pulse="impulse", tones=None):
     elif pulse == "impulse":
         shape = np.ones(1, dtype=complex)  # value-1 single-sample rectangle
         start = _aligned_index(tau0, p.step, "tau0")
-    elif pulse == "rect":
-        shape = np.ones(p.block_len, dtype=complex)
-        start = _aligned_index(tau0, p.step, "tau0")
     else:
         raise ValueError(f"unknown pulse kind {pulse!r}")
     for n in range(n_count):
@@ -339,13 +259,12 @@ def pulse_basis(tau0, nu0, p, n_count, pulse="impulse", tones=None):
     return SampledSignal(samples=samples, step=p.step)
 
 
-def modulation_base(k, l, p, M, N, theta, phi, pulse="multitone"):
+def modulation_base(k, l, p, M, N, theta, phi):
     """Modulation base ``chi_(k,l)``: a scaled pulse train on the symbol grid.
 
     ``chi_(k,l) = 1/sqrt(M*N) * psi`` located at ``tau0 = l*phi*T/M`` and
-    ``nu0 = k*theta*delta_f/N`` with ``n_count = round(periods... N/lam)``
-    pulse repetitions.  The default multitone pulse spans ``M`` frequency
-    slots, which is what makes distinct delay indices orthogonal in the
+    ``nu0 = k*theta*delta_f/N`` with ``n_count = max(1, round(N/lam))``
+    pulse repetitions.  Its multitone pulse spans ``M`` frequency slots, which is what makes distinct delay indices orthogonal in the
     ``theta = mu, phi = 1`` limit and non-orthogonal under compression.
     """
     if not (0 <= k < N):
@@ -355,6 +274,5 @@ def modulation_base(k, l, p, M, N, theta, phi, pulse="multitone"):
     tau0 = l * phi * p.T / M
     nu0 = k * theta * p.delta_f / N
     n_count = max(1, round(N / p.lam))
-    tones = M if pulse == "multitone" else None
-    psi = pulse_basis(tau0, nu0, p, n_count, pulse=pulse, tones=tones)
+    psi = pulse_basis(tau0, nu0, p, n_count, pulse="multitone", tones=M)
     return SampledSignal(samples=psi.samples / np.sqrt(M * N), step=psi.step)

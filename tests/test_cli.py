@@ -182,6 +182,23 @@ def test_simulate_reports_an_unusable_out_dir_before_the_sweep(tmp_path, capsys,
     assert str(blocker) in captured.err
 
 
+def test_simulate_reports_a_failed_write_after_the_sweep_in_one_line(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9,
+                                    "decoder": "matched", "ebn0_db_points": [2.0, 4.0],
+                                    "max_frames": 2}))
+    out_dir = tmp_path / "out"
+    (out_dir / "results.csv").mkdir(parents=True)
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(out_dir),
+                   "--workers", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    # every cell is reported before the write fails
+    assert captured.out.count("  ebn0=") == 2 and "wrote" not in captured.out
+    assert captured.err.startswith("ddmod: error: ") and captured.err.count("\n") == 1
+    assert str(out_dir) in captured.err
+
+
 def test_verify_properties(capsys):
     assert cli.main(["verify-properties"]) == 0
     out = capsys.readouterr().out

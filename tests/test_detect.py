@@ -1,7 +1,9 @@
 """Tests for the effective model, iterative decoder, and 2-D sphere decoder."""
 
+import contextlib
 import math
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -900,6 +902,26 @@ class TestWideOperator:
             batched = detect.im_soft_decode(models, omegas, 75)
         assert paths == [(50, True), (50, False)]
         assert same_bits(wide, batched)
+
+    @pytest.mark.parametrize("m,wide", [(4, True), (3, False)], ids=["wide", "batched"])
+    def test_omega_shape_is_checked_on_both_layouts(self, m, wide):
+        models = self.stack(4, m, 6, 0.3, seed=100)
+        one = detect.refresh_observation(models, models.y_t[0])
+        recording, paths = self.recorded_paths()
+        bad = [(models, (6,)), (models, (6, 1)), (models, (1, 1, 1)), (one, (1, 1, 1)),
+               (one, (1,))]
+        with recording:
+            for model, shape in bad:
+                want = f"omega must be a scalar or shaped {model.y_t.shape[:-2] + (1, 1)}, "
+                with pytest.raises(ValueError, match=re.escape(f"{want}got {shape}")):
+                    detect.im_soft_decode(model, np.full(shape, 0.5), 20)
+        assert paths == []
+        # one factor per frame gives each frame the bits of a scalar omega
+        with self.forced_wide() if wide else contextlib.nullcontext(), recording:
+            for model, shape in [(models, (6, 1, 1)), (one, (1, 1))]:
+                got = detect.im_soft_decode(model, np.full(shape, 0.5), 20)
+                assert same_bits(got, detect.im_soft_decode(model, 0.5, 20))
+        assert paths == [(6, wide), (6, wide), (1, wide), (1, wide)]
 
     def test_stack_above_the_probed_bound_runs_batched(self, monkeypatch):
         monkeypatch.setattr(modem, "STACK_ENTRIES", 4 * 16)  # four 4x4 frames

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -568,6 +569,19 @@ class TestEmitResults:
             harness.emit_results(replace(result, cells=cells), tmp_path)
         assert open(csv_path, "rb").read() == old_bytes
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_blocked_sidecar_keeps_previous_csv(self, tmp_path):
+        result = harness.run_sweep(tiny_config(max_frames=3), workers=1)
+        csv_path, json_path = harness.emit_results(result, tmp_path)
+        old_bytes = open(csv_path, "rb").read()
+        os.remove(json_path)
+        os.mkdir(json_path)
+        # a header-only CSV would differ from the one on disk
+        with pytest.raises(OSError, match="failed writing results under"):
+            harness.emit_results(replace(result, cells=[]), tmp_path)
+        assert open(csv_path, "rb").read() == old_bytes
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.config.json",
+                                                               "results.csv"]
 
     @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "under_file"])
     def test_out_dir_blocked_by_a_file_names_it(self, tmp_path, sub):
