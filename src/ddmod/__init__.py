@@ -4,8 +4,9 @@ Subpackages by concern:
 
 - ``numerics``  dense complex linear algebra (QR with a fixed diagonal
   convention)
-- ``zak``       discrete delay-Doppler (Zak-type) transform, maps as plain
-  arrays, and the pulse-train basis signals behind the modulation
+- ``zak``       discrete delay-Doppler (Zak-type) transform, maps and
+  signals as plain arrays, and the pulse-train basis signals behind the
+  modulation
 - ``modem``     the digital modulator/demodulator with compression factors
 - ``channel``   AWGN with Eb/N0 bookkeeping and seedable substreams
 - ``detect``    matched filter, iterative soft decoder, 2-D K-best sphere

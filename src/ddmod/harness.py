@@ -129,13 +129,19 @@ class SweepConfig:
         modem.get_constellation(self.constellation)
         if self.iterations < 1 or self.k_list < 1:
             raise ValueError("iterations and k_list must be at least 1")
+        # the substreams key Philox on 64 bits, so a wider seed would alias
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.min_bit_errors < 1 or self.max_frames < 1:
             raise ValueError("min_bit_errors and max_frames must be at least 1")
         if len(self.ebn0_db_points) < 1:
             raise ValueError("ebn0_db_points needs at least one Eb/N0 point")
-        # +inf is the noiseless operating point
-        if any(math.isnan(e) or e == -math.inf for e in self.ebn0_db_points):
-            raise ValueError(f"ebn0_db_points must be numbers or +inf, got {self.ebn0_db_points}")
+        # +inf is the noiseless point; past 3000 dB either way, 10**(e/10) or the
+        # noise variance of a calibrated Eb is no longer a finite non-zero float
+        if not all(abs(e) <= 3000 or e == math.inf for e in self.ebn0_db_points):
+            raise ValueError(
+                f"ebn0_db_points must be in [-3000, 3000] dB or +inf, got {self.ebn0_db_points}"
+            )
         if self.uses_omega and len(self.omega_values) < 1:
             raise ValueError(f"decoder {self.decoder!r} needs a non-empty omega_values")
         if not all(math.isfinite(w) for w in self.omega_values):

@@ -132,18 +132,21 @@ def get_constellation(name):
     return qpsk()
 
 
+def _compressed_dft(factor, size):
+    """``F[i, j] = exp(2j*pi*factor*i*j/size) / sqrt(size)``, the form of A and B."""
+    if factor <= 0 or size < 1:
+        raise ValueError(f"need a positive compression factor and size, got {factor}, {size}")
+    idx = np.arange(size)
+    return np.exp(2j * np.pi * factor * np.outer(idx, idx) / size) / np.sqrt(size)
+
+
 def build_doppler_matrix(alpha, n):
     """Doppler-side transform, ``A[n, k] = exp(2j*pi*alpha*n*k/N) / sqrt(N)``.
 
     Unitary exactly at ``alpha = 1`` (the DFT limit); full rank for all
     ``alpha`` in (0, 1].
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    idx = np.arange(n)
-    return np.exp(2j * np.pi * alpha * np.outer(idx, idx) / n) / np.sqrt(n)
+    return _compressed_dft(alpha, n)
 
 
 def build_delay_matrix(beta, m):
@@ -153,12 +156,7 @@ def build_delay_matrix(beta, m):
     applied (right multiplication by ``B.conj().T``), keeping both factors
     structurally symmetric.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    idx = np.arange(m)
-    return np.exp(2j * np.pi * beta * np.outer(idx, idx) / m) / np.sqrt(m)
+    return _compressed_dft(beta, m)
 
 
 def _frames(s, params):

@@ -22,8 +22,9 @@ never resampled).  With ``P = periods`` and ``L = block_len``:
   ``x(tau_a + n*lam*T) = sqrt(lam*T)/(lam*mu) * nu_step
   * sum_b map[a, b] * exp(+2j*pi*n*b/P)``
 
-A map is a plain ``(L, P)`` complex array indexed ``map[a, b]``; the grid
-it lives on is the ``ZakParams`` passed beside it.
+A signal is a plain ``(P*L,)`` complex array and a map a plain ``(L, P)``
+one indexed ``map[a, b]``; the grid both live on is the ``ZakParams`` passed
+beside them.
 """
 
 import math
@@ -98,26 +99,6 @@ class ZakParams:
         return np.arange(self.periods) * self.nu_step
 
 
-@dataclass(frozen=True)
-class SampledSignal:
-    """Uniformly sampled complex signal."""
-
-    samples: np.ndarray
-    step: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be a 1-d sequence")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if not np.isfinite(self.samples).all():
-            raise ValueError("samples must be finite")
-
-    def __len__(self):
-        return len(self.samples)
-
-
 def _aligned_index(value, unit, what):
     """Integer multiple of ``unit`` that equals ``value``, or raise."""
     ratio = value / unit
@@ -127,31 +108,24 @@ def _aligned_index(value, unit, what):
     return int(idx)
 
 
-def _check_frame(x, p):
-    if abs(x.step - p.step) > ALIGN_TOL * p.step:
-        raise GridAlignmentError(f"signal step {x.step} does not match grid step {p.step}")
-    if len(x) != p.frame_len:
-        raise GridAlignmentError(
-            f"signal length {len(x)} does not match the frame length {p.frame_len}"
-        )
-
-
 def _check_map(values, p):
-    """``values`` as an array, refused unless it is shaped to ``p``'s grid."""
+    """``values`` as an array, refused unless it is one finite map on ``p``'s grid."""
     values = np.asarray(values)
     if values.shape != (p.block_len, p.periods):
-        raise ValueError(
-            f"map shape {values.shape} does not match the grid "
-            f"({p.block_len}, {p.periods})"
-        )
+        raise ValueError(f"map {values.shape} does not match the grid {p.block_len, p.periods}")
+    if not np.isfinite(values).all():
+        raise ValueError("map values must be finite")
     return values
 
 
-def inner_product(a, b):
-    """Discretized L2 inner product ``integral conj(a) * b dt``."""
-    if len(a) != len(b) or abs(a.step - b.step) > ALIGN_TOL * a.step:
-        raise ValueError("signals must share the sampling grid")
-    return complex(a.step * np.vdot(a.samples, b.samples))
+def _check_signal(x, p):
+    """``x`` as a complex array, refused unless it is one finite frame of ``p``."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (p.frame_len,):
+        raise GridAlignmentError(f"signal shape {x.shape} is not one frame of {p.frame_len}")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    return x
 
 
 def zak_transform(x, p):
@@ -162,8 +136,7 @@ def zak_transform(x, p):
     phase factors reduce to a DFT across blocks.  Returns the
     ``(block_len, periods)`` map.
     """
-    _check_frame(x, p)
-    blocks = x.samples.reshape(p.periods, p.block_len)
+    blocks = _check_signal(x, p).reshape(p.periods, p.block_len)
     return np.sqrt(p.lam * p.T) * np.fft.fft(blocks, axis=0).T
 
 
@@ -177,7 +150,7 @@ def zak_to_time(m, p):
     values = _check_map(m, p)
     coeff = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * p.nu_step
     blocks = coeff * (p.periods * np.fft.ifft(values, axis=1)).T
-    return SampledSignal(samples=blocks.reshape(-1), step=p.step)
+    return blocks.reshape(-1)
 
 
 def zak_to_spectrum(m, p, f):
@@ -196,76 +169,66 @@ def zak_to_spectrum(m, p, f):
     )
 
 
-def dd_shift(x, tau0, nu0):
+def dd_shift(x, tau0, nu0, p):
     """Delay by ``tau0`` and Doppler-shift by ``nu0`` with periodic extension.
 
     Returns ``r(t) = x(t - tau0) * exp(2j*pi*nu0*(t - tau0))`` where the delay
     wraps circularly at the frame edge.  ``tau0`` must be grid aligned.
     """
-    shift = _aligned_index(tau0, x.step, "tau0")
-    t_rel = (np.arange(len(x)) - shift) * x.step
-    samples = np.roll(x.samples, shift) * np.exp(2j * np.pi * nu0 * t_rel)
-    return SampledSignal(samples=samples, step=x.step)
+    x = _check_signal(x, p)
+    shift = _aligned_index(tau0, p.step, "tau0")
+    t_rel = (np.arange(p.frame_len) - shift) * p.step
+    return np.roll(x, shift) * np.exp(2j * np.pi * nu0 * t_rel)
 
 
-def _check_cell(tau0, nu0, p):
+def _check_train(tau0, nu0, p, n_count):
     if not (0 <= tau0 < p.lam * p.T * (1 + ALIGN_TOL)):
         raise ValueError(f"tau0={tau0} outside the fundamental cell [0, {p.lam * p.T})")
     if not (0 <= nu0 < p.mu * p.delta_f * (1 + ALIGN_TOL)):
         raise ValueError(f"nu0={nu0} outside the fundamental cell [0, {p.mu * p.delta_f})")
-
-
-def pulse_basis(tau0, nu0, p, n_count, pulse="impulse", tones=None):
-    """Pulse-train basis element ``psi`` rendered over the frame.
-
-    ``psi(t) = sqrt(lam*T)/(lam*mu) * sum_{n=0}^{n_count-1}
-    exp(2j*pi*nu0*n*T/mu) * s(t - tau0 - n*lam*T)`` where the pulse ``s`` is
-    selected by ``pulse``:
-
-    - ``"impulse"``: value-1 single-sample rectangle (grid-aligned ``tau0``).
-      With ``n_count = periods`` this is the delta-train basis element at
-      ``(tau0, nu0)``: ``np.vdot(psi.samples, x.samples)`` equals the map of
-      ``x`` at that cell point divided by ``lam*mu``, and the elements over
-      the whole grid, weighted ``nu_step * lam * mu``, rebuild ``x``.
-    - ``"multitone"``: sum of ``tones`` complex exponentials spaced
-      ``1/(lam*T)`` — a pulse rectangular in frequency rather than in time.
-      Being block-periodic, its translate acts on the phase content inside
-      fixed ``lam*T`` windows (the block window never moves, matching the
-      digital transmit chain), so any in-cell ``tau0`` is renderable.
-
-    Pulses wrap circularly at the frame edge.
-    """
-    _check_cell(tau0, nu0, p)
     if n_count < 1:
         raise ValueError("n_count must be at least 1")
+
+
+def _pulse_train(shape, start, nu0, p, n_count):
+    """``n_count`` copies of ``shape`` a block apart from sample ``start``, copy ``n``
+    weighted ``sqrt(lam*T)/(lam*mu) * exp(2j*pi*nu0*n*T/mu)``, wrapping at the frame edge."""
     samples = np.zeros(p.frame_len, dtype=complex)
     amp = np.sqrt(p.lam * p.T) / (p.lam * p.mu)
-    if pulse == "multitone":
-        if tones is None or tones < 1:
-            raise ValueError("multitone pulse needs a positive tone count")
-        t_block = np.arange(p.block_len) * p.step
-        m = np.arange(tones)
-        shape = np.exp(2j * np.pi * np.outer(t_block - tau0, m) / (p.lam * p.T)).sum(axis=1)
-        start = 0
-    elif pulse == "impulse":
-        shape = np.ones(1, dtype=complex)  # value-1 single-sample rectangle
-        start = _aligned_index(tau0, p.step, "tau0")
-    else:
-        raise ValueError(f"unknown pulse kind {pulse!r}")
     for n in range(n_count):
         w = amp * np.exp(2j * np.pi * nu0 * n * p.T / p.mu)
         pos = (start + n * p.block_len + np.arange(len(shape))) % p.frame_len
         samples[pos] += w * shape
-    return SampledSignal(samples=samples, step=p.step)
+    return samples
+
+
+def pulse_basis(tau0, nu0, p, n_count):
+    """Impulse-train basis element ``psi`` rendered over the frame.
+
+    ``psi(t) = sqrt(lam*T)/(lam*mu) * sum_{n=0}^{n_count-1}
+    exp(2j*pi*nu0*n*T/mu) * delta(t - tau0 - n*lam*T)``, each impulse a
+    value-1 single sample at the grid-aligned ``tau0``.  With
+    ``n_count = periods`` this is the delta-train basis element at
+    ``(tau0, nu0)``: ``np.vdot(psi, x)`` equals the map of ``x`` at that cell
+    point divided by ``lam*mu``, and the elements over the whole grid,
+    weighted ``nu_step * lam * mu``, rebuild ``x``.  Impulses wrap circularly
+    at the frame edge.
+    """
+    _check_train(tau0, nu0, p, n_count)
+    start = _aligned_index(tau0, p.step, "tau0")
+    return _pulse_train(np.ones(1, dtype=complex), start, nu0, p, n_count)
 
 
 def modulation_base(k, l, p, M, N, theta, phi):
-    """Modulation base ``chi_(k,l)``: a scaled pulse train on the symbol grid.
+    """Modulation base ``chi_(k,l)``: a scaled multitone pulse train.
 
-    ``chi_(k,l) = 1/sqrt(M*N) * psi`` located at ``tau0 = l*phi*T/M`` and
-    ``nu0 = k*theta*delta_f/N`` with ``n_count = max(1, round(N/lam))``
-    pulse repetitions.  Its multitone pulse spans ``M`` frequency slots, which is what makes distinct delay indices orthogonal in the
-    ``theta = mu, phi = 1`` limit and non-orthogonal under compression.
+    ``chi_(k,l) = 1/sqrt(M*N) * psi``, with ``psi`` the train of
+    :func:`pulse_basis` at ``tau0 = l*phi*T/M``, ``nu0 = k*theta*delta_f/N``
+    and ``n_count = max(1, round(N/lam))``, each impulse replaced by the
+    block-periodic sum of ``M`` tones spaced ``1/(lam*T)``, so any in-cell
+    ``tau0`` is renderable.  Spanning ``M`` frequency slots makes distinct
+    delay indices orthogonal in the ``theta = mu, phi = 1`` limit and
+    non-orthogonal under compression.
     """
     if not (0 <= k < N):
         raise ValueError(f"Doppler index k={k} out of range [0, {N})")
@@ -274,5 +237,8 @@ def modulation_base(k, l, p, M, N, theta, phi):
     tau0 = l * phi * p.T / M
     nu0 = k * theta * p.delta_f / N
     n_count = max(1, round(N / p.lam))
-    psi = pulse_basis(tau0, nu0, p, n_count, pulse="multitone", tones=M)
-    return SampledSignal(samples=psi.samples / np.sqrt(M * N), step=psi.step)
+    _check_train(tau0, nu0, p, n_count)
+    t_block = np.arange(p.block_len) * p.step
+    tones = np.arange(M)
+    shape = np.exp(2j * np.pi * np.outer(t_block - tau0, tones) / (p.lam * p.T)).sum(axis=1)
+    return _pulse_train(shape, 0, nu0, p, n_count) / np.sqrt(M * N)

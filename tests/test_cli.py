@@ -95,9 +95,11 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     ('{"N": 2, "alpha": 1, "beta": 1}', "missing config keys: ['M']"),
     ("[1, 2]", "config must be a JSON object, got list"),
     ('{"M": 2, "N": 2, "alpha": 1.5, "beta": 1}', "compression factors must lie in (0, 1]"),
+    ('{"M": 2, "N": 2, "alpha": 1, "beta": 1, "decoder": "matched", "ebn0_db_points": [4000]}',
+     "ebn0_db_points must be in [-3000, 3000] dB"),
     ('{"M": 2, "N": 2,', "Expecting property name enclosed in double quotes"),
     (None, "No such file or directory"),
-], ids=["missing_key", "list", "bad_value", "bad_json", "no_file"])
+], ids=["missing_key", "list", "bad_value", "far_ebn0", "bad_json", "no_file"])
 def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "sweep.json"
     if text is not None:
@@ -108,6 +110,17 @@ def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, messa
     assert captured.out == ""
     assert captured.err.startswith("ddmod: error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_an_out_of_range_seed_in_one_line(tmp_path, capsys, seed):
+    rc = cli.main(["simulate", "--preset", "fig4a", "--seed", seed,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ddmod: error: master_seed must lie in [0, 2**64), got {seed}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -8,28 +8,50 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ddmod"
 ALLOWED = {"ddmod", "numpy", *sys.stdlib_module_names}
+# the modules a sweep runs through; zak, properties and cli stay off this path
+SWEEP_PATH = {"harness", "modem", "channel", "detect", "numerics"}
 
 
 def imported_modules(path):
-    """Top-level names of the absolute imports anywhere in one source file."""
+    """Dotted names of the imports anywhere in one source file.
+
+    ``from m import n`` gives ``m.n``, and a relative import is read as one
+    inside ``ddmod``.
+    """
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            yield from (alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.partition(".")[0]
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["ddmod" if node.level else "", node.module]))
+            yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
 def test_core_imports_numpy_and_the_standard_library_only():
-    sources = sorted((ROOT / "src" / "ddmod").glob("*.py"))
+    sources = sorted(SRC.glob("*.py"))
     assert sources
     foreign = {
         (path.name, name)
         for path in sources
         for name in imported_modules(path)
-        if name not in ALLOWED
+        if name.partition(".")[0] not in ALLOWED
     }
     assert not foreign
+
+
+def test_sweep_path_imports_no_other_ddmod_module():
+    # what a sweep runs cannot reach zak, properties or cli, so a change there
+    # moves no result and no benchmark figure
+    imports = {name: set(imported_modules(SRC / f"{name}.py")) for name in SWEEP_PATH}
+    assert "ddmod.detect" in imports["harness"]
+    outside = {
+        (name, module)
+        for name, modules in imports.items()
+        for module in modules
+        if module.startswith("ddmod.") and module.split(".")[1] not in SWEEP_PATH
+    }
+    assert not outside
 
 
 def test_package_requires_numpy_only():

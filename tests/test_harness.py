@@ -57,10 +57,10 @@ class TestSweepConfig:
             harness.SweepConfig.from_json_dict(data)
 
     def test_numpy_integers_stored_as_ints(self):
-        cfg = tiny_config(m=np.int64(3), k_list=np.uint8(4), master_seed=np.int32(-2))
+        cfg = tiny_config(m=np.int64(3), k_list=np.uint8(4), master_seed=np.int32(2))
         assert [type(v) for v in (cfg.m, cfg.k_list, cfg.master_seed)] == [int] * 3
         assert harness.config_hash(cfg) == harness.config_hash(
-            tiny_config(m=3, k_list=4, master_seed=-2)
+            tiny_config(m=3, k_list=4, master_seed=2)
         )
 
     def test_invalid_decoder(self):
@@ -93,6 +93,11 @@ class TestSweepConfig:
         ({"constellation": ["qpsk"]}, "constellation must be a string"),
         ({"decoder": None}, "decoder must be a string"),
         ({"radius_policy": {}}, "radius_policy must be a string"),
+        ({"ebn0_db_points": [4.0, 4000.0]}, "ebn0_db_points"),
+        ({"ebn0_db_points": [1e308]}, "ebn0_db_points"),
+        ({"ebn0_db_points": [-4000.0]}, "ebn0_db_points"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"master_seed": 2**64}, "master_seed"),
     ]
 
     @pytest.mark.parametrize("override, match", [

@@ -16,7 +16,7 @@ def make_params(lam=1.0, mu=1.0, samples_per_T=8, periods=6, T=1.0):
 
 def delta_basis(tau0, nu0, p):
     """Samples of the delta-train basis element at ``(tau0, nu0)``."""
-    return zak.pulse_basis(tau0, nu0, p, p.periods, pulse="impulse").samples
+    return zak.pulse_basis(tau0, nu0, p, p.periods)
 
 
 def forward_oracle(x, p):
@@ -26,7 +26,7 @@ def forward_oracle(x, p):
         for b in range(p.periods):
             acc = 0.0 + 0.0j
             for n in range(p.periods):
-                acc += x.samples[a + n * p.block_len] * np.exp(
+                acc += x[a + n * p.block_len] * np.exp(
                     -2j * np.pi * n * p.nu_grid[b] * p.T / p.mu
                 )
             out[a, b] = np.sqrt(p.lam * p.T) * acc
@@ -74,9 +74,23 @@ NONFINITE = [complex(np.inf, 0), complex(0, np.inf), complex(0, np.nan)]
 
 @pytest.mark.parametrize("bad", NONFINITE)
 class TestFiniteValues:
-    def test_sampled_signal_rejects_nonfinite_samples(self, bad):
+    def test_transform_rejects_nonfinite_samples(self, bad):
+        p = make_params()
+        x = np.zeros(p.frame_len, dtype=complex)
+        x[1] = bad
         with pytest.raises(ValueError, match="samples must be finite"):
-            zak.SampledSignal(samples=[0.0, bad], step=1.0)
+            zak.zak_transform(x, p)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            zak.dd_shift(x, 0.0, 0.0, p)
+
+    def test_inversion_rejects_nonfinite_map_values(self, bad):
+        p = make_params()
+        m = np.zeros((p.block_len, p.periods), dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="map values must be finite"):
+            zak.zak_to_time(m, p)
+        with pytest.raises(ValueError, match="map values must be finite"):
+            zak.zak_to_spectrum(m, p, 0.0)
 
 
 class TestForward:
@@ -84,7 +98,7 @@ class TestForward:
         p = make_params(T=2.0)
         x = np.zeros(p.frame_len, dtype=complex)
         x[0] = 1.0
-        m = zak.zak_transform(zak.SampledSignal(samples=x, step=p.step), p)
+        m = zak.zak_transform(x, p)
         assert np.allclose(m[0, :], np.sqrt(p.T))
         assert np.allclose(m[1:, :], 0.0)
 
@@ -101,8 +115,7 @@ class TestForward:
         b0 = 2
         nu0 = p.nu_grid[b0]
         t = np.arange(p.frame_len) * p.step
-        x = zak.SampledSignal(samples=np.exp(2j * np.pi * nu0 * t), step=p.step)
-        m = zak.zak_transform(x, p)
+        m = zak.zak_transform(np.exp(2j * np.pi * nu0 * t), p)
         power = np.abs(m) ** 2
         off = power.copy()
         off[:, b0] = 0.0
@@ -117,16 +130,16 @@ class TestForward:
         t = np.arange(p.frame_len) * p.step
         x = np.exp(2j * np.pi * nu0 * t)
         x[q * p.block_len:] = 0.0
-        m = zak.zak_transform(zak.SampledSignal(samples=x, step=p.step), p)
+        m = zak.zak_transform(x, p)
         profile = np.abs(m[0, :]) ** 2
         expect = p.T * dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), q)
         assert np.allclose(profile, expect, rtol=1e-10, atol=1e-12)
 
     def test_rejects_misaligned_signal(self):
         p = make_params()
-        x = zak.SampledSignal(samples=np.zeros(p.frame_len - 1), step=p.step)
-        with pytest.raises(zak.GridAlignmentError):
-            zak.zak_transform(x, p)
+        for x in [np.zeros(p.frame_len - 1), np.zeros((p.periods, p.block_len))]:
+            with pytest.raises(zak.GridAlignmentError):
+                zak.zak_transform(x, p)
 
 
 class TestInversion:
@@ -139,14 +152,13 @@ class TestInversion:
         p = make_params()
         x = np.zeros(p.frame_len, dtype=complex)
         x[0] = 1.0
-        sig = zak.SampledSignal(samples=x, step=p.step)
-        xr = zak.zak_to_time(zak.zak_transform(sig, p), p)
-        assert np.allclose(xr.samples, x, atol=1e-14)
+        xr = zak.zak_to_time(zak.zak_transform(x, p), p)
+        assert np.allclose(xr, x, atol=1e-14)
 
     def test_zero_map(self):
         p = make_params()
         m = np.zeros((p.block_len, p.periods))
-        assert np.all(zak.zak_to_time(m, p).samples == 0)
+        assert np.all(zak.zak_to_time(m, p) == 0)
 
     def test_wrong_shape_rejected(self):
         p = make_params()
@@ -169,13 +181,13 @@ class TestSpectrum:
 
     def dft_oracle(self, x, p, f):
         t = np.arange(p.frame_len) * p.step
-        return p.step * np.sum(x.samples * np.exp(-2j * np.pi * f * t))
+        return p.step * np.sum(x * np.exp(-2j * np.pi * f * t))
 
     def test_impulse_has_flat_spectrum(self):
         p = make_params()
         x = np.zeros(p.frame_len, dtype=complex)
         x[0] = 1.0
-        m = zak.zak_transform(zak.SampledSignal(samples=x, step=p.step), p)
+        m = zak.zak_transform(x, p)
         mags = [abs(zak.zak_to_spectrum(m, p, f)) for f in self.freqs(p)[:10]]
         assert np.allclose(mags, mags[0], rtol=1e-10)
 
@@ -197,13 +209,12 @@ class TestSpectrum:
         t = np.arange(p.frame_len) * p.step
         x = np.exp(2j * np.pi * f0 * t)
         x[q * p.block_len:] = 0.0
-        sig = zak.SampledSignal(samples=x, step=p.step)
-        m = zak.zak_transform(sig, p)
+        m = zak.zak_transform(x, p)
         # spectrum magnitudes around the peak follow the Dirichlet kernel
         for df_blocks in range(-3, 4):
             f = f0 + df_blocks / (p.periods * p.lam * p.T)
             got = abs(zak.zak_to_spectrum(m, p, f)) ** 2
-            expect = abs(self.dft_oracle(sig, p, f)) ** 2
+            expect = abs(self.dft_oracle(x, p, f)) ** 2
             assert got == pytest.approx(expect, rel=1e-9, abs=1e-15)
             dirich = p.step**2 * dirichlet_sq(
                 df_blocks / (p.periods * p.block_len), q * p.block_len
@@ -214,9 +225,8 @@ class TestSpectrum:
         rng = np.random.default_rng(13)
         p = make_params()
         x1, x2 = random_signal(p, rng), random_signal(p, rng)
-        both = zak.SampledSignal(samples=x1.samples + x2.samples, step=p.step)
         f = 3.0 / (p.periods * p.lam * p.T)
-        lhs = zak.zak_to_spectrum(zak.zak_transform(both, p), p, f)
+        lhs = zak.zak_to_spectrum(zak.zak_transform(x1 + x2, p), p, f)
         rhs = zak.zak_to_spectrum(zak.zak_transform(x1, p), p, f) + zak.zak_to_spectrum(
             zak.zak_transform(x2, p), p, f
         )
@@ -233,20 +243,18 @@ class TestDDShift:
     def test_zero_shift_is_identity(self):
         p = make_params()
         x = random_signal(p, np.random.default_rng(14))
-        r = zak.dd_shift(x, 0.0, 0.0)
-        assert np.array_equal(r.samples, x.samples)
+        assert np.array_equal(zak.dd_shift(x, 0.0, 0.0, p), x)
 
     def test_one_step_delay_is_circular_shift(self):
         p = make_params()
         x = random_signal(p, np.random.default_rng(15))
-        r = zak.dd_shift(x, p.step, 0.0)
-        assert np.allclose(r.samples, np.roll(x.samples, 1))
+        assert np.allclose(zak.dd_shift(x, p.step, 0.0, p), np.roll(x, 1))
 
     def test_misaligned_delay_rejected(self):
         p = make_params()
         x = random_signal(p, np.random.default_rng(16))
         with pytest.raises(zak.GridAlignmentError):
-            zak.dd_shift(x, 0.3 * p.step, 0.0)
+            zak.dd_shift(x, 0.3 * p.step, 0.0, p)
 
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_shift_invariance_identity(self, lam, mu):
@@ -292,7 +300,7 @@ class TestImpulseBasis:
             x = random_signal(p, rng)
             m = zak.zak_transform(x, p)
             for a, b in [(0, 0), (2, 1), (5, 3)]:
-                coef = np.vdot(delta_basis(p.tau_grid[a], p.nu_grid[b], p), x.samples)
+                coef = np.vdot(delta_basis(p.tau_grid[a], p.nu_grid[b], p), x)
                 expect = m[a, b] / (p.lam * p.mu)
                 assert coef == pytest.approx(expect, rel=1e-10)
 
@@ -319,23 +327,23 @@ class TestProjection:
         p = make_params()
         x1, x2 = random_signal(p, rng), random_signal(p, rng)
         psi = delta_basis(p.tau_grid[2], p.nu_grid[1], p)
-        lhs = np.vdot(psi, 2 * x1.samples + x2.samples)
-        rhs = 2 * np.vdot(psi, x1.samples) + np.vdot(psi, x2.samples)
+        lhs = np.vdot(psi, 2 * x1 + x2)
+        rhs = 2 * np.vdot(psi, x1) + np.vdot(psi, x2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestPulseBasis:
     def test_single_pulse(self):
         p = make_params()
-        psi = zak.pulse_basis(2 * p.step, 0.0, p, n_count=1, pulse="impulse")
+        psi = zak.pulse_basis(2 * p.step, 0.0, p, n_count=1)
         expect = np.sqrt(p.lam * p.T) / (p.lam * p.mu)
-        assert psi.samples[2] == pytest.approx(expect)
-        assert np.count_nonzero(psi.samples) == 1
+        assert psi[2] == pytest.approx(expect)
+        assert np.count_nonzero(psi) == 1
 
     def test_zero_doppler_repeats_uniformly(self):
         p = make_params()
-        psi = zak.pulse_basis(0.0, 0.0, p, n_count=4, pulse="impulse")
-        hits = psi.samples[:: p.block_len][:4]
+        psi = zak.pulse_basis(0.0, 0.0, p, n_count=4)
+        hits = psi[:: p.block_len][:4]
         assert np.allclose(hits, hits[0])
 
     def test_concentration_matches_dirichlet_product(self):
@@ -345,7 +353,7 @@ class TestPulseBasis:
         p = make_params(samples_per_T=8, periods=8, T=1.0)
         a0, b0, n_count = 3, 2, 8
         tau0, nu0 = p.tau_grid[a0], p.nu_grid[b0]
-        psi = zak.pulse_basis(tau0, nu0, p, n_count=n_count, pulse="impulse")
+        psi = zak.pulse_basis(tau0, nu0, p, n_count=n_count)
         m = zak.zak_transform(psi, p)
         got = np.abs(m[a0, :]) ** 2
         expect = (
@@ -363,12 +371,10 @@ class TestPulseBasis:
 
     def test_bad_inputs(self):
         p = make_params()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_count"):
             zak.pulse_basis(0.0, 0.0, p, n_count=0)
-        with pytest.raises(ValueError):
-            zak.pulse_basis(0.0, 0.0, p, n_count=1, pulse="unknown")
-        with pytest.raises(ValueError):
-            zak.pulse_basis(0.0, 0.0, p, n_count=1, pulse="multitone")
+        with pytest.raises(zak.GridAlignmentError):
+            zak.pulse_basis(0.3 * p.step, 0.0, p, n_count=1)
 
 
 class TestModulationBase:
@@ -380,8 +386,13 @@ class TestModulationBase:
         M = N = 4
         p = self.orthogonal_params(M, N)
         chi = zak.modulation_base(0, 0, p, M, N, theta=1.0, phi=1.0)
-        psi = zak.pulse_basis(0.0, 0.0, p, n_count=N, pulse="multitone", tones=M)
-        assert np.allclose(chi.samples, psi.samples / np.sqrt(M * N))
+        # the closed form at tau0 = nu0 = 0: N unit-weight copies of the sum
+        # of M tones spaced 1/(lam*T); the tones are block-periodic, so the
+        # frame's own time axis renders every copy
+        t = np.arange(p.frame_len) * p.step
+        tones = np.exp(2j * np.pi * np.outer(t, np.arange(M)) / (p.lam * p.T)).sum(axis=1)
+        psi = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * tones
+        assert np.allclose(chi, psi / np.sqrt(M * N))
 
     def test_orthogonal_limit(self):
         M = N = 4
@@ -390,8 +401,8 @@ class TestModulationBase:
         for (k1, l1), (k2, l2) in pairs:
             c1 = zak.modulation_base(k1, l1, p, M, N, theta=1.0, phi=1.0)
             c2 = zak.modulation_base(k2, l2, p, M, N, theta=1.0, phi=1.0)
-            norm = abs(zak.inner_product(c1, c1))
-            assert abs(zak.inner_product(c1, c2)) <= 1e-10 * norm
+            norm = abs(np.vdot(c1, c1))
+            assert abs(np.vdot(c1, c2)) <= 1e-10 * norm
 
     def test_compressed_bases_overlap(self):
         M = N = 4
@@ -399,8 +410,8 @@ class TestModulationBase:
         beta = 0.75  # aligned: l*0.75*T/4 is a multiple of T/16
         c1 = zak.modulation_base(0, 1, p, M, N, theta=1.0, phi=beta)
         c2 = zak.modulation_base(0, 2, p, M, N, theta=1.0, phi=beta)
-        norm = abs(zak.inner_product(c1, c1))
-        assert abs(zak.inner_product(c1, c2)) > 1e-3 * norm
+        norm = abs(np.vdot(c1, c1))
+        assert abs(np.vdot(c1, c2)) > 1e-3 * norm
 
     def test_index_range_checked(self):
         p = self.orthogonal_params(4, 4)
@@ -431,9 +442,7 @@ class TestTransformProperties:
         a_sig, b_sig = random_signal(p, rng), random_signal(p, rng)
         va = zak.zak_transform(a_sig, p)
         vb = zak.zak_transform(b_sig, p)
-        vc = zak.zak_transform(
-            zak.SampledSignal(samples=a_sig.samples * b_sig.samples, step=p.step), p
-        )
+        vc = zak.zak_transform(a_sig * b_sig, p)
         swapped = properties.nu_convolution(va, vb, p) - properties.nu_convolution(vb, va, p)
         assert np.max(np.abs(swapped)) < 1e-10 * np.max(np.abs(vc))
 
@@ -443,10 +452,10 @@ class TestTransformProperties:
         assert properties.check_convolution(p, np.random.default_rng(23)) < 1e-8
         rng = np.random.default_rng(23)
         a_sig, b_sig = random_signal(p, rng), random_signal(p, rng)
-        c = p.step * np.fft.ifft(np.fft.fft(a_sig.samples) * np.fft.fft(b_sig.samples))
+        c = p.step * np.fft.ifft(np.fft.fft(a_sig) * np.fft.fft(b_sig))
         va = zak.zak_transform(a_sig, p)
         vb = zak.zak_transform(b_sig, p)
-        vc = zak.zak_transform(zak.SampledSignal(samples=c, step=p.step), p)
+        vc = zak.zak_transform(c, p)
         swapped = properties.tau_convolution(va, vb, p) - properties.tau_convolution(vb, va, p)
         assert np.max(np.abs(swapped)) < 1e-10 * np.max(np.abs(vc))
 
