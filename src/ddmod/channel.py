@@ -84,23 +84,6 @@ def awgn(samples, sigma_sq, noise):
     return out
 
 
-def apply_separable_channel(x, h1=None, h2=None):
-    """Separable matrix channel ``H1 @ X @ H2.conj().T`` (noise added separately)."""
-    x = np.asarray(x, dtype=complex)
-    out = x
-    if h1 is not None:
-        h1 = np.asarray(h1, dtype=complex)
-        if h1.shape[1] != x.shape[0]:
-            raise ValueError(f"H1 shape {h1.shape} does not left-multiply {x.shape}")
-        out = h1 @ out
-    if h2 is not None:
-        h2 = np.asarray(h2, dtype=complex)
-        if h2.shape[1] != x.shape[1]:
-            raise ValueError(f"H2 shape {h2.shape} does not right-multiply {x.shape}")
-        out = out @ h2.conj().T
-    return out
-
-
 def measure_eb(params, constellation, master_seed):
     """Average transmitted energy per bit over a seeded calibration batch of
     ``CALIBRATION_FRAMES`` frames.

@@ -45,6 +45,17 @@ def _add_complexity(sub):
     p.set_defaults(handler=_cmd_complexity)
 
 
+def _say(line):
+    """Print and flush ``line``; once stdout's reader has gone (``| head -1``),
+    send the rest to the null device, so the sweep still writes its files."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _load_config(args):
     """The sweep config the ``simulate`` arguments name, ``--seed`` applied."""
     if args.preset:
@@ -63,22 +74,20 @@ def _cmd_simulate(args):
     except (OSError, ValueError) as exc:
         print(f"ddmod: error: {exc}", file=sys.stderr)
         return 2
-    print(f"sweep: {cfg.decoder} on ({cfg.m}x{cfg.n}) alpha={cfg.alpha} beta={cfg.beta} "
-          f"eta={100 * cfg.eta:.1f}% seed={cfg.master_seed}")
+    _say(f"sweep: {cfg.decoder} on ({cfg.m}x{cfg.n}) alpha={cfg.alpha} beta={cfg.beta} "
+         f"eta={100 * cfg.eta:.1f}% seed={cfg.master_seed}")
     result = harness.run_sweep(cfg, workers=workers)
     for cell in result.cells:
         tag = f"omega={cell.omega}" if cell.omega is not None else "        "
-        if cell.error is not None:
-            print(f"  ebn0={cell.ebn0_db:5.1f} {tag}  FAILED: {cell.error}")
-        else:
-            print(f"  ebn0={cell.ebn0_db:5.1f} {tag}  ber={cell.ber:.3e} "
-                  f"({cell.bit_errors}/{cell.bits_sent} bits, {cell.frames} frames)")
+        outcome = f"FAILED: {cell.error}" if cell.error is not None else (
+            f"ber={cell.ber:.3e} ({cell.bit_errors}/{cell.bits_sent} bits, {cell.frames} frames)")
+        _say(f"  ebn0={cell.ebn0_db:5.1f} {tag}  {outcome}")
     try:
         csv_path, json_path = harness.emit_results(result, args.out, stem=args.stem)
     except OSError as exc:
         print(f"ddmod: error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {csv_path} and {json_path}")
+    _say(f"wrote {csv_path} and {json_path}")
     return 0 if result.completed else 1
 
 

@@ -4,9 +4,10 @@ Detection is posed on the time-frequency observation ``Y_T`` as
 
     minimize  J(S) = || Y_T - G @ S @ H.conj().T ||_F^2   over S in A^(N x M)
 
-where for the AWGN case ``G = A`` and ``H = B`` are the modem transform
-factors (so the noiseless observation satisfies ``Y_T = G S H+`` exactly),
-and an explicit separable channel folds in as ``G = H1 @ A``, ``H = H2 @ B``.
+where ``G = A`` and ``H = B`` are the modem transform factors, so the
+noiseless observation over AWGN satisfies ``Y_T = G S H+`` exactly.  The
+iterative decoder runs its correlation operator on balanced chunks of a
+stack of frames, one single-threaded GEMM per side and chunk.
 
 With QR factors ``G = Q_G R`` and ``H = Q_H R_H`` (``L = R_H.conj().T``
 lower triangular, ``U = Q_G+ Y_T Q_H``) the objective decomposes into
@@ -96,19 +97,15 @@ def _check_full_rank(r, source, name):
         raise SingularModelError(f"{name} is effectively singular; decode refused")
 
 
-def build_effective_model(a, b, y_tf, h1=None, h2=None):
+def build_effective_model(a, b, y_tf):
     """Assemble the detection model from modem factors and an observation.
 
-    ``y_tf`` is the received frame after the unitary receive pulse transform.
-    ``h1``/``h2`` are optional separable channel factors (identity when
-    omitted); they fold into ``G`` and ``H`` so the objective keeps the true
-    frame as its noiseless minimizer.
+    ``y_tf`` is the received frame after the unitary receive pulse transform;
+    ``G = a`` and ``H = b``.
     """
-    a = numerics.as_matrix(a)
-    b = numerics.as_matrix(b)
+    g = numerics.as_matrix(a)
+    h = numerics.as_matrix(b)
     y_tf = np.asarray(y_tf, dtype=complex)
-    g = a if h1 is None else numerics.as_matrix(h1) @ a
-    h = b if h2 is None else numerics.as_matrix(h2) @ b
     if y_tf.shape != (g.shape[0], h.shape[0]):
         raise ValueError(
             f"observation shape {y_tf.shape} does not match ({g.shape[0]}, {h.shape[0]})"
@@ -379,61 +376,64 @@ def distortion_operator(model):
     return lambda s: gtg @ s @ hth
 
 
-def _wide_operator(gtg, hth):
-    """The correlation operator on an ``(N, B, M)`` stack, one GEMM per side."""
+def _chunked_operator(gtg, hth, chunks, width):
+    """The correlation operator on a ``(chunks, N, width, M)`` stack: one
+    GEMM per side and chunk.  One chunk runs as 2-D products, which cost
+    less than a stack of one."""
     n_rows, m_cols = len(gtg), len(hth)
+    lead = () if chunks == 1 else (chunks,)
+    cols, rows = lead + (n_rows, width * m_cols), lead + (n_rows * width, m_cols)
 
     def op(x):
-        left = gtg @ x.reshape(n_rows, -1)
-        return (left.reshape(-1, m_cols) @ hth).reshape(x.shape)
+        return ((gtg @ x.reshape(cols)).reshape(rows) @ hth).reshape(x.shape)
 
     return op
 
 
 @functools.lru_cache(maxsize=None)
-def _wide_frames(n_rows, m_cols, entries):
-    """Most frames the wide operator may take at this frame shape; 0 for none.
+def _chunk_cap(n_rows, m_cols, entries):
+    """Most frames one chunk of the chunked operator may take; 0 for none.
 
-    The wide products keep each frame's bits only where the BLAS kernel
-    sums every output entry in the same order as the per-frame products.
-    That depends on the shape and on the kernel chosen for this CPU, so it
-    is checked here, on the machine that decodes: on random operands, at
-    every stack of 1..9 frames and at the largest wide stack.  That is the
-    largest stack a harness round holds, ``entries // (N * M)`` frames, or
-    fewer where a product would reach ``SERIAL_GEMM_MNK``.  Shapes with
+    That is a round's ``entries // (N * M)`` frames, fewer where a product
+    would reach ``SERIAL_GEMM_MNK``.  The chunked products keep each frame's
+    bits only where the BLAS kernel sums every output entry in the order of
+    the per-frame products, which depends on the shape and on the CPU's
+    kernel.  So it is checked here, on the machine that decodes, on random
+    operands, for one chunk of each width a round can use.  Shapes with
     ``N < 2`` or ``M % 4 != 0`` are refused unchecked: of those with
     ``N, M <= 16`` all but 1x1 and 1x4 differ on OpenBLAS's Haswell kernels.
     """
-    largest = min(
-        entries // (n_rows * m_cols),
-        (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)),
-    )
-    if n_rows < 2 or m_cols % 4 or largest < 1:
+    budget = entries // (n_rows * m_cols)
+    cap = min(budget, (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)))
+    if n_rows < 2 or m_cols % 4 or cap < 1:
         return 0
+    # 1..9 frames end the rounds; where a round holds more than the cap, it
+    # is cut into chunks of more than half the cap
+    low = cap // 2 + 1 if budget > cap else cap
+    widths = {*range(1, min(9, cap) + 1), *range(low, cap + 1)}
     rng = np.random.default_rng(0)
     gtg = rng.normal(size=(n_rows, 2 * n_rows)).view(complex)
     hth = rng.normal(size=(m_cols, 2 * m_cols)).view(complex)
-    op = _wide_operator(gtg, hth)
-    for frames in sorted({*range(1, min(9, largest) + 1), largest}):
-        s = rng.normal(size=(frames, n_rows, 2 * m_cols)).view(complex)
+    for width in sorted(widths):
+        s = rng.normal(size=(width, n_rows, 2 * m_cols)).view(complex)
         want = (gtg @ s @ hth).transpose(1, 0, 2)
-        got = op(np.ascontiguousarray(s.transpose(1, 0, 2)))
+        got = _chunked_operator(gtg, hth, 1, width)(np.ascontiguousarray(s.transpose(1, 0, 2)))
         if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             return 0
-    return largest
+    return cap
 
 
 def _stack_operator(model, frames):
-    """The operator of :func:`im_soft_decode` and whether it runs wide.
-
-    The wide operator takes the iterate as ``(N, B, M)``, the batched one as
-    ``(B, N, M)`` (or ``(N, M)`` for one frame); both give every frame the
-    bits of :func:`distortion_operator`.
-    """
-    n_rows, m_cols = model.shape
-    if frames <= _wide_frames(n_rows, m_cols, modem.STACK_ENTRIES):
-        return _wide_operator(*_gram_matrices(model)), True
-    return distortion_operator(model), False
+    """The operator of :func:`im_soft_decode` and the ``(chunks, width)``
+    of its ``(chunks, N, width, M)`` iterate: the fewest chunks within the
+    cap, as even as they can be.  ``None`` where the check refused the
+    shape: the iterate stays ``(B, N, M)``, or ``(N, M)`` for one frame."""
+    cap = _chunk_cap(*model.shape, modem.STACK_ENTRIES)
+    if not cap:
+        return distortion_operator(model), None
+    chunks = -(-frames // cap)
+    width = -(-frames // chunks)
+    return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
 
 
 def im_decode(model, omega, iterations):
@@ -507,14 +507,14 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     ``(B, 1, 1)`` for a stack; any other shape raises ``ValueError``.
 
     A stacked model decodes all its frames at once, and stops when the whole
-    stack has settled.  Where a set-up check has found the wide products
-    bitwise equal to the per-frame ones on this machine (``N >= 2``,
-    ``M % 4 == 0`` and at most ``modem.STACK_ENTRIES // (N*M)`` frames,
-    fewer where a product would reach ``SERIAL_GEMM_MNK``), the iterate is
-    held as an ``(N, B, M)`` stack, so each side of ``C`` is one 2-D GEMM
-    over all frames; otherwise it stays ``(B, N, M)`` and ``C`` runs frame
-    by frame.  Either way each frame comes out with the bits it
-    has alone.
+    stack has settled.  Where a set-up check has found the chunked products
+    bitwise equal to the per-frame ones on this machine (``N >= 2`` and
+    ``M % 4 == 0``), the ``B`` frames are held as ``(chunks, N, b, M)``,
+    ``chunks = ceil(B / cap)`` and ``b = ceil(B / chunks)``, so each side of
+    ``C`` is one GEMM per chunk.  ``cap`` is a round's ``STACK_ENTRIES //
+    (N*M)`` frames, fewer where a product would reach ``SERIAL_GEMM_MNK``.
+    Otherwise ``C`` runs frame by frame.  Either way each frame comes out
+    with the bits it has alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -523,10 +523,17 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         raise ValueError(f"omega must be a scalar or shaped {per_frame}, got {np.shape(omega)}")
     w0 = matched_filter_estimate(model)
     shape = w0.shape
-    op, wide = _stack_operator(model, 1 if w0.ndim == 2 else len(w0))
-    if wide:
-        w0 = np.ascontiguousarray(w0.reshape(-1, *model.shape).transpose(1, 0, 2))
-        omega = np.reshape(omega, (-1, 1))
+    frames = w0.reshape(-1, *model.shape)
+    op, layout = _stack_operator(model, len(frames))
+    if layout:
+        # copies of the last frame and its omega fill the last chunk: a copy
+        # settles with its frame, so the stack stops as it would
+        chunks, width = layout
+        fill = np.minimum(np.arange(chunks * width), len(frames) - 1)
+        stack = frames if chunks * width == len(frames) else frames[fill]
+        w0 = np.ascontiguousarray(stack.reshape(chunks, width, *model.shape).swapaxes(1, 2))
+        if np.ndim(omega):
+            omega = np.reshape(omega, -1)[fill].reshape(chunks, 1, width, 1)
     w = w0.copy()
     if np.ndim(omega):
         # a full operand multiplies faster than one broadcast on short rows
@@ -559,9 +566,9 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
             break
         # only a fully clipped s can start a fixed point
         p_prev = s.view(float) if all_clipped else None
-    if wide:
-        w = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(shape)
-    return w
+    if layout:
+        w = np.ascontiguousarray(w.swapaxes(1, 2)).reshape(-1, *model.shape)[: len(frames)]
+    return w.reshape(shape)
 
 
 def hard_demap(w, constellation):

@@ -1,4 +1,4 @@
-"""Tests for AWGN bookkeeping and the separable matrix channel."""
+"""Tests for AWGN bookkeeping and the seeded substreams."""
 
 import math
 
@@ -119,41 +119,6 @@ class TestAwgn:
     def test_rejects_mismatched_noise(self):
         with pytest.raises(ValueError, match="noise shape"):
             channel.awgn(np.zeros((3, 4)), 1.0, np.zeros((2, 4)))
-
-
-class TestSeparableChannel:
-    def test_identity_factors(self):
-        rng = np.random.default_rng(50)
-        x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        assert np.array_equal(channel.apply_separable_channel(x), x)
-        out = channel.apply_separable_channel(x, np.eye(3), np.eye(4))
-        assert np.allclose(out, x)
-
-    def test_row_phase_rotation_preserves_energy(self):
-        rng = np.random.default_rng(51)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h1 = np.diag(np.exp(1j * np.array([0.3, 1.1, -0.4])))
-        out = channel.apply_separable_channel(x, h1, np.eye(3))
-        assert np.allclose(np.abs(out), np.abs(x))
-        assert np.allclose(out[1], np.exp(1.1j) * x[1])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(52)
-        x = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        h1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        got = channel.apply_separable_channel(x, h1, h2)
-        oracle = np.zeros((3, 2), dtype=complex)
-        for i in range(3):
-            for j in range(2):
-                for a in range(3):
-                    for b in range(2):
-                        oracle[i, j] += h1[i, a] * x[a, b] * np.conj(h2[j, b])
-        assert np.allclose(got, oracle, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            channel.apply_separable_channel(np.zeros((3, 2)), np.eye(2), None)
 
 
 class TestNoiseWhiteness:

@@ -157,6 +157,34 @@ def test_simulate_bad_config_exits_2_without_traceback(tmp_path):
     assert proc.stderr == "ddmod: error: missing config keys: ['M']\n"
 
 
+def test_simulate_writes_its_results_when_stdout_closes(tmp_path):
+    # ddmod simulate ... | head -1, with each line flushed as it is printed
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9,
+                                    "decoder": "matched", "min_bit_errors": 10**6,
+                                    "ebn0_db_points": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                    "max_frames": 1000}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddmod.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out_dir = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ddmod.cli", "simulate", "--config", str(cfg_path),
+         "--out", str(out_dir), "--workers", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    try:
+        assert proc.stdout.readline().startswith("sweep: matched on (2x2)")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == ""
+    assert proc.returncode == 0
+    assert len(list(csv.DictReader(open(out_dir / "results.csv")))) == 6
+    assert json.load(open(out_dir / "results.config.json"))["config"]["max_frames"] == 1000
+
+
 def test_simulate_preset_resolves_and_runs(tmp_path, capsys, monkeypatch):
     # stub the sweep so the preset path is exercised without the full run
     from ddmod import harness

@@ -12,16 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmod import channel, detect, modem, properties
+from ddmod import detect, harness, modem, properties
 from oracles import im_soft_decode_every_step, im_soft_settling_step, same_bits
 
 
-def make_model(n, m, alpha, beta, y=None, h1=None, h2=None):
+def make_model(n, m, alpha, beta, y=None):
     a = modem.build_doppler_matrix(alpha, n)
     b = modem.build_delay_matrix(beta, m)
     if y is None:
         y = np.zeros((n, m), dtype=complex)
-    return detect.build_effective_model(a, b, y, h1=h1, h2=h2)
+    return detect.build_effective_model(a, b, y)
 
 
 def identity_model(n, m, y):
@@ -65,24 +65,13 @@ class TestBuildEffectiveModel:
         model = detect.build_effective_model(a, b, a @ s @ b.conj().T)
         assert detect.total_objective(model, s) < 1e-18
 
-    def test_separable_channel_residual_is_noise_only(self):
-        rng = np.random.default_rng(62)
-        n, m = 2, 2
-        h1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h2 = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        a = modem.build_doppler_matrix(0.9, n)
-        b = modem.build_delay_matrix(0.9, m)
-        s = random_qpsk_frame(rng, n, m)
-        noise = 0.1 * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
-        y = channel.apply_separable_channel(a @ s @ b.conj().T, h1, h2) + noise
-        model = detect.build_effective_model(a, b, y, h1=h1, h2=h2)
-        resid = detect.total_objective(model, s)
-        assert resid == pytest.approx(float(np.sum(np.abs(noise) ** 2)), rel=1e-10)
-
     def test_singular_channel_refused(self):
-        h1 = np.zeros((4, 4), dtype=complex)
-        with pytest.raises(detect.SingularModelError):
-            make_model(4, 4, 1.0, 1.0, h1=h1)
+        b = modem.build_delay_matrix(1.0, 4)
+        y = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(detect.SingularModelError, match="G is effectively singular"):
+            detect.build_effective_model(np.zeros((4, 4)), b, y)
+        with pytest.raises(detect.SingularModelError, match="H is effectively singular"):
+            detect.build_effective_model(b, np.zeros((4, 4)), y)
 
     def test_refresh_observation(self):
         rng = np.random.default_rng(63)
@@ -785,7 +774,8 @@ class TestImSoftFixedPoint:
 
 
 class TestWideOperator:
-    """The ``(N, B, M)`` iterate with one GEMM per side keeps every frame's bits."""
+    """The ``(chunks, N, b, M)`` iterate, one GEMM per side and chunk, keeps
+    every frame's bits."""
 
     # (float-view index, value) written into one frame's observation: the
     # special observations of TestImSoftFixedPoint
@@ -799,6 +789,14 @@ class TestWideOperator:
         (np.s_[-1, -1], -np.nan),
         (np.s_[0, :4], [np.inf, -np.inf, np.nan, -0.0]),
     )
+    # the widths the set-up check probes at each preset shape: 1..9 frames,
+    # the cap, and where a round holds more than the cap, every width above
+    # half the cap
+    PROBED = {
+        (4, 4): [*range(1, 10), 512],
+        (16, 8): [*range(1, 10), *range(16, 32)],
+        (16, 16): [*range(1, 16)],
+    }
 
     @staticmethod
     def stack(n, m, frames, sigma, seed, specials=()):
@@ -814,21 +812,34 @@ class TestWideOperator:
             return detect.refresh_observation(base, y)
 
     @staticmethod
-    def forced_wide():
-        """Skip the set-up check: every stack up to the round budget runs wide."""
-        return mock.patch.object(detect, "_wide_frames", lambda n, m, entries: entries // (n * m))
+    def cap(n, m, entries):
+        """A round's frames, or fewer where a product would reach 2^16."""
+        return min(entries // (n * m), (detect.SERIAL_GEMM_MNK - 1) // (n * m * max(n, m)))
+
+    @staticmethod
+    def forced_chunks():
+        """Skip the set-up check: every frame shape runs chunked, at the cap
+        the check would give it."""
+        return mock.patch.object(detect, "_chunk_cap", TestWideOperator.cap)
+
+    @staticmethod
+    def layout(frames, cap):
+        """The fewest chunks of at most ``cap`` frames, as even as they can be."""
+        chunks = math.ceil(frames / cap)
+        return chunks, math.ceil(frames / chunks)
 
     @staticmethod
     def recorded_paths():
         """A patch of the operator choice, and the list of its frame counts
-        and whether each decode under the patch ran wide, in call order."""
+        and the chunk layout of each decode under the patch (``None`` for the
+        batched operator), in call order."""
         paths = []
         original = detect._stack_operator
 
         def recording(model, frames):
-            op, wide = original(model, frames)
-            paths.append((frames, wide))
-            return op, wide
+            op, layout = original(model, frames)
+            paths.append((frames, layout))
+            return op, layout
 
         return mock.patch.object(detect, "_stack_operator", recording), paths
 
@@ -849,45 +860,107 @@ class TestWideOperator:
         frames = data.draw(st.one_of(st.just(bound), st.integers(1, bound)), label="frames")
         models = self.stack(n, m, frames, sigma, seed, specials)
         omegas = np.random.default_rng(seed).uniform(0.2, 1.3, size=(frames, 1, 1))
+        cap = self.cap(n, m, modem.STACK_ENTRIES)
         recording, paths = self.recorded_paths()
-        with self.forced_wide(), np.errstate(invalid="ignore", over="ignore"):
+        with self.forced_chunks(), np.errstate(invalid="ignore", over="ignore"):
             with recording:
                 stacked = detect.im_soft_decode(models, omegas, iterations)
-            assert paths == [(frames, True)]
+            assert paths == [(frames, self.layout(frames, cap))]
             assert same_bits(stacked, im_soft_decode_every_step(models, omegas, iterations))
             for y, omega, w in zip(models.y_t, omegas, stacked):
                 model = detect.refresh_observation(models, y)
                 assert same_bits(detect.im_soft_decode(model, omega, iterations), w)
 
+    # a round of 16 rows is cut into 2 or 3 chunks, the last one padded
+    @pytest.mark.parametrize("n,m,frames,chunks,width", [
+        (16, 16, 16, 2, 8), (16, 16, 20, 2, 10), (16, 16, 31, 3, 11), (16, 16, 32, 3, 11),
+        (16, 8, 32, 2, 16), (16, 8, 40, 2, 20), (16, 8, 63, 3, 21), (16, 8, 64, 3, 22),
+    ])
+    def test_full_rounds_run_in_chunks_with_each_frames_bits(self, n, m, frames, chunks, width):
+        # on this machine's BLAS; every third frame noiseless (+inf dB), and
+        # specials in the first, a middle and the last frame, which pads
+        sigma = np.where(np.arange(frames) % 3, 0.4, 0.0)[:, None, None]
+        specials = [(0, 7), (frames // 2, 3), (frames - 1, 5)]
+        models = self.stack(n, m, frames, sigma, seed=frames + n * m, specials=specials)
+        omegas = np.linspace(0.25, 1.0, frames)[:, None, None]
+        recording, paths = self.recorded_paths()
+        with np.errstate(invalid="ignore", over="ignore"):
+            with recording:
+                stacked = detect.im_soft_decode(models, omegas, 75)
+            assert paths == [(frames, (chunks, width))]
+            assert same_bits(stacked, im_soft_decode_every_step(models, omegas, 75))
+            for y, omega, w in zip(models.y_t, omegas, stacked):
+                model = detect.refresh_observation(models, y)
+                assert same_bits(detect.im_soft_decode(model, omega, 75), w)
+        assert np.isnan(stacked[frames - 1]).all() and np.isfinite(stacked[1]).all()
+
+    def test_every_product_stays_on_one_blas_thread(self, monkeypatch):
+        # counted from the operands' shapes, with no BLAS call: numpy runs a
+        # stacked product as one GEMM per stacked matrix
+        products = []
+
+        class Gemms(np.ndarray):
+            """An operand that records each GEMM of a product with it, and
+            runs none."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                assert ufunc is np.matmul and method == "__call__" and not kwargs
+                a, b = (np.asarray(x) for x in inputs)
+                (rows, inner), (inner_b, cols) = a.shape[-2:], b.shape[-2:]
+                assert inner == inner_b
+                products.append(rows * inner * cols)
+                lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                return np.empty(lead + (rows, cols), dtype=complex)
+
+        monkeypatch.setattr(detect, "_chunk_cap", lambda n, m, entries: cap)
+        monkeypatch.setattr(detect, "_gram_matrices", lambda model: (
+            np.empty((model.shape[0],) * 2, complex).view(Gemms),
+            np.empty((model.shape[1],) * 2, complex).view(Gemms),
+        ))
+        shapes = {(cfg.n, cfg.m) for cfg in harness.PRESETS.values()}
+        assert shapes == set(self.PROBED)
+        for n, m in sorted(shapes):
+            cap = self.PROBED[n, m][-1]
+            model = make_model(n, m, 0.8, 0.85)
+            budget = modem.STACK_ENTRIES // (n * m)
+            for frames in range(1, 4 * budget + 1):
+                op, (chunks, width) = detect._stack_operator(model, frames)
+                assert (chunks, width) == self.layout(frames, cap)
+                products.clear()
+                op(np.empty((chunks, n, width, m), dtype=complex))
+                assert products == [n * n * width * m, n * width * m * m]
+                assert max(products) < detect.SERIAL_GEMM_MNK
+
     @pytest.mark.parametrize("n,m", [(1, 4), (1, 16), (3, 5), (4, 3)])
     def test_check_refuses_shapes_before_any_product(self, n, m, monkeypatch):
-        def no_products(gtg, hth):
-            raise AssertionError("the check formed a wide product")
+        def no_products(gtg, hth, chunks, width):
+            raise AssertionError("the check formed a chunked product")
 
-        monkeypatch.setattr(detect, "_wide_operator", no_products)
-        assert detect._wide_frames.__wrapped__(n, m, modem.STACK_ENTRIES) == 0
+        monkeypatch.setattr(detect, "_chunked_operator", no_products)
+        assert detect._chunk_cap.__wrapped__(n, m, modem.STACK_ENTRIES) == 0
         models = self.stack(n, m, 3, 0.3, seed=97)
         recording, paths = self.recorded_paths()
         with recording:
             got = detect.im_soft_decode(models, 0.5, 20)
-        assert paths == [(3, False)]
+        assert paths == [(3, None)]
         assert same_bits(got, im_soft_decode_every_step(models, 0.5, 20))
 
     # a whole round at 4x4; at 16 rows the most frames whose products stay
     # on one BLAS thread
     @pytest.mark.parametrize("n,m,bound", [(4, 4, 512), (16, 8, 31), (16, 16, 15)])
     def test_check_accepts_the_preset_shapes(self, n, m, bound, monkeypatch):
-        # on this machine's BLAS
+        # on this machine's BLAS: one chunk of each probed width
         sizes = []
-        original = detect._wide_operator
+        original = detect._chunked_operator
 
-        def sized(gtg, hth):
-            op = original(gtg, hth)
-            return lambda x: sizes.append(x.size) or op(x)
+        def sized(gtg, hth, chunks, width):
+            op = original(gtg, hth, chunks, width)
+            return lambda x: sizes.append((chunks, x.size)) or op(x)
 
-        monkeypatch.setattr(detect, "_wide_operator", sized)
-        assert detect._wide_frames.__wrapped__(n, m, modem.STACK_ENTRIES) == bound
-        assert sizes == [k * n * m for k in sorted({*range(1, min(9, bound) + 1), bound})]
+        monkeypatch.setattr(detect, "_chunked_operator", sized)
+        assert detect._chunk_cap.__wrapped__(n, m, modem.STACK_ENTRIES) == bound
+        assert sizes == [(1, k * n * m) for k in self.PROBED[n, m]]
+        assert self.PROBED[n, m][-1] == bound
         assert bound * n * m <= modem.STACK_ENTRIES
         assert bound * n * m * max(n, m) < detect.SERIAL_GEMM_MNK
 
@@ -896,15 +969,15 @@ class TestWideOperator:
         omegas = np.linspace(0.25, 1.2, 50)[:, None, None]
         recording, paths = self.recorded_paths()
         with recording:
-            with self.forced_wide():
-                wide = detect.im_soft_decode(models, omegas, 75)
-            monkeypatch.setattr(detect, "_wide_frames", lambda n, m, entries: False)
+            with self.forced_chunks():
+                chunked = detect.im_soft_decode(models, omegas, 75)
+            monkeypatch.setattr(detect, "_chunk_cap", lambda n, m, entries: 0)
             batched = detect.im_soft_decode(models, omegas, 75)
-        assert paths == [(50, True), (50, False)]
-        assert same_bits(wide, batched)
+        assert paths == [(50, (1, 50)), (50, None)]
+        assert same_bits(chunked, batched)
 
-    @pytest.mark.parametrize("m,wide", [(4, True), (3, False)], ids=["wide", "batched"])
-    def test_omega_shape_is_checked_on_both_layouts(self, m, wide):
+    @pytest.mark.parametrize("m,chunked", [(4, True), (3, False)], ids=["wide", "batched"])
+    def test_omega_shape_is_checked_on_both_layouts(self, m, chunked):
         models = self.stack(4, m, 6, 0.3, seed=100)
         one = detect.refresh_observation(models, models.y_t[0])
         recording, paths = self.recorded_paths()
@@ -917,22 +990,29 @@ class TestWideOperator:
                     detect.im_soft_decode(model, np.full(shape, 0.5), 20)
         assert paths == []
         # one factor per frame gives each frame the bits of a scalar omega
-        with self.forced_wide() if wide else contextlib.nullcontext(), recording:
+        with self.forced_chunks() if chunked else contextlib.nullcontext(), recording:
             for model, shape in [(models, (6, 1, 1)), (one, (1, 1))]:
                 got = detect.im_soft_decode(model, np.full(shape, 0.5), 20)
                 assert same_bits(got, detect.im_soft_decode(model, 0.5, 20))
-        assert paths == [(6, wide), (6, wide), (1, wide), (1, wide)]
+        six, single = ((1, 6), (1, 1)) if chunked else (None, None)
+        assert paths == [(6, six), (6, six), (1, single), (1, single)]
 
-    def test_stack_above_the_probed_bound_runs_batched(self, monkeypatch):
+    def test_stack_above_the_cap_runs_in_balanced_chunks(self, monkeypatch):
         monkeypatch.setattr(modem, "STACK_ENTRIES", 4 * 16)  # four 4x4 frames
-        models = self.stack(4, 4, 5, 0.3, seed=99)
+        models = self.stack(4, 4, 5, 0.0, seed=99)
         head = detect.refresh_observation(models, models.y_t[:4])
+        omegas = np.linspace(0.25, 1.0, 5)[:, None, None]
+        steps = TestImSoftFixedPoint.counted_steps(monkeypatch)
         recording, paths = self.recorded_paths()
         with recording:
-            got = detect.im_soft_decode(models, 0.5, 30)
-            head_got = detect.im_soft_decode(head, 0.5, 30)
-        assert paths == [(5, False), (4, True)]
-        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 30))
+            got = detect.im_soft_decode(models, omegas, 75)
+            # the copy of the last frame that fills the last chunk settles
+            # with it, so the stack stops when the unpadded one would
+            assert len(steps) == im_soft_settling_step(models, omegas, 75) < 75
+            head_got = detect.im_soft_decode(head, omegas[:4], 75)
+        # two chunks of three frames, the last frame twice
+        assert paths == [(5, (2, 3)), (4, (1, 4))]
+        assert same_bits(got, im_soft_decode_every_step(models, omegas, 75))
         assert same_bits(head_got, got[:4])
 
 
