@@ -5,8 +5,8 @@ package is unitary, so the noise statistics carry over unchanged.  Random
 streams come from the counter-based Philox generator keyed on
 ``(master_seed, stream, index)``, which makes every frame's noise independent
 of thread scheduling and batch sizes.  A generator can be reset to another
-substream instead of built anew, and :func:`awgn` adds noise to a whole stack
-of waveforms from draws made frame by frame.
+substream instead of built anew, :func:`raw_bits` gives the bits numpy's
+``integers(0, 2)`` draws from raw words, and :func:`awgn` adds noise to a stack.
 """
 
 import numpy as np
@@ -47,6 +47,18 @@ def substream(master_seed, stream, index=0, rng=None):
         **_UNBUFFERED,
     }
     return rng
+
+
+def raw_bits(words, shape):
+    """The int64 bits ``rng.integers(0, 2, size=shape)`` draws, from its raw words.
+
+    Each is the top bit of a 32-bit half of a word, low half first: for a range of
+    2 numpy's draw never rejects.  ``(W,)`` words give one draw, ``(B, W)`` one per
+    row.  A draw finds no half word buffered, as :func:`substream` leaves the rng.
+    """
+    halves = np.ascontiguousarray(words, "<u8").view("<u4")
+    count = np.prod(shape, dtype=int) // np.prod(halves.shape[:-1], dtype=int)
+    return (halves[..., :count] >> 31).astype(np.int64).reshape(shape)
 
 
 def noise_variance(ebn0_db, eb):
@@ -98,7 +110,8 @@ def measure_eb(params, constellation, master_seed):
     chunk = max(1, modem.STACK_ENTRIES // params.frame_symbols)
     energy = 0.0
     for start in range(0, CALIBRATION_FRAMES, chunk):
-        bits = rng.integers(0, 2, size=(min(chunk, CALIBRATION_FRAMES - start), bits_per_frame))
+        shape = (min(chunk, CALIBRATION_FRAMES - start), bits_per_frame)
+        bits = raw_bits(rng.bit_generator.random_raw(-(-shape[0] * bits_per_frame // 2)), shape)
         x = modem.modulate(modem.map_bits(bits, constellation, params.n, params.m), params)
         # frame energies are added left to right, one at a time, so Eb does
         # not depend on the chunk size or on how a reduction groups them

@@ -68,6 +68,8 @@ def _load_config(args):
 
 def _cmd_simulate(args):
     try:
+        if args.stem in ("", ".", "..") or {os.sep, os.altsep} & set(args.stem):
+            raise ValueError(f"--stem must be a file name with no directory, got {args.stem!r}")
         cfg = _load_config(args)
         workers = harness.default_workers() if args.workers is None else args.workers
         os.makedirs(args.out, exist_ok=True)

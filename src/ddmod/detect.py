@@ -493,12 +493,12 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     and since ``d_r`` only shrinks every later step clips ``w`` to the same
     ``s`` again.  So the result is the ``H``-step iterate.
 
-    Each step with ``d_r > 0`` clips in place with no mask: it keeps
-    ``|p|`` where ``|p| < d_r`` and ``1`` elsewhere, then copies the sign of
-    ``p`` back onto it.  The last step (``d_r = 0``) uses the rule of
-    :func:`soft_clip`.  The two agree on every finite or infinite entry,
-    signed zeros included.  A NaN stays the same NaN here where
-    :func:`soft_clip` maps it to +1, which cannot change the result: a
+    Each step with ``d_r > 0`` clips in place with no mask or branch: it
+    keeps ``|p| < d_r < 1`` and takes the rest to ``1`` (a min, then a max),
+    then copies the sign of ``p`` back onto it.  The last step (``d_r = 0``)
+    uses the rule of :func:`soft_clip`.  The two agree on every finite or
+    infinite entry, signed zeros included.  A NaN stays the same NaN here
+    where :func:`soft_clip` maps it to +1, which cannot change the result: a
     non-finite observation makes the frame's whole ``w_0`` NaN, and with it
     every iterate.
 
@@ -546,11 +546,11 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         s, p = w, w.view(float)
         p *= 1.0 / clip_scale
         if d > 0:
-            # the rule of _clip_axes with no mask: with d > 0 a signed zero
-            # is kept, and copysign restores it, as it restores p's NaNs
             a = np.abs(p)
             clipped = a >= d
-            np.copysign(np.where(clipped, 1.0, a), p, out=p)
+            np.minimum(a, 1.0, out=a)
+            np.maximum(a, clipped, out=a)
+            np.copysign(a, p, out=p)
             all_clipped = np.count_nonzero(clipped) == p.size
         else:
             all_clipped = _clip_axes(p, d)

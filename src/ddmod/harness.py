@@ -275,19 +275,19 @@ class _SweepRunner:
 
         ``frames`` holds ``(cell_index, frame_index)`` keys and ``sigma_sq``
         each frame's noise variance.  Each frame resets the runner's one
-        generator to its own substream and draws its bits, then its
-        ``(2, N*M)`` standard normals, so it comes out as it would alone;
-        one :func:`channel.awgn` call then adds the noise on the stack.
+        generator to its own substream and draws its bits' raw words, then its
+        ``(2, N*M)`` standard normals, so it comes out as it would alone; the
+        words give the bits ``integers(0, 2)`` draws (:func:`channel.raw_bits`).
         """
         cfg, rng = self.cfg, self.rng
+        words = np.empty((len(frames), -(-self.bits_per_frame // 2)), np.uint64)
         noise = np.empty((len(frames), 2, self.params.frame_symbols))
-        bits = []
-        for (cell, index), z in zip(frames, noise):
+        for (cell, index), row, z in zip(frames, words, noise):
             rng = channel.substream(cfg.master_seed, cell, index, rng)
-            bits.append(rng.integers(0, 2, size=self.bits_per_frame))
+            row[:] = rng.bit_generator.random_raw(row.size)
             rng.standard_normal(out=z)
         self.rng = rng
-        bits = np.array(bits)
+        bits = channel.raw_bits(words, (len(frames), self.bits_per_frame))
         x = modem.modulate(modem.map_bits(bits, self.constellation, cfg.n, cfg.m), self.params)
         y_tf = modem.wigner_rect(channel.awgn(x, sigma_sq, noise), self.params)
         return bits, detect.refresh_observation(self.base_model, y_tf)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmod import channel, modem
 
@@ -67,6 +69,43 @@ class TestSubstream:
         both = a.standard_normal((2, 16))
         assert np.array_equal(both[0], b.standard_normal(16))
         assert np.array_equal(both[1], b.standard_normal(16))
+
+
+class TestRawBits:
+    """The bits of raw Philox words equal numpy's own ``integers(0, 2)``."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 67)), st.tuples(st.integers(1, 9), st.integers(1, 9))
+        ),
+    )
+    def test_bits_and_the_normals_after_them_equal_numpys(self, master_seed, key, shape):
+        want_rng = channel.substream(master_seed, *key)
+        want = want_rng.integers(0, 2, size=shape)
+        rng = channel.substream(master_seed, *key)
+        got = channel.raw_bits(rng.bit_generator.random_raw(-(-math.prod(shape) // 2)), shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(rng.standard_normal((2, 5)), want_rng.standard_normal((2, 5)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        keys=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2**64 - 1)),
+                      min_size=1, max_size=6),
+        count=st.integers(1, 67),
+    )
+    def test_one_row_of_words_per_frame_gives_each_frames_bits(self, master_seed, keys, count):
+        words = np.array([
+            channel.substream(master_seed, *key).bit_generator.random_raw(-(-count // 2))
+            for key in keys
+        ])
+        want = np.array([channel.substream(master_seed, *key).integers(0, 2, size=count)
+                         for key in keys])
+        got = channel.raw_bits(words, (len(keys), count))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestAwgn:

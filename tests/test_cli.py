@@ -244,3 +244,35 @@ def test_verify_properties(capsys):
     assert cli.main(["verify-properties"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("stem", ["", ".", "..", "a/b", os.sep + "abs"],
+                         ids=["empty", "dot", "dotdot", "nested", "absolute"])
+def test_simulate_refuses_a_stem_that_is_not_a_file_name_before_the_sweep(
+    tmp_path, capsys, monkeypatch, stem
+):
+    from ddmod import harness
+
+    def no_sweep(cfg, workers=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_sweep", no_sweep)
+    rc = cli.main(["simulate", "--preset", "fig4b", "--out", str(tmp_path / "out"),
+                   "--stem", stem])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ddmod: error: --stem must be a file name with no directory, got {stem!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_writes_under_a_plain_stem(tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9,
+                                    "decoder": "matched", "max_frames": 2}))
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--stem", "..fig"])
+    assert rc == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["..fig.config.json", "..fig.csv"]

@@ -707,7 +707,7 @@ class TestImSoftFixedPoint:
             op, wide = original(model, frames)
 
             def counted(s):
-                steps.append(1)
+                steps.append(s.copy())
                 return op(s)
 
             return counted, wide
@@ -748,6 +748,40 @@ class TestImSoftFixedPoint:
             got = detect.im_soft_decode(models, omega, iterations)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.isfinite(got[8:]).all()
+
+    @staticmethod
+    def clip_edge_stack():
+        """An identity model (``G = H = I``) stacking one 1x1 frame per value
+        of ``TestSoftClip.edge_grid(0.5)`` and of a grid of subnormals."""
+        tiny = np.array([5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0)])
+        tiny = np.concatenate([tiny, -tiny])
+        grid = np.empty((len(tiny), len(tiny)), dtype=complex)
+        grid.real, grid.imag = tiny[:, None], tiny[None, :]
+        values = np.concatenate([TestSoftClip.edge_grid(0.5).ravel(), grid.ravel()])
+        return detect.refresh_observation(identity_model(1, 1, np.zeros((1, 1))),
+                                          values.reshape(-1, 1, 1))
+
+    @pytest.mark.parametrize("omega", [0.25, 1.0, 1.25])
+    def test_clip_at_half_matches_bitwise_on_edge_values(self, omega):
+        # clip_scale 1 and two steps, so step 1 clips the observation at d = 0.5
+        models = self.clip_edge_stack()
+        with np.errstate(invalid="ignore"):
+            want = im_soft_decode_every_step(models, omega, 2, clip_scale=1.0)
+            got = detect.im_soft_decode(models, omega, 2, clip_scale=1.0)
+        assert same_bits(got, want)
+
+    def test_first_step_clips_edge_values_as_soft_clip_does(self, monkeypatch):
+        # the observation itself is the start, infinities included, where the
+        # complex products of the matched filter would turn them into NaNs
+        models = self.clip_edge_stack()
+        monkeypatch.setattr(detect, "matched_filter_estimate", lambda model: model.y_t.copy())
+        steps = self.counted_steps(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            detect.im_soft_decode(models, 0.5, 2, clip_scale=1.0)
+        # a NaN stays the same NaN, where soft_clip maps it to +1
+        p = models.y_t.view(float)
+        want = np.where(np.isnan(p), p, detect.soft_clip(models.y_t, 0.5).view(float))
+        assert same_bits(steps[0], want.view(complex))
 
     def test_noiseless_stack_stops_early(self, monkeypatch):
         models = self.stack(4, 10, 0.0, seed=94)
