@@ -392,7 +392,7 @@ def _chunked_operator(gtg, hth, chunks, width):
 
 @functools.lru_cache(maxsize=None)
 def _chunk_cap(n_rows, m_cols, entries):
-    """Most frames one chunk of the chunked operator may take; 0 for none.
+    """Most frames one chunk of the chunked operator may take; 1 for a refused shape.
 
     That is a round's ``entries // (N * M)`` frames, fewer where a product
     would reach ``SERIAL_GEMM_MNK``.  The chunked products keep each frame's
@@ -402,11 +402,13 @@ def _chunk_cap(n_rows, m_cols, entries):
     operands, for one chunk of each width a round can use.  Shapes with
     ``N < 2`` or ``M % 4 != 0`` are refused unchecked: of those with
     ``N, M <= 16`` all but 1x1 and 1x4 differ on OpenBLAS's Haswell kernels.
+    A chunk of one frame forms the per-frame products, so a cap below 2
+    needs no check.
     """
     budget = entries // (n_rows * m_cols)
     cap = min(budget, (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)))
-    if n_rows < 2 or m_cols % 4 or cap < 1:
-        return 0
+    if n_rows < 2 or m_cols % 4 or cap < 2:
+        return 1
     # 1..9 frames end the rounds; where a round holds more than the cap, it
     # is cut into chunks of more than half the cap
     low = cap // 2 + 1 if budget > cap else cap
@@ -419,19 +421,16 @@ def _chunk_cap(n_rows, m_cols, entries):
         want = (gtg @ s @ hth).transpose(1, 0, 2)
         got = _chunked_operator(gtg, hth, 1, width)(np.ascontiguousarray(s.transpose(1, 0, 2)))
         if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
-            return 0
+            return 1
     return cap
 
 
 def _stack_operator(model, frames):
     """The operator of :func:`im_soft_decode` and the ``(chunks, width)``
     of its ``(chunks, N, width, M)`` iterate: the fewest chunks within the
-    cap, as even as they can be.  ``None`` where the check refused the
-    shape: the iterate stays ``(B, N, M)``, or ``(N, M)`` for one frame."""
-    cap = _chunk_cap(*model.shape, modem.STACK_ENTRIES)
-    if not cap:
-        return distortion_operator(model), None
-    chunks = -(-frames // cap)
+    cap, as even as they can be.  A refused shape runs as ``frames``
+    chunks of one frame."""
+    chunks = -(-frames // _chunk_cap(*model.shape, modem.STACK_ENTRIES))
     width = -(-frames // chunks)
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
 
@@ -471,11 +470,9 @@ def soft_clip(w, d):
 
 
 def _clip_axes(p, d):
-    """Clip the float array ``p`` in place; returns whether no entry was kept."""
+    """Clip the float array ``p`` in place."""
     # not copysign, which differs at -0.0, and not abs(p) >= d, which keeps NaN
-    kept = np.abs(p) < d
-    np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~kept)
-    return not np.count_nonzero(kept)
+    np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~(np.abs(p) < d))
 
 
 def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
@@ -507,14 +504,14 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     ``(B, 1, 1)`` for a stack; any other shape raises ``ValueError``.
 
     A stacked model decodes all its frames at once, and stops when the whole
-    stack has settled.  Where a set-up check has found the chunked products
-    bitwise equal to the per-frame ones on this machine (``N >= 2`` and
-    ``M % 4 == 0``), the ``B`` frames are held as ``(chunks, N, b, M)``,
+    stack has settled.  The ``B`` frames are held as ``(chunks, N, b, M)``,
     ``chunks = ceil(B / cap)`` and ``b = ceil(B / chunks)``, so each side of
     ``C`` is one GEMM per chunk.  ``cap`` is a round's ``STACK_ENTRIES //
-    (N*M)`` frames, fewer where a product would reach ``SERIAL_GEMM_MNK``.
-    Otherwise ``C`` runs frame by frame.  Either way each frame comes out
-    with the bits it has alone.
+    (N*M)`` frames, fewer where a product would reach ``SERIAL_GEMM_MNK``,
+    where a set-up check has found the chunked products bitwise equal to the
+    per-frame ones on this machine (``N >= 2`` and ``M % 4 == 0``), and 1
+    elsewhere, so that a chunk's products are its frame's own.  Either way
+    each frame comes out with the bits it has alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -524,19 +521,16 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     w0 = matched_filter_estimate(model)
     shape = w0.shape
     frames = w0.reshape(-1, *model.shape)
-    op, layout = _stack_operator(model, len(frames))
-    if layout:
-        # copies of the last frame and its omega fill the last chunk: a copy
-        # settles with its frame, so the stack stops as it would
-        chunks, width = layout
-        fill = np.minimum(np.arange(chunks * width), len(frames) - 1)
-        stack = frames if chunks * width == len(frames) else frames[fill]
-        w0 = np.ascontiguousarray(stack.reshape(chunks, width, *model.shape).swapaxes(1, 2))
-        if np.ndim(omega):
-            omega = np.reshape(omega, -1)[fill].reshape(chunks, 1, width, 1)
+    op, (chunks, width) = _stack_operator(model, len(frames))
+    # copies of the last frame and its omega fill the last chunk: a copy
+    # settles with its frame, so the stack stops as it would
+    fill = np.minimum(np.arange(chunks * width), len(frames) - 1)
+    stack = frames if chunks * width == len(frames) else frames[fill]
+    w0 = np.ascontiguousarray(stack.reshape(chunks, width, *model.shape).swapaxes(1, 2))
     w = w0.copy()
     if np.ndim(omega):
         # a full operand multiplies faster than one broadcast on short rows
+        omega = np.reshape(omega, -1)[fill].reshape(chunks, 1, width, 1)
         omega = np.broadcast_to(omega, w.view(float).shape).copy()
     p_prev = None
     for r in range(1, iterations + 1):
@@ -553,7 +547,9 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
             np.copysign(a, p, out=p)
             all_clipped = np.count_nonzero(clipped) == p.size
         else:
-            all_clipped = _clip_axes(p, d)
+            # d = 0 only at the last step, which ends the loop, settled or not
+            _clip_axes(p, d)
+            all_clipped = False
         p *= clip_scale
         # the float views compare as the complex entries do, in less time
         settled = p_prev is not None and all_clipped and np.array_equal(p, p_prev)
@@ -566,8 +562,7 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
             break
         # only a fully clipped s can start a fixed point
         p_prev = s.view(float) if all_clipped else None
-    if layout:
-        w = np.ascontiguousarray(w.swapaxes(1, 2)).reshape(-1, *model.shape)[: len(frames)]
+    w = np.ascontiguousarray(w.swapaxes(1, 2)).reshape(-1, *model.shape)[: len(frames)]
     return w.reshape(shape)
 
 

@@ -102,6 +102,8 @@ class ZakParams:
 def _aligned_index(value, unit, what):
     """Integer multiple of ``unit`` that equals ``value``, or raise."""
     ratio = value / unit
+    if not math.isfinite(ratio):
+        raise GridAlignmentError(f"{what}={value} is not a finite multiple of {unit}")
     idx = round(ratio)
     if abs(ratio - idx) > ALIGN_TOL * max(1.0, abs(ratio)):
         raise GridAlignmentError(f"{what}={value} is not aligned to the grid (unit {unit})")
@@ -176,6 +178,8 @@ def dd_shift(x, tau0, nu0, p):
     wraps circularly at the frame edge.  ``tau0`` must be grid aligned.
     """
     x = _check_signal(x, p)
+    if not math.isfinite(nu0):
+        raise ValueError(f"nu0={nu0} must be finite")
     shift = _aligned_index(tau0, p.step, "tau0")
     t_rel = (np.arange(p.frame_len) - shift) * p.step
     return np.roll(x, shift) * np.exp(2j * np.pi * nu0 * t_rel)

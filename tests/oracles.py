@@ -31,39 +31,38 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):
-    """The iterative soft decoder run for all ``iterations`` steps, no exit.
+def _im_soft_steps(model, omega, iterations, clip_scale):
+    """The iterative soft decoder run for all ``iterations`` steps, no exit:
+    its ``H``-step iterate, and the first step at which it may stop by its
+    rule (``iterations`` when no step may).
 
     Each step clips ``w / clip_scale`` as a complex array, the way the
-    decoder did before it learned to stop at an exact fixed point.
+    decoder did before it learned to stop at an exact fixed point.  It may
+    stop at the first step whose clipped frame repeats the previous step's,
+    with every axis of both clipped to the constellation's.  A stacked model
+    settles when all its frames do at once.
     """
     op = detect.distortion_operator(model)
     w0 = detect.matched_filter_estimate(model)
-    w = w0
-    for r in range(1, iterations + 1):
-        d = max(0.0, 1.0 - r / iterations)
-        s = clip_scale * detect.soft_clip(w / clip_scale, d)
-        w = omega * (w0 - op(s)) + s
-    return w
-
-
-def im_soft_settling_step(model, omega, iterations, clip_scale=2**-0.5):
-    """The step at which the iterative soft decoder may stop, by its rule.
-
-    The first step whose clipped frame repeats the previous step's, with
-    every axis of both clipped to the constellation's; ``iterations`` when
-    no step does.  A stacked model settles when all its frames do at once.
-    """
-    op = detect.distortion_operator(model)
-    w0 = detect.matched_filter_estimate(model)
-    w, s_prev = w0, None
+    w, s_prev, settle = w0, None, None
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
         s = clip_scale * detect.soft_clip(w / clip_scale, d)
         # below one, d keeps no axis at the clip level, so these were clipped
         clipped = np.all(np.abs(s.view(float)) == clip_scale)
-        if clipped and s_prev is not None and np.array_equal(s, s_prev):
-            return r
+        if settle is None and clipped and s_prev is not None and np.array_equal(s, s_prev):
+            settle = r
         s_prev = s if clipped else None
         w = omega * (w0 - op(s)) + s
-    return iterations
+    return w, iterations if settle is None else settle
+
+
+def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):
+    """The ``H``-step iterate of :func:`_im_soft_steps`."""
+    return _im_soft_steps(model, omega, iterations, clip_scale)[0]
+
+
+def im_soft_settling_step(model, omega, iterations, clip_scale=2**-0.5):
+    """The step at which the iterative soft decoder may stop, by its rule;
+    see :func:`_im_soft_steps`."""
+    return _im_soft_steps(model, omega, iterations, clip_scale)[1]

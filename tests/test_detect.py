@@ -700,17 +700,19 @@ class TestImSoftFixedPoint:
 
     @staticmethod
     def counted_steps(monkeypatch):
+        """A patch of the operator that hands back each step's clipped
+        iterate as ``(B, N, M)`` frames, in frame order."""
         steps = []
         original = detect._stack_operator
 
         def counting(model, frames):
-            op, wide = original(model, frames)
+            op, layout = original(model, frames)
 
             def counted(s):
-                steps.append(s.copy())
+                steps.append(s.swapaxes(1, 2).reshape(-1, *model.shape)[:frames].copy())
                 return op(s)
 
-            return counted, wide
+            return counted, layout
 
         monkeypatch.setattr(detect, "_stack_operator", counting)
         return steps
@@ -865,8 +867,7 @@ class TestWideOperator:
     @staticmethod
     def recorded_paths():
         """A patch of the operator choice, and the list of its frame counts
-        and the chunk layout of each decode under the patch (``None`` for the
-        batched operator), in call order."""
+        and the chunk layout of each decode under the patch, in call order."""
         paths = []
         original = detect._stack_operator
 
@@ -965,19 +966,29 @@ class TestWideOperator:
                 assert products == [n * n * width * m, n * width * m * m]
                 assert max(products) < detect.SERIAL_GEMM_MNK
 
-    @pytest.mark.parametrize("n,m", [(1, 4), (1, 16), (3, 5), (4, 3)])
-    def test_check_refuses_shapes_before_any_product(self, n, m, monkeypatch):
+    @pytest.mark.parametrize("n,m", [(1, 4), (1, 16), (3, 5), (4, 3), (1, 1), (2, 2)])
+    def test_check_refuses_shapes_before_any_product(self, n, m):
         def no_products(gtg, hth, chunks, width):
             raise AssertionError("the check formed a chunked product")
 
-        monkeypatch.setattr(detect, "_chunked_operator", no_products)
-        assert detect._chunk_cap.__wrapped__(n, m, modem.STACK_ENTRIES) == 0
-        models = self.stack(n, m, 3, 0.3, seed=97)
-        recording, paths = self.recorded_paths()
-        with recording:
-            got = detect.im_soft_decode(models, 0.5, 20)
-        assert paths == [(3, None)]
-        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 20))
+        with mock.patch.object(detect, "_chunked_operator", no_products):
+            assert detect._chunk_cap.__wrapped__(n, m, modem.STACK_ENTRIES) == 1
+        # a refused shape runs as chunks of one frame, each with its own bits;
+        # None stands for a model of one (N, M) frame
+        for frames in (1, 3, 40, None):
+            models = self.stack(n, m, frames or 1, 0.3, seed=97)
+            if frames is None:
+                models = detect.refresh_observation(models, models.y_t[0])
+            omegas = np.linspace(0.25, 1.2, frames or 1).reshape(models.y_t.shape[:-2] + (1, 1))
+            recording, paths = self.recorded_paths()
+            with recording:
+                got = detect.im_soft_decode(models, omegas, 20)
+            assert paths == [(frames or 1, (frames or 1, 1))]
+            assert same_bits(got, im_soft_decode_every_step(models, omegas, 20))
+            for y, omega, w in zip(models.y_t.reshape(-1, n, m), omegas.reshape(-1, 1, 1),
+                                   got.reshape(-1, n, m)):
+                model = detect.refresh_observation(models, y)
+                assert same_bits(detect.im_soft_decode(model, omega, 20), w)
 
     # a whole round at 4x4; at 16 rows the most frames whose products stay
     # on one BLAS thread
@@ -998,19 +1009,19 @@ class TestWideOperator:
         assert bound * n * m <= modem.STACK_ENTRIES
         assert bound * n * m * max(n, m) < detect.SERIAL_GEMM_MNK
 
-    def test_check_off_gives_the_batched_path_with_the_same_bits(self, monkeypatch):
+    def test_cap_of_one_gives_the_forced_caps_bits(self, monkeypatch):
         models = self.stack(4, 4, 50, 0.3, seed=98)
         omegas = np.linspace(0.25, 1.2, 50)[:, None, None]
         recording, paths = self.recorded_paths()
         with recording:
             with self.forced_chunks():
                 chunked = detect.im_soft_decode(models, omegas, 75)
-            monkeypatch.setattr(detect, "_chunk_cap", lambda n, m, entries: 0)
-            batched = detect.im_soft_decode(models, omegas, 75)
-        assert paths == [(50, (1, 50)), (50, None)]
-        assert same_bits(chunked, batched)
+            monkeypatch.setattr(detect, "_chunk_cap", lambda n, m, entries: 1)
+            one_each = detect.im_soft_decode(models, omegas, 75)
+        assert paths == [(50, (1, 50)), (50, (50, 1))]
+        assert same_bits(chunked, one_each)
 
-    @pytest.mark.parametrize("m,chunked", [(4, True), (3, False)], ids=["wide", "batched"])
+    @pytest.mark.parametrize("m,chunked", [(4, True), (3, False)], ids=["wide", "refused"])
     def test_omega_shape_is_checked_on_both_layouts(self, m, chunked):
         models = self.stack(4, m, 6, 0.3, seed=100)
         one = detect.refresh_observation(models, models.y_t[0])
@@ -1028,8 +1039,8 @@ class TestWideOperator:
             for model, shape in [(models, (6, 1, 1)), (one, (1, 1))]:
                 got = detect.im_soft_decode(model, np.full(shape, 0.5), 20)
                 assert same_bits(got, detect.im_soft_decode(model, 0.5, 20))
-        six, single = ((1, 6), (1, 1)) if chunked else (None, None)
-        assert paths == [(6, six), (6, six), (1, single), (1, single)]
+        six = (1, 6) if chunked else (6, 1)
+        assert paths == [(6, six), (6, six), (1, (1, 1)), (1, (1, 1))]
 
     def test_stack_above_the_cap_runs_in_balanced_chunks(self, monkeypatch):
         monkeypatch.setattr(modem, "STACK_ENTRIES", 4 * 16)  # four 4x4 frames

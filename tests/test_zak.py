@@ -92,6 +92,20 @@ class TestFiniteValues:
         with pytest.raises(ValueError, match="map values must be finite"):
             zak.zak_to_spectrum(m, p, 0.0)
 
+    def test_positions_must_be_finite(self, bad):
+        # inf, inf and nan, each with both signs: one ValueError each, not an
+        # OverflowError or an all-NaN signal
+        p = make_params()
+        m = np.zeros((p.block_len, p.periods), dtype=complex)
+        x = np.ones(p.frame_len, dtype=complex)
+        for value in (abs(bad), -abs(bad)):
+            with pytest.raises(zak.GridAlignmentError, match="is not a finite multiple"):
+                zak.zak_to_spectrum(m, p, value)
+            with pytest.raises(zak.GridAlignmentError, match="is not a finite multiple"):
+                zak.dd_shift(x, value, 0.0, p)
+            with pytest.raises(ValueError, match="nu0=.* must be finite"):
+                zak.dd_shift(x, 0.0, value, p)
+
 
 class TestForward:
     def test_unit_impulse(self):
