@@ -390,48 +390,41 @@ def _chunked_operator(gtg, hth, chunks, width):
     return op
 
 
-@functools.lru_cache(maxsize=None)
-def _chunk_cap(n_rows, m_cols, entries):
-    """Most frames one chunk of the chunked operator may take; 1 for a refused shape.
-
-    That is a round's ``entries // (N * M)`` frames, fewer where a product
-    would reach ``SERIAL_GEMM_MNK``.  The chunked products keep each frame's
-    bits only where the BLAS kernel sums every output entry in the order of
-    the per-frame products, which depends on the shape and on the CPU's
-    kernel.  So it is checked here, on the machine that decodes, on random
-    operands, for one chunk of each width a round can use.  Shapes with
-    ``N < 2`` or ``M % 4 != 0`` are refused unchecked: of those with
-    ``N, M <= 16`` all but 1x1 and 1x4 differ on OpenBLAS's Haswell kernels.
-    A chunk of one frame forms the per-frame products, so a cap below 2
-    needs no check.
+def _chunk_cap(n_rows, m_cols):
+    """Most frames one chunk of the chunked operator may take: the most whose
+    products stay below ``SERIAL_GEMM_MNK``.  Shapes with ``N < 2`` or
+    ``M % 4 != 0`` get 1: of those with ``N, M <= 16`` all but 1x1 and 1x4
+    differ on OpenBLAS's Haswell kernels.
     """
-    budget = entries // (n_rows * m_cols)
-    cap = min(budget, (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)))
-    if n_rows < 2 or m_cols % 4 or cap < 2:
+    if n_rows < 2 or m_cols % 4:
         return 1
-    # 1..9 frames end the rounds; where a round holds more than the cap, it
-    # is cut into chunks of more than half the cap
-    low = cap // 2 + 1 if budget > cap else cap
-    widths = {*range(1, min(9, cap) + 1), *range(low, cap + 1)}
+    return max(1, (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)))
+
+
+@functools.lru_cache(maxsize=None)
+def _width_keeps_bits(n_rows, m_cols, width):
+    """Whether one chunk of ``width`` frames forms each frame's products
+    bitwise: only where the BLAS kernel sums each entry in the per-frame
+    order, which depends on the shape, the width and the CPU.  Checked on
+    the machine that decodes, the first time a process runs the width."""
     rng = np.random.default_rng(0)
     gtg = rng.normal(size=(n_rows, 2 * n_rows)).view(complex)
     hth = rng.normal(size=(m_cols, 2 * m_cols)).view(complex)
-    for width in sorted(widths):
-        s = rng.normal(size=(width, n_rows, 2 * m_cols)).view(complex)
-        want = (gtg @ s @ hth).transpose(1, 0, 2)
-        got = _chunked_operator(gtg, hth, 1, width)(np.ascontiguousarray(s.transpose(1, 0, 2)))
-        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
-            return 1
-    return cap
+    s = rng.normal(size=(width, n_rows, 2 * m_cols)).view(complex)
+    want = (gtg @ s @ hth).transpose(1, 0, 2)
+    got = _chunked_operator(gtg, hth, 1, width)(np.ascontiguousarray(s.transpose(1, 0, 2)))
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _stack_operator(model, frames):
     """The operator of :func:`im_soft_decode` and the ``(chunks, width)``
     of its ``(chunks, N, width, M)`` iterate: the fewest chunks within the
-    cap, as even as they can be.  A refused shape runs as ``frames``
-    chunks of one frame."""
-    chunks = -(-frames // _chunk_cap(*model.shape, modem.STACK_ENTRIES))
+    cap, as even as they can be.  A width that fails its check runs as
+    ``frames`` chunks of one frame, whose products are the frame's own."""
+    chunks = -(-frames // _chunk_cap(*model.shape))
     width = -(-frames // chunks)
+    if width > 1 and not _width_keeps_bits(*model.shape, width):
+        chunks, width = frames, 1
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
 
 
@@ -506,12 +499,11 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     A stacked model decodes all its frames at once, and stops when the whole
     stack has settled.  The ``B`` frames are held as ``(chunks, N, b, M)``,
     ``chunks = ceil(B / cap)`` and ``b = ceil(B / chunks)``, so each side of
-    ``C`` is one GEMM per chunk.  ``cap`` is a round's ``STACK_ENTRIES //
-    (N*M)`` frames, fewer where a product would reach ``SERIAL_GEMM_MNK``,
-    where a set-up check has found the chunked products bitwise equal to the
-    per-frame ones on this machine (``N >= 2`` and ``M % 4 == 0``), and 1
-    elsewhere, so that a chunk's products are its frame's own.  Either way
-    each frame comes out with the bits it has alone.
+    ``C`` is one GEMM per chunk.  ``cap`` is the most frames whose products
+    stay below ``SERIAL_GEMM_MNK`` (1 unless ``N >= 2`` and ``M % 4 == 0``).
+    Each width ``b > 1`` is checked against the per-frame products the first
+    time a process runs it, and one that differs runs as ``B`` chunks of one
+    frame.  Either way each frame comes out with the bits it has alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")

@@ -825,14 +825,18 @@ class TestWideOperator:
         (np.s_[-1, -1], -np.nan),
         (np.s_[0, :4], [np.inf, -np.inf, np.nan, -0.0]),
     )
-    # the widths the set-up check probes at each preset shape: 1..9 frames,
-    # the cap, and where a round holds more than the cap, every width above
-    # half the cap
-    PROBED = {
-        (4, 4): [*range(1, 10), 512],
-        (16, 8): [*range(1, 10), *range(16, 32)],
-        (16, 16): [*range(1, 16)],
-    }
+    # the cap at each preset shape: the most frames whose products stay on
+    # one BLAS thread
+    CAPS = {(4, 4): 1023, (16, 8): 31, (16, 16): 15}
+
+    @pytest.fixture(autouse=True)
+    def fresh_checks(self):
+        """Clear the width check's cached verdicts before and after each test:
+        one that patches the products the check compares leaves its own
+        verdicts behind, and one that counts the check's runs needs none."""
+        detect._width_keeps_bits.cache_clear()
+        yield
+        detect._width_keeps_bits.cache_clear()
 
     @staticmethod
     def stack(n, m, frames, sigma, seed, specials=()):
@@ -848,15 +852,18 @@ class TestWideOperator:
             return detect.refresh_observation(base, y)
 
     @staticmethod
-    def cap(n, m, entries):
-        """A round's frames, or fewer where a product would reach 2^16."""
-        return min(entries // (n * m), (detect.SERIAL_GEMM_MNK - 1) // (n * m * max(n, m)))
+    def cap(n, m):
+        """The most frames whose products stay below 2^16."""
+        return (detect.SERIAL_GEMM_MNK - 1) // (n * m * max(n, m))
 
     @staticmethod
+    @contextlib.contextmanager
     def forced_chunks():
-        """Skip the set-up check: every frame shape runs chunked, at the cap
-        the check would give it."""
-        return mock.patch.object(detect, "_chunk_cap", TestWideOperator.cap)
+        """Skip the shape refusal and the width check: every frame shape runs
+        chunked, at the cap of the one-thread bound."""
+        with mock.patch.object(detect, "_chunk_cap", TestWideOperator.cap), \
+                mock.patch.object(detect, "_width_keeps_bits", lambda n, m, width: True):
+            yield
 
     @staticmethod
     def layout(frames, cap):
@@ -895,7 +902,7 @@ class TestWideOperator:
         frames = data.draw(st.one_of(st.just(bound), st.integers(1, bound)), label="frames")
         models = self.stack(n, m, frames, sigma, seed, specials)
         omegas = np.random.default_rng(seed).uniform(0.2, 1.3, size=(frames, 1, 1))
-        cap = self.cap(n, m, modem.STACK_ENTRIES)
+        cap = self.cap(n, m)
         recording, paths = self.recorded_paths()
         with self.forced_chunks(), np.errstate(invalid="ignore", over="ignore"):
             with recording:
@@ -947,15 +954,16 @@ class TestWideOperator:
                 lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                 return np.empty(lead + (rows, cols), dtype=complex)
 
-        monkeypatch.setattr(detect, "_chunk_cap", lambda n, m, entries: cap)
+        monkeypatch.setattr(detect, "_width_keeps_bits", lambda n, m, width: True)
         monkeypatch.setattr(detect, "_gram_matrices", lambda model: (
             np.empty((model.shape[0],) * 2, complex).view(Gemms),
             np.empty((model.shape[1],) * 2, complex).view(Gemms),
         ))
         shapes = {(cfg.n, cfg.m) for cfg in harness.PRESETS.values()}
-        assert shapes == set(self.PROBED)
+        assert shapes == set(self.CAPS)
         for n, m in sorted(shapes):
-            cap = self.PROBED[n, m][-1]
+            cap = self.CAPS[n, m]
+            assert detect._chunk_cap(n, m) == cap
             model = make_model(n, m, 0.8, 0.85)
             budget = modem.STACK_ENTRIES // (n * m)
             for frames in range(1, 4 * budget + 1):
@@ -965,14 +973,16 @@ class TestWideOperator:
                 op(np.empty((chunks, n, width, m), dtype=complex))
                 assert products == [n * n * width * m, n * width * m * m]
                 assert max(products) < detect.SERIAL_GEMM_MNK
+            # one frame more would reach the bound
+            assert n * (cap + 1) * m * max(n, m) >= detect.SERIAL_GEMM_MNK
 
     @pytest.mark.parametrize("n,m", [(1, 4), (1, 16), (3, 5), (4, 3), (1, 1), (2, 2)])
-    def test_check_refuses_shapes_before_any_product(self, n, m):
-        def no_products(gtg, hth, chunks, width):
-            raise AssertionError("the check formed a chunked product")
+    def test_check_refuses_shapes_before_any_product(self, n, m, monkeypatch):
+        def no_check(n, m, width):
+            raise AssertionError("a refused shape was checked")
 
-        with mock.patch.object(detect, "_chunked_operator", no_products):
-            assert detect._chunk_cap.__wrapped__(n, m, modem.STACK_ENTRIES) == 1
+        monkeypatch.setattr(detect, "_width_keeps_bits", no_check)
+        assert detect._chunk_cap(n, m) == 1
         # a refused shape runs as chunks of one frame, each with its own bits;
         # None stands for a model of one (N, M) frame
         for frames in (1, 3, 40, None):
@@ -990,11 +1000,11 @@ class TestWideOperator:
                 model = detect.refresh_observation(models, y)
                 assert same_bits(detect.im_soft_decode(model, omega, 20), w)
 
-    # a whole round at 4x4; at 16 rows the most frames whose products stay
-    # on one BLAS thread
+    # the widest chunk a round runs: a whole round at 4x4; at 16 rows the
+    # most frames whose products stay on one BLAS thread
     @pytest.mark.parametrize("n,m,bound", [(4, 4, 512), (16, 8, 31), (16, 16, 15)])
     def test_check_accepts_the_preset_shapes(self, n, m, bound, monkeypatch):
-        # on this machine's BLAS: one chunk of each probed width
+        # on this machine's BLAS: one chunk of each width a round can run
         sizes = []
         original = detect._chunked_operator
 
@@ -1003,11 +1013,60 @@ class TestWideOperator:
             return lambda x: sizes.append((chunks, x.size)) or op(x)
 
         monkeypatch.setattr(detect, "_chunked_operator", sized)
-        assert detect._chunk_cap.__wrapped__(n, m, modem.STACK_ENTRIES) == bound
-        assert sizes == [(1, k * n * m) for k in self.PROBED[n, m]]
-        assert self.PROBED[n, m][-1] == bound
-        assert bound * n * m <= modem.STACK_ENTRIES
-        assert bound * n * m * max(n, m) < detect.SERIAL_GEMM_MNK
+        assert min(modem.STACK_ENTRIES // (n * m), detect._chunk_cap(n, m)) == bound
+        widths = range(2, bound + 1)
+        assert all(detect._width_keeps_bits(n, m, width) for width in widths)
+        assert sizes == [(1, width * n * m) for width in widths]
+
+    def test_each_width_that_runs_is_checked_once(self, monkeypatch):
+        # the (N, M, width) the check ran, leaving out the calls its cache
+        # answered
+        checked = []
+        original = detect._width_keeps_bits
+
+        def counted(n, m, width):
+            misses = original.cache_info().misses
+            verdict = original(n, m, width)
+            if original.cache_info().misses > misses:
+                checked.append((n, m, width))
+            return verdict
+
+        monkeypatch.setattr(detect, "_width_keeps_bits", counted)
+        # mixed stack sizes, some repeated; at 16x16 some cut into chunks
+        sizes = {(4, 4): [1, 2, 37, 2, 512, 1, 37, 300, 9, 512],
+                 (16, 16): [1, 15, 16, 32, 7, 15, 20, 1, 32]}
+        recording, paths = self.recorded_paths()
+        ran = []
+        with recording:
+            for (n, m), counts in sizes.items():
+                for frames in counts:
+                    models = self.stack(n, m, frames, 0.3, seed=frames + n)
+                    detect.im_soft_decode(models, 0.5, 3)
+                    ran.append((n, m, self.layout(frames, self.cap(n, m))[1]))
+        # each stack ran at the width of its cap, or as chunks of one frame
+        # where its width failed the check
+        for (n, m, _), (frames, layout) in zip(ran, paths, strict=True):
+            assert layout in [self.layout(frames, self.cap(n, m)), (frames, 1)]
+        # the widths above 1 that ran, each checked once, and no width 1
+        assert sorted(checked) == sorted({key for key in ran if key[2] > 1})
+
+    def test_a_width_that_fails_its_check_runs_as_chunks_of_one(self, monkeypatch):
+        # a BLAS kernel that sums a chunk of 37 frames in another order
+        original = detect._chunked_operator
+
+        def skewed(gtg, hth, chunks, width):
+            op = original(gtg, hth, chunks, width)
+            return (lambda x: op(x) * (1 + 2**-52)) if width == 37 else op
+
+        monkeypatch.setattr(detect, "_chunked_operator", skewed)
+        recording, paths = self.recorded_paths()
+        for frames in (37, 36):
+            models = self.stack(4, 4, frames, 0.3, seed=101)
+            omegas = np.linspace(0.25, 1.2, frames)[:, None, None]
+            with recording:
+                got = detect.im_soft_decode(models, omegas, 75)
+            assert same_bits(got, im_soft_decode_every_step(models, omegas, 75))
+        assert paths == [(37, (37, 1)), (36, (1, 36))]
 
     def test_cap_of_one_gives_the_forced_caps_bits(self, monkeypatch):
         models = self.stack(4, 4, 50, 0.3, seed=98)
@@ -1016,7 +1075,7 @@ class TestWideOperator:
         with recording:
             with self.forced_chunks():
                 chunked = detect.im_soft_decode(models, omegas, 75)
-            monkeypatch.setattr(detect, "_chunk_cap", lambda n, m, entries: 1)
+            monkeypatch.setattr(detect, "_chunk_cap", lambda n, m: 1)
             one_each = detect.im_soft_decode(models, omegas, 75)
         assert paths == [(50, (1, 50)), (50, (50, 1))]
         assert same_bits(chunked, one_each)
@@ -1043,7 +1102,7 @@ class TestWideOperator:
         assert paths == [(6, six), (6, six), (1, (1, 1)), (1, (1, 1))]
 
     def test_stack_above_the_cap_runs_in_balanced_chunks(self, monkeypatch):
-        monkeypatch.setattr(modem, "STACK_ENTRIES", 4 * 16)  # four 4x4 frames
+        monkeypatch.setattr(detect, "SERIAL_GEMM_MNK", 257)  # four 4x4 frames
         models = self.stack(4, 4, 5, 0.0, seed=99)
         head = detect.refresh_observation(models, models.y_t[:4])
         omegas = np.linspace(0.25, 1.0, 5)[:, None, None]
