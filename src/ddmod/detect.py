@@ -370,7 +370,8 @@ def distortion_operator(model):
 
     Its fixed-point inverse is the zero-forcing solution; both matrices have
     unit diagonal for the modem factors, so the matched-filter output is
-    symbol plus interference at the symbol's own scale.
+    symbol plus interference at the symbol's own scale.  It is the tests'
+    reference for the chunked operator of :func:`im_soft_decode`.
     """
     gtg, hth = _gram_matrices(model)
     return lambda s: gtg @ s @ hth
@@ -392,12 +393,7 @@ def _chunked_operator(gtg, hth, chunks, width):
 
 def _chunk_cap(n_rows, m_cols):
     """Most frames one chunk of the chunked operator may take: the most whose
-    products stay below ``SERIAL_GEMM_MNK``.  Shapes with ``N < 2`` or
-    ``M % 4 != 0`` get 1: of those with ``N, M <= 16`` all but 1x1 and 1x4
-    differ on OpenBLAS's Haswell kernels.
-    """
-    if n_rows < 2 or m_cols % 4:
-        return 1
+    products stay below ``SERIAL_GEMM_MNK``, and at least 1."""
     return max(1, (SERIAL_GEMM_MNK - 1) // (n_rows * m_cols * max(n_rows, m_cols)))
 
 
@@ -406,7 +402,10 @@ def _width_keeps_bits(n_rows, m_cols, width):
     """Whether one chunk of ``width`` frames forms each frame's products
     bitwise: only where the BLAS kernel sums each entry in the per-frame
     order, which depends on the shape, the width and the CPU.  Checked on
-    the machine that decodes, the first time a process runs the width."""
+    the machine that decodes, the first time a process runs the width.  On
+    OpenBLAS 0.3.31's Haswell kernels, of the 256 shapes with ``N, M <= 16``
+    the 194 that fail at some width are those with ``N < 2`` or
+    ``M % 4 != 0``, all but 1x1 and 1x4."""
     rng = np.random.default_rng(0)
     gtg = rng.normal(size=(n_rows, 2 * n_rows)).view(complex)
     hth = rng.normal(size=(m_cols, 2 * m_cols)).view(complex)
@@ -421,29 +420,11 @@ def _stack_operator(model, frames):
     of its ``(chunks, N, width, M)`` iterate: the fewest chunks within the
     cap, as even as they can be.  A width that fails its check runs as
     ``frames`` chunks of one frame, whose products are the frame's own."""
-    chunks = -(-frames // _chunk_cap(*model.shape))
+    chunks = max(1, -(-frames // _chunk_cap(*model.shape)))
     width = -(-frames // chunks)
     if width > 1 and not _width_keeps_bits(*model.shape, width):
         chunks, width = frames, 1
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
-
-
-def im_decode(model, omega, iterations):
-    """Relaxed fixed-point recursion inverting the correlation operator.
-
-    ``x_k = omega * (x_0 - C(x_{k-1})) + x_{k-1}`` starting from the matched
-    filter output ``x_0``; converges to the zero-forcing solution when
-    ``omega < 2 / rho(C)``.  Divergence is observable through the residual,
-    never an error.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    op = distortion_operator(model)
-    x0 = matched_filter_estimate(model)
-    x = x0.copy()
-    for _ in range(iterations):
-        x = omega * (x0 - op(x)) + x
-    return x
 
 
 def soft_clip(w, d):
@@ -453,19 +434,16 @@ def soft_clip(w, d):
     otherwise, with ``sign(0) = +1`` and ``sign(NaN) = +1``.  A kept entry,
     signed zero included, passes through unchanged.  For ``d <= 1`` the
     output lies in the closed unit square and the map is idempotent.  The
-    input is not modified.
+    input is not modified.  It is the tests' reference for the clip of
+    :func:`im_soft_decode`.
     """
     if d < 0:
         raise ValueError("threshold must be non-negative")
     w = np.array(w, dtype=complex, order="C")
-    _clip_axes(w.reshape(-1).view(float), d)
-    return w
-
-
-def _clip_axes(p, d):
-    """Clip the float array ``p`` in place."""
+    p = w.reshape(-1).view(float)
     # not copysign, which differs at -0.0, and not abs(p) >= d, which keeps NaN
     np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~(np.abs(p) < d))
+    return w
 
 
 def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
@@ -483,27 +461,29 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     and since ``d_r`` only shrinks every later step clips ``w`` to the same
     ``s`` again.  So the result is the ``H``-step iterate.
 
-    Each step with ``d_r > 0`` clips in place with no mask or branch: it
-    keeps ``|p| < d_r < 1`` and takes the rest to ``1`` (a min, then a max),
-    then copies the sign of ``p`` back onto it.  The last step (``d_r = 0``)
-    uses the rule of :func:`soft_clip`.  The two agree on every finite or
-    infinite entry, signed zeros included.  A NaN stays the same NaN here
-    where :func:`soft_clip` maps it to +1, which cannot change the result: a
+    Every step clips in place with no mask or branch: it keeps
+    ``|p| < d_r < 1`` and takes the rest to ``1`` (a min, then a max), then
+    copies the sign of ``p`` back onto it.  The last step (``d_r = 0``)
+    keeps nothing, and first adds ``+0.0`` so that a ``-0.0`` takes the sign
+    ``+1``.  This agrees with :func:`soft_clip` on every finite or infinite
+    entry, signed zeros included.  A NaN stays the same NaN here where
+    :func:`soft_clip` maps it to +1, which cannot change the result: a
     non-finite observation makes the frame's whole ``w_0`` NaN, and with it
     every iterate.
 
     ``omega`` is a scalar, or one relaxation factor per frame shaped like
     the observation with unit frame axes: ``(1, 1)`` for one frame and
     ``(B, 1, 1)`` for a stack; any other shape raises ``ValueError``.
+    Either way it becomes one factor per float of the iterate.
 
     A stacked model decodes all its frames at once, and stops when the whole
     stack has settled.  The ``B`` frames are held as ``(chunks, N, b, M)``,
     ``chunks = ceil(B / cap)`` and ``b = ceil(B / chunks)``, so each side of
     ``C`` is one GEMM per chunk.  ``cap`` is the most frames whose products
-    stay below ``SERIAL_GEMM_MNK`` (1 unless ``N >= 2`` and ``M % 4 == 0``).
-    Each width ``b > 1`` is checked against the per-frame products the first
-    time a process runs it, and one that differs runs as ``B`` chunks of one
-    frame.  Either way each frame comes out with the bits it has alone.
+    stay below ``SERIAL_GEMM_MNK``.  Each width ``b > 1`` is checked against
+    the per-frame products the first time a process runs it, and one that
+    differs runs as ``B`` chunks of one frame.  Either way each frame comes
+    out with the bits it has alone.  An empty stack gives an empty result.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -520,10 +500,9 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     stack = frames if chunks * width == len(frames) else frames[fill]
     w0 = np.ascontiguousarray(stack.reshape(chunks, width, *model.shape).swapaxes(1, 2))
     w = w0.copy()
-    if np.ndim(omega):
-        # a full operand multiplies faster than one broadcast on short rows
-        omega = np.reshape(omega, -1)[fill].reshape(chunks, 1, width, 1)
-        omega = np.broadcast_to(omega, w.view(float).shape).copy()
+    # a full operand multiplies faster than one broadcast on short rows
+    omega = np.broadcast_to(omega, per_frame).reshape(-1)[fill].reshape(chunks, 1, width, 1)
+    omega = np.broadcast_to(omega, w.view(float).shape).copy()
     p_prev = None
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
@@ -531,17 +510,14 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         # view by 1/clip_scale gives the values of a complex division
         s, p = w, w.view(float)
         p *= 1.0 / clip_scale
-        if d > 0:
-            a = np.abs(p)
-            clipped = a >= d
-            np.minimum(a, 1.0, out=a)
-            np.maximum(a, clipped, out=a)
-            np.copysign(a, p, out=p)
-            all_clipped = np.count_nonzero(clipped) == p.size
-        else:
-            # d = 0 only at the last step, which ends the loop, settled or not
-            _clip_axes(p, d)
-            all_clipped = False
+        if d == 0:
+            p += 0.0  # so -0.0 clips to +1, as in soft_clip
+        a = np.abs(p)
+        clipped = a >= d
+        np.minimum(a, 1.0, out=a)
+        np.maximum(a, clipped, out=a)
+        np.copysign(a, p, out=p)
+        all_clipped = np.count_nonzero(clipped) == p.size
         p *= clip_scale
         # the float views compare as the complex entries do, in less time
         settled = p_prev is not None and all_clipped and np.array_equal(p, p_prev)

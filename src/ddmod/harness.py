@@ -116,16 +116,17 @@ class SweepConfig:
             if kind is float:
                 if not _is_real(value):
                     raise ValueError(f"{name} must be a real number, got {value!r}")
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, _to_float(name, value))
             if kind is tuple:
                 if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
                     raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
-                object.__setattr__(self, name, tuple(float(x) for x in value))
+                object.__setattr__(self, name, tuple(_to_float(name, x) for x in value))
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.radius_policy not in RADIUS_POLICIES:
             raise ValueError(f"radius_policy must be one of {RADIUS_POLICIES}")
         modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
+        self.eta  # refuses an alpha * beta that underflows to 0
         modem.get_constellation(self.constellation)
         if self.iterations < 1 or self.k_list < 1:
             raise ValueError("iterations and k_list must be at least 1")
@@ -191,6 +192,14 @@ _FIELDS = {_JSON_KEYS.get(field.name, field.name): field for field in fields(Swe
 
 def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _to_float(name, value):
+    """``float(value)``, refusing a number past the float range by ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number too large for a float") from None
 
 
 def _to_plain(value):

@@ -211,6 +211,8 @@ def overloading_factor(alpha, beta):
     """Fractional symbol excess over the orthogonal budget, ``1/(alpha*beta) - 1``."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("compression factors must be positive")
+    if alpha * beta == 0:
+        raise ValueError(f"compression factors {alpha!r} and {beta!r} multiply to 0.0")
     return 1.0 / (alpha * beta) - 1.0
 
 

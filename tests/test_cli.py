@@ -99,7 +99,14 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
      "ebn0_db_points must be in [-3000, 3000] dB"),
     ('{"M": 2, "N": 2,', "Expecting property name enclosed in double quotes"),
     (None, "No such file or directory"),
-], ids=["missing_key", "list", "bad_value", "far_ebn0", "bad_json", "no_file"])
+    ('{"M": 2, "N": 2, "alpha": 1%s, "beta": 1}' % ("0" * 400),
+     "alpha holds a number too large for a float"),
+    ('{"M": 2, "N": 2, "alpha": 1, "beta": 1, "decoder": "im_soft", "omega_values": [1%s]}'
+     % ("0" * 400), "omega_values holds a number too large for a float"),
+    ('{"M": 2, "N": 2, "alpha": 1e-200, "beta": 1e-200}',
+     "compression factors 1e-200 and 1e-200 multiply to 0.0"),
+], ids=["missing_key", "list", "bad_value", "far_ebn0", "bad_json", "no_file", "huge_alpha",
+        "huge_omega", "alpha_beta_underflow"])
 def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "sweep.json"
     if text is not None:

@@ -98,6 +98,11 @@ class TestSweepConfig:
         ({"ebn0_db_points": [-4000.0]}, "ebn0_db_points"),
         ({"master_seed": -1}, "master_seed"),
         ({"master_seed": 2**64}, "master_seed"),
+        ({"alpha": 10**400}, "alpha holds a number too large for a float"),
+        ({"beta": -(10**400)}, "beta holds a number too large for a float"),
+        ({"ebn0_db_points": [0, 10**400]}, "ebn0_db_points holds a number too large"),
+        ({"omega_values": [0.5, 10**400]}, "omega_values holds a number too large"),
+        ({"alpha": 1e-200, "beta": 1e-200}, "compression factors .* multiply to 0.0"),
     ]
 
     @pytest.mark.parametrize("override, match", [

@@ -218,6 +218,12 @@ class TestOverloadingFactor:
     def test_orthogonal_limit_is_zero(self):
         assert modem.overloading_factor(1.0, 1.0) == 0.0
 
+    def test_product_that_underflows_is_refused(self):
+        with pytest.raises(ValueError, match=r"1e-200 and 1e-200 multiply to 0\.0"):
+            modem.overloading_factor(1e-200, 1e-200)
+        # a subnormal product still has its factor, as the formula gives it
+        assert modem.overloading_factor(1e-160, 1e-160) == np.inf
+
     def test_strictly_decreasing_in_each_factor(self):
         etas = [modem.overloading_factor(a, 0.9) for a in (0.7, 0.8, 0.9, 1.0)]
         assert all(x > y for x, y in zip(etas, etas[1:]))
