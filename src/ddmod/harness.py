@@ -11,7 +11,10 @@ calling process.  The cells are dealt round-robin into one group per worker,
 and the pool receives the set-up with each group.  A group runs its cells in
 lockstep rounds: each round, every live cell adds its next frames to one
 ``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
-together, one call per layer and round.  A cell sizes its share of a round
+together, one call per layer and round.  One decode
+(:meth:`_SweepRunner.decode`) serves every decoder: it returns the round's
+estimates and a ``(B,)`` integer array of each frame's multiplies plus adds,
+zeros for the decoders that count none.  A cell sizes its share of a round
 from its running BER, so a round may compute frames past a cell's stop
 rule, but the cell counts its frames only up to the first at which a
 frame-by-frame loop would stop: frames past the stop rule may be computed,
@@ -31,6 +34,7 @@ sidecar holding the fully resolved configuration and its hash.
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -44,38 +48,8 @@ import numpy as np
 from . import channel, detect, modem
 
 
-def _matched(runner, model, omega):
-    return detect.matched_filter_estimate(model), None
-
-
-def _im_soft(runner, model, omega):
-    return runner.im_soft(model, omega), None
-
-
-def _sd2d(runner, model, omega, radius_sq=None, initial=None):
-    est, _, counter = detect.sd2d_decode(
-        model, runner.constellation, runner.cfg.k_list, radius_sq=radius_sq, initial=initial
-    )
-    return est, counter.mults + counter.adds
-
-
-def _sd2d_im_init(runner, model, omega):
-    initial = detect.hard_demap(runner.im_soft(model, omega), runner.constellation)
-    radius = None if runner.cfg.radius_policy == "im_init" else np.inf
-    return _sd2d(runner, model, omega, radius_sq=radius, initial=initial)
-
-
-# decoder name -> (decode step, whether the decoder takes omega).  A step maps
-# (runner, stacked model, (B, 1, 1) omega or None) to (estimates, a (B,) int
-# array of each frame's multiplies plus adds, or None) and looks the detect
-# functions up when called, so wrappers installed on the module see the calls.
-_DECODER_TABLE = {
-    "matched": (_matched, False),
-    "im_soft": (_im_soft, True),
-    "sd2d": (_sd2d, False),
-    "sd2d_im_init": (_sd2d_im_init, True),
-}
-DECODERS = tuple(_DECODER_TABLE)
+DECODERS = ("matched", "im_soft", "sd2d", "sd2d_im_init")
+_OMEGA_DECODERS = ("im_soft", "sd2d_im_init")
 RADIUS_POLICIES = ("im_init", "infinite")
 WORKERS_ENV = "DDMOD_WORKERS"
 
@@ -150,7 +124,7 @@ class SweepConfig:
 
     @property
     def uses_omega(self):
-        return _DECODER_TABLE[self.decoder][1]
+        return self.decoder in _OMEGA_DECODERS
 
     @property
     def eta(self):
@@ -159,13 +133,8 @@ class SweepConfig:
     def cells(self):
         """Stable enumeration of (cell_index, ebn0_db, omega)."""
         omegas = self.omega_values if self.uses_omega else (None,)
-        out = []
-        idx = 0
-        for e in self.ebn0_db_points:
-            for w in omegas:
-                out.append((idx, e, w))
-                idx += 1
-        return out
+        grid = itertools.product(self.ebn0_db_points, omegas)
+        return [(i, e, w) for i, (e, w) in enumerate(grid)]
 
     def to_json_dict(self):
         return {key: _to_plain(getattr(self, field.name)) for key, field in _FIELDS.items()}
@@ -270,14 +239,31 @@ class _SweepRunner:
             np.zeros((cfg.n, cfg.m), dtype=complex),
         )
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
-        self.decode_step = _DECODER_TABLE[cfg.decoder][0]
         # built by the first frame's substream, then reset for every frame
         self.rng = None
 
-    def im_soft(self, model, omega):
-        return detect.im_soft_decode(
-            model, omega, self.cfg.iterations, clip_scale=self.constellation.axis_magnitude
+    def decode(self, model, omega):
+        """Estimates of a stacked model's ``B`` frames and a ``(B,)`` integer
+        array of each frame's multiplies plus adds, zeros for ``matched`` and
+        ``im_soft``.  ``omega`` is ``(B, 1, 1)``, or ``None`` for a decoder
+        that takes none.  The ``detect`` functions are looked up when called,
+        so wrappers installed on the module see the calls.
+        """
+        cfg, q = self.cfg, self.constellation
+        ops = np.zeros(len(model.y_t), dtype=int)
+        if cfg.decoder == "matched":
+            return detect.matched_filter_estimate(model), ops
+        radius = initial = None
+        if cfg.uses_omega:
+            est = detect.im_soft_decode(model, omega, cfg.iterations, clip_scale=q.axis_magnitude)
+            if cfg.decoder == "im_soft":
+                return est, ops
+            initial = detect.hard_demap(est, q)
+            radius = None if cfg.radius_policy == "im_init" else np.inf
+        est, _, counter = detect.sd2d_decode(
+            model, q, cfg.k_list, radius_sq=radius, initial=initial
         )
+        return est, counter.mults + counter.adds
 
     def transmit(self, frames, sigma_sq):
         """Sent bits ``(B, bits)`` and the stacked receiver model of ``B`` frames.
@@ -335,7 +321,10 @@ class _SweepRunner:
                 # three sigma rather than 1.96 computes fewer frames past the
                 # stop rule, in about as many rounds
                 high = wilson_interval(cell.bit_errors, cell.frames * bpf, z=3.0)[1]
-                guess = min(math.ceil(left / (bpf * high)), budget // len(live))
+                # a left past the round's bits asks for the whole budget
+                # anyway; clamped, a huge min_bit_errors divides as a float
+                guess = math.ceil(min(left, bpf * budget) / (bpf * high))
+                guess = min(guess, budget // len(live))
                 take = min(cfg.max_frames - cell.frames, max(need, guess), budget - size)
                 takes.append((cell, take))
                 size += take
@@ -349,7 +338,7 @@ class _SweepRunner:
             omega = None
             if cfg.uses_omega:
                 omega = np.repeat([cell.omega for cell, _ in takes], counts)[:, None, None]
-            est, frame_ops = self.decode_step(self, model, omega)
+            est, frame_ops = self.decode(model, omega)
             errors = np.sum(modem.demap_symbols(est, self.constellation) != bits, axis=1)
             now = time.perf_counter()
             share, clock = (now - clock) / size, now
@@ -363,8 +352,7 @@ class _SweepRunner:
                 cell.frames += used
                 cell.bit_errors += int(running[used - 1])
                 cell.wall_time += share * take
-                if frame_ops is not None:
-                    ops[cell.cell_index] += int(frame_ops[start:start + used].sum())
+                ops[cell.cell_index] += int(frame_ops[start:start + used].sum())
                 start += take
             live = [
                 cell for cell in live
@@ -382,6 +370,9 @@ class _SweepRunner:
 def default_workers():
     env = os.environ.get(WORKERS_ENV)
     if not env:
+        # the CPUs this process may run on, where the platform tells
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(env)

@@ -36,25 +36,33 @@ def _im_soft_steps(model, omega, iterations, clip_scale):
     its ``H``-step iterate, and the first step at which it may stop by its
     rule (``iterations`` when no step may).
 
-    Each step clips ``w / clip_scale`` as a complex array, the way the
-    decoder did before it learned to stop at an exact fixed point.  It may
+    Each step clips ``w / clip_scale`` with :func:`detect.soft_clip`, the way
+    the decoder did before it learned to stop at an exact fixed point.  It may
     stop at the first step whose clipped frame repeats the previous step's,
     with every axis of both clipped to the constellation's.  A stacked model
-    settles when all its frames do at once.
+    settles when all its frames do at once.  ``clip_scale`` and ``omega``
+    scale each float axis on its own, as in the decoder, so an infinity stays
+    on its axis where a complex product would put ``0 * inf`` on the other.
     """
     op = detect.distortion_operator(model)
     w0 = detect.matched_filter_estimate(model)
     w, s_prev, settle = w0, None, None
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
-        s = clip_scale * detect.soft_clip(w / clip_scale, d)
+        unit = detect.soft_clip((_axes(w) / clip_scale).view(complex), d)
+        s = (_axes(unit) * clip_scale).view(complex)
         # below one, d keeps no axis at the clip level, so these were clipped
         clipped = np.all(np.abs(s.view(float)) == clip_scale)
         if settle is None and clipped and s_prev is not None and np.array_equal(s, s_prev):
             settle = r
         s_prev = s if clipped else None
-        w = omega * (w0 - op(s)) + s
+        w = (_axes(w0 - op(s)) * omega).view(complex) + s
     return w, iterations if settle is None else settle
+
+
+def _axes(z):
+    """The float view of complex ``z``: real and imaginary parts interleaved."""
+    return np.ascontiguousarray(z).view(float)
 
 
 def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):

@@ -184,7 +184,8 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
             tx_bits, models = runner.transmit(
                 [(cell_index, f) for f in range(800)], [sigma_sq] * 800
             )
-            im_frames = detect.hard_demap(runner.im_soft(models, omega), q)
+            ws = detect.im_soft_decode(models, omega, cfg.iterations, clip_scale=q.axis_magnitude)
+            im_frames = detect.hard_demap(ws, q)
             sd_frames, sd_loss, _ = detect.sd2d_decode(
                 models, q, k_list=cfg.k_list, initial=im_frames
             )

@@ -283,3 +283,15 @@ def test_simulate_writes_under_a_plain_stem(tmp_path):
                    "--stem", "..fig"])
     assert rc == 0
     assert sorted(os.listdir(tmp_path / "out")) == ["..fig.config.json", "..fig.csv"]
+
+
+def test_simulate_runs_a_min_bit_errors_beyond_the_float_range(tmp_path):
+    config = {"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9, "decoder": "matched",
+              "ebn0_db_points": [4.0], "min_bit_errors": 10**400, "max_frames": 20}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--workers", "1"])
+    assert rc == 0
+    (row,) = csv.DictReader(open(tmp_path / "out" / "results.csv"))
+    assert row["bits"] == str(20 * 2 * 2 * 2)

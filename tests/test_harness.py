@@ -325,6 +325,13 @@ class TestRunSweep:
         assert result.completed
         assert (result.cells[0].frames, result.cells[0].bit_errors) == (10, 0)
 
+    def test_min_bit_errors_beyond_the_float_range_runs_to_max_frames(self):
+        cfg = tiny_config(ebn0_db_points=(0.0, 4.0), max_frames=20)
+        huge = harness.run_sweep(replace(cfg, min_bit_errors=10**400), workers=1)
+        big = harness.run_sweep(replace(cfg, min_bit_errors=10**18), workers=1)
+        assert results(huge.cells) == results(big.cells)
+        assert [c.frames for c in huge.cells] == [20, 20]
+
     def test_k_list_beyond_the_survivors_costs_nothing(self):
         # a 2x2 QPSK frame has at most 4**4 = 256 survivors
         cfg = tiny_config(decoder="sd2d", ebn0_db_points=(0.0, 6.0), max_frames=8)
@@ -343,6 +350,11 @@ class TestRunSweep:
         assert harness.default_workers() == 3
         monkeypatch.delenv(harness.WORKERS_ENV)
         assert harness.default_workers() >= 1
+
+    def test_default_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness.default_workers() == 1
 
     def test_worker_count_env_var_must_be_an_integer(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV, "abc")
@@ -413,7 +425,7 @@ class TestBatchedChain:
         sigma_sq = [channel.noise_variance(e, runner.eb) for _, _, e, _ in frames]
         bits, models = runner.transmit([(c, f) for c, f, _, _ in frames], sigma_sq)
         omega = np.array([w for _, _, _, w in frames])[:, None, None]
-        ws = runner.im_soft(models, omega)
+        ws = detect.im_soft_decode(models, omega, iterations, clip_scale=q.axis_magnitude)
         initial = detect.hard_demap(ws, q)
         sd_hat, sd_loss, sd_ops = detect.sd2d_decode(models, q, k_list, initial=initial)
         for i, (cell_index, frame_index, _, w) in enumerate(frames):
@@ -421,7 +433,7 @@ class TestBatchedChain:
             assert np.array_equal(bits[i], bits_1)
             assert same_bits(models.y_t[i], model_1.y_t)
             assert same_bits(models.u[i], model_1.u)
-            w_1 = runner.im_soft(model_1, w)
+            w_1 = detect.im_soft_decode(model_1, w, iterations, clip_scale=q.axis_magnitude)
             assert np.array_equal(ws[i], w_1)
             sd_1 = detect.sd2d_decode(model_1, q, k_list, initial=detect.hard_demap(w_1, q))
             assert np.array_equal(sd_hat[i], sd_1[0]) and sd_loss[i] == sd_1[1]
@@ -443,6 +455,66 @@ class TestBatchedChain:
         for i in (0, 2, 3):
             assert same_bits(models.y_t[i], clean[i])
         assert not np.array_equal(models.y_t[1], clean[1])
+
+
+class TestDecode:
+    DETECTORS = ("matched_filter_estimate", "im_soft_decode", "hard_demap", "sd2d_decode")
+    CALLS = {
+        "matched": ["matched_filter_estimate"],
+        "im_soft": ["im_soft_decode"],
+        "sd2d": ["sd2d_decode"],
+        "sd2d_im_init": ["im_soft_decode", "hard_demap", "sd2d_decode"],
+    }
+
+    @classmethod
+    def record_harness_calls(cls, monkeypatch):
+        """(name, args, kwargs, result) of each detector call made by the harness."""
+        calls = []
+        for name in cls.DETECTORS:
+            def recorded(*args, _name=name, _original=getattr(detect, name), **kwargs):
+                result = _original(*args, **kwargs)
+                if sys._getframe(1).f_globals["__name__"] == harness.__name__:
+                    calls.append((_name, args, kwargs, result))
+                return result
+
+            monkeypatch.setattr(detect, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("policy", harness.RADIUS_POLICIES)
+    @pytest.mark.parametrize("decoder", harness.DECODERS)
+    def test_one_decode_serves_every_decoder(self, decoder, policy, monkeypatch):
+        runner = harness._SweepRunner(tiny_config(
+            m=3, n=2, decoder=decoder, iterations=4, k_list=3, radius_policy=policy
+        ))
+        cfg, q, frames = runner.cfg, runner.constellation, 5
+        _, model = runner.transmit([(0, j) for j in range(frames)], [0.3] * frames)
+        omega = np.linspace(0.4, 0.9, frames)[:, None, None] if cfg.uses_omega else None
+        calls = self.record_harness_calls(monkeypatch)
+        est, ops = runner.decode(model, omega)
+        assert [name for name, *_ in calls] == self.CALLS[decoder]
+        assert est.shape == (frames, 2, 3)
+        assert ops.shape == (frames,) and ops.dtype.kind == "i"
+        (_, args, kwargs, first), *rest = calls
+        assert args[0] is model and args[0].y_t.shape == (frames, 2, 3)
+        if cfg.uses_omega:
+            # iterations in third place, as a probe of the benchmark reads it
+            assert len(args) == 3 and args[1] is omega and args[2] == cfg.iterations
+            assert kwargs == {"clip_scale": q.axis_magnitude}
+        if decoder == "sd2d_im_init":
+            (_, demap_args, _, initial), (_, args, kwargs, _) = rest
+            assert demap_args[0] is first and demap_args[1] is q
+        if decoder.startswith("sd2d"):
+            # the initial estimate as a keyword, as a probe of the benchmark reads it
+            s_hat, _, counter = calls[-1][3]
+            assert len(args) == 3 and args[1] is q and args[2] == cfg.k_list
+            assert kwargs["initial"] is (initial if cfg.uses_omega else None)
+            infinite = cfg.uses_omega and policy == "infinite"
+            assert kwargs["radius_sq"] == (np.inf if infinite else None)
+            assert est is s_hat
+            assert np.array_equal(ops, counter.mults + counter.adds) and ops.all()
+        else:
+            assert est is first
+            assert not ops.any()
 
 
 class TestLockstepRounds:
