@@ -378,15 +378,20 @@ def distortion_operator(model):
 
 
 def _chunked_operator(gtg, hth, chunks, width):
-    """The correlation operator on a ``(chunks, N, width, M)`` stack: one
-    GEMM per side and chunk.  One chunk runs as 2-D products, which cost
-    less than a stack of one."""
+    """The correlation operator on a ``(chunks, N, width, M)`` stack, as
+    ``op(x, out)``: it writes ``C(x)`` into ``out`` and returns it, one GEMM
+    per side and chunk, through one half-product buffer.  One chunk runs as
+    2-D products, which cost less than a stack of one."""
     n_rows, m_cols = len(gtg), len(hth)
     lead = () if chunks == 1 else (chunks,)
     cols, rows = lead + (n_rows, width * m_cols), lead + (n_rows * width, m_cols)
+    half = np.empty(cols, dtype=complex)
+    half_rows = half.reshape(rows)
 
-    def op(x):
-        return ((gtg @ x.reshape(cols)).reshape(rows) @ hth).reshape(x.shape)
+    def op(x, out):
+        np.matmul(gtg, x.reshape(cols), out=half)
+        np.matmul(half_rows, hth, out=out.reshape(rows))
+        return out
 
     return op
 
@@ -411,7 +416,8 @@ def _width_keeps_bits(n_rows, m_cols, width):
     hth = rng.normal(size=(m_cols, 2 * m_cols)).view(complex)
     s = rng.normal(size=(width, n_rows, 2 * m_cols)).view(complex)
     want = (gtg @ s @ hth).transpose(1, 0, 2)
-    got = _chunked_operator(gtg, hth, 1, width)(np.ascontiguousarray(s.transpose(1, 0, 2)))
+    x = np.ascontiguousarray(s.transpose(1, 0, 2))
+    got = _chunked_operator(gtg, hth, 1, width)(x, np.empty_like(x))
     return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -461,12 +467,14 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     and since ``d_r`` only shrinks every later step clips ``w`` to the same
     ``s`` again.  So the result is the ``H``-step iterate.
 
-    Every step clips in place with no mask or branch: it keeps
-    ``|p| < d_r < 1`` and takes the rest to ``1`` (a min, then a max), then
-    copies the sign of ``p`` back onto it.  The last step (``d_r = 0``)
-    keeps nothing, and first adds ``+0.0`` so that a ``-0.0`` takes the sign
-    ``+1``.  This agrees with :func:`soft_clip` on every finite or infinite
-    entry, signed zeros included.  A NaN stays the same NaN here where
+    The iterate lives in two buffers allocated once per call: each step
+    clips one in place and has the operator write the next iterate into the
+    other, so no step allocates.  Every step clips with no mask or branch:
+    it keeps ``|p| < d_r < 1`` and takes the rest to ``1`` (a min, then a
+    max), then copies the sign of ``p`` back onto it.  The last step
+    (``d_r = 0``) keeps nothing, and first adds ``+0.0`` so that a ``-0.0``
+    takes the sign ``+1``.  This agrees with :func:`soft_clip` on every
+    finite or infinite entry, signed zeros included.  A NaN stays the same NaN here where
     :func:`soft_clip` maps it to +1, which cannot change the result: a
     non-finite observation makes the frame's whole ``w_0`` NaN, and with it
     every iterate.
@@ -499,21 +507,25 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     fill = np.minimum(np.arange(chunks * width), len(frames) - 1)
     stack = frames if chunks * width == len(frames) else frames[fill]
     w0 = np.ascontiguousarray(stack.reshape(chunks, width, *model.shape).swapaxes(1, 2))
-    w = w0.copy()
+    # two iterates with their float views: each step clips one in place into
+    # s and writes the next w into the other, so s is intact until compared
+    w, s = w0.copy(), np.empty_like(w0)
+    (w, q), (s, p) = (w, w.view(float)), (s, s.view(float))
+    a, clipped = np.empty(p.shape), np.empty(p.shape, bool)  # the clip's |p| and mask
     # a full operand multiplies faster than one broadcast on short rows
     omega = np.broadcast_to(omega, per_frame).reshape(-1)[fill].reshape(chunks, 1, width, 1)
-    omega = np.broadcast_to(omega, w.view(float).shape).copy()
+    omega = np.broadcast_to(omega, a.shape).copy()
     p_prev = None
     for r in range(1, iterations + 1):
         d = max(0.0, 1.0 - r / iterations)
-        # w is this step's own array, so it becomes s; scaling the float
-        # view by 1/clip_scale gives the values of a complex division
-        s, p = w, w.view(float)
+        (s, p), (w, q) = (w, q), (s, p)
+        # scaling the float view by 1/clip_scale gives the values of a
+        # complex division
         p *= 1.0 / clip_scale
         if d == 0:
             p += 0.0  # so -0.0 clips to +1, as in soft_clip
-        a = np.abs(p)
-        clipped = a >= d
+        np.abs(p, out=a)
+        np.greater_equal(a, d, out=clipped)
         np.minimum(a, 1.0, out=a)
         np.maximum(a, clipped, out=a)
         np.copysign(a, p, out=p)
@@ -521,15 +533,14 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         p *= clip_scale
         # the float views compare as the complex entries do, in less time
         settled = p_prev is not None and all_clipped and np.array_equal(p, p_prev)
-        w = op(s)
+        op(s, w)
         np.subtract(w0, w, out=w)
-        p = w.view(float)
-        p *= omega
+        q *= omega
         w += s
         if settled:
             break
         # only a fully clipped s can start a fixed point
-        p_prev = s.view(float) if all_clipped else None
+        p_prev = p if all_clipped else None
     w = np.ascontiguousarray(w.swapaxes(1, 2)).reshape(-1, *model.shape)[: len(frames)]
     return w.reshape(shape)
 

@@ -14,12 +14,12 @@ lockstep rounds: each round, every live cell adds its next frames to one
 together, one call per layer and round.  One decode
 (:meth:`_SweepRunner.decode`) serves every decoder: it returns the round's
 estimates and a ``(B,)`` integer array of each frame's multiplies plus adds,
-zeros for the decoders that count none.  A cell sizes its share of a round
-from its running BER, so a round may compute frames past a cell's stop
-rule, but the cell counts its frames only up to the first at which a
-frame-by-frame loop would stop: frames past the stop rule may be computed,
-and are never counted.  ``modem.STACK_ENTRIES`` caps the symbols stacked in
-one round.
+zeros for the decoders that count none.  A cell asks for frames from its
+running BER, and the cells share each round's budget max-min fairly, so a
+round may compute frames past a cell's stop rule, but the cell counts its
+frames only up to the first at which a frame-by-frame loop would stop:
+frames past the stop rule may be computed, and are never counted.
+``modem.STACK_ENTRIES`` caps the symbols stacked in one round.
 
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
@@ -291,20 +291,22 @@ class _SweepRunner:
         """Run the cells ``[(cell_index, ebn0_db, omega)]`` in lockstep rounds.
 
         Each round every live cell adds its next frames to one stack, at
-        most ``modem.STACK_ENTRIES`` symbols in all.  A cell adds as many as
-        its missing errors take at the three-sigma Wilson upper bound of its
-        BER (inverse binomial sampling; the bound is 1.0 before its first
-        frame), at least as many as ``min_bit_errors`` could need, at most an
-        even share of the budget above that, and never more than it may
-        still send.  After the decode a cell counts its frames in order up
-        to the first at which its running error count reaches
+        most ``modem.STACK_ENTRIES`` symbols in all.  A cell wants as many
+        as its missing errors take at the three-sigma Wilson upper bound of
+        its BER (inverse binomial sampling; the bound is 1.0 before its first
+        frame), at least as many as ``min_bit_errors`` could need, and never
+        more than it may still send.  The budget is shared max-min fairly
+        (:func:`_share`): a cell that wants less than an even share leaves
+        the rest to the others, so a round fills its budget whenever the
+        cells want that much.  After the decode a cell counts its frames in
+        order up to the first at which its running error count reaches
         ``min_bit_errors``; the frames after it were computed but are
         dropped: neither their errors nor their operations are counted.  So a
         cell stops at exactly the frame where a frame-by-frame loop would
-        stop.  A cell's frames are contiguous in the stack, so its frames,
-        errors and operations are booked once per round.  A cell's
-        ``wall_time`` is its share of the rounds, split by the frames
-        computed.
+        stop.  A cell's frames are contiguous in the stack, in ``live``
+        order, so its frames, errors and operations are booked once per
+        round.  A cell's ``wall_time`` is its share of the rounds, split by
+        the frames computed.
         """
         cfg, bpf = self.cfg, self.bits_per_frame
         cells = [BerCell(cell_index=i, ebn0_db=e, omega=w) for i, e, w in group]
@@ -314,7 +316,7 @@ class _SweepRunner:
         live = cells
         clock = time.perf_counter()
         while live:
-            takes, size = [], 0  # (cell, frames it adds), frames in the round
+            wants = []
             for cell in live:
                 left = cfg.min_bit_errors - cell.bit_errors
                 need = -(-left // bpf)
@@ -324,13 +326,11 @@ class _SweepRunner:
                 # a left past the round's bits asks for the whole budget
                 # anyway; clamped, a huge min_bit_errors divides as a float
                 guess = math.ceil(min(left, bpf * budget) / (bpf * high))
-                guess = min(guess, budget // len(live))
-                take = min(cfg.max_frames - cell.frames, max(need, guess), budget - size)
-                takes.append((cell, take))
-                size += take
-                if size == budget:
-                    break
+                wants.append(min(cfg.max_frames - cell.frames, max(need, guess)))
+            # (cell, frames it adds), in live order, so its frames are contiguous
+            takes = [(cell, take) for cell, take in zip(live, _share(wants, budget)) if take]
             counts = [take for _, take in takes]
+            size = sum(counts)
             bits, model = self.transmit(
                 [(cell.cell_index, cell.frames + j) for cell, take in takes for j in range(take)],
                 np.repeat([sigma_sq[cell.cell_index] for cell, _ in takes], counts),
@@ -365,6 +365,21 @@ class _SweepRunner:
             cell.ci_low, cell.ci_high = wilson_interval(cell.bit_errors, cell.bits_sent)
             cell.mean_decoder_ops = ops[cell.cell_index] / cell.frames
         return cells
+
+
+def _share(wants, budget):
+    """Max-min fair grants of ``budget`` frames to cells wanting ``wants``.
+
+    The cells are served in ascending order of want, ties in list order, and
+    each gets ``min(want, rest // cells_left)``.  So the grants add up to
+    ``min(sum(wants), budget)``, a cell short of its want gets at least every
+    other grant less one, and a larger want never gets a smaller grant.
+    """
+    grants, rest = [0] * len(wants), budget
+    for served, i in enumerate(sorted(range(len(wants)), key=wants.__getitem__)):
+        grants[i] = min(wants[i], rest // (len(wants) - served))
+        rest -= grants[i]
+    return grants
 
 
 def default_workers():

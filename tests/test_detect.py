@@ -669,9 +669,9 @@ class TestImSoftFixedPoint:
         def counting(model, frames):
             op, layout = original(model, frames)
 
-            def counted(s):
+            def counted(s, out):
                 steps.append(s.swapaxes(1, 2).reshape(-1, *model.shape)[:frames].copy())
-                return op(s)
+                return op(s, out)
 
             return counted, layout
 
@@ -776,6 +776,22 @@ class TestImSoftFixedPoint:
         steps = self.counted_steps(monkeypatch)
         assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
         assert len(steps) == settle < 75
+
+    # each step writes the next iterate into the other of two buffers, so
+    # a stack that settles at an odd step ends in the other one than at an
+    # even step
+    @pytest.mark.parametrize("sigma,seed,settle", [
+        (0.0, 94, 16), (0.0, 90, 19), (0.2, 100, 56), (0.2, 94, 51),
+    ])
+    def test_stacks_settling_at_odd_and_even_steps_match_the_full_loop(
+        self, sigma, seed, settle, monkeypatch
+    ):
+        models = self.stack(4, 10, sigma, seed)
+        assert im_soft_settling_step(models, 0.5, 75) == settle
+        steps = self.counted_steps(monkeypatch)
+        got = detect.im_soft_decode(models, 0.5, 75)
+        assert len(steps) == settle
+        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 75))
 
     def test_stack_stops_when_its_last_frame_settles(self, monkeypatch):
         models = self.stack(4, 6, 0.3, seed=95)
@@ -924,17 +940,18 @@ class TestWideOperator:
         products = []
 
         class Gemms(np.ndarray):
-            """An operand that records each GEMM of a product with it, and
-            runs none."""
+            """An operand that records each GEMM of a product with it into
+            a given output, and runs none."""
 
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                assert ufunc is np.matmul and method == "__call__" and not kwargs
+            def __array_ufunc__(self, ufunc, method, *inputs, out):
+                assert ufunc is np.matmul and method == "__call__"
                 a, b = (np.asarray(x) for x in inputs)
                 (rows, inner), (inner_b, cols) = a.shape[-2:], b.shape[-2:]
                 assert inner == inner_b
                 products.append(rows * inner * cols)
                 lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                return np.empty(lead + (rows, cols), dtype=complex)
+                assert out[0].shape == lead + (rows, cols)
+                return out[0]
 
         monkeypatch.setattr(detect, "_width_keeps_bits", lambda n, m, width: True)
         monkeypatch.setattr(detect, "_gram_matrices", lambda model: (
@@ -952,7 +969,8 @@ class TestWideOperator:
                 op, (chunks, width) = detect._stack_operator(model, frames)
                 assert (chunks, width) == self.layout(frames, cap)
                 products.clear()
-                op(np.empty((chunks, n, width, m), dtype=complex))
+                x = np.empty((chunks, n, width, m), dtype=complex)
+                assert op(x, np.empty_like(x)).shape == x.shape
                 assert products == [n * n * width * m, n * width * m * m]
                 assert max(products) < detect.SERIAL_GEMM_MNK
             # one frame more would reach the bound
@@ -997,7 +1015,7 @@ class TestWideOperator:
 
         def sized(gtg, hth, chunks, width):
             op = original(gtg, hth, chunks, width)
-            return lambda x: sizes.append((chunks, x.size)) or op(x)
+            return lambda x, out: sizes.append((chunks, x.size)) or op(x, out)
 
         monkeypatch.setattr(detect, "_chunked_operator", sized)
         assert min(modem.STACK_ENTRIES // (n * m), detect._chunk_cap(n, m)) == bound
@@ -1043,7 +1061,11 @@ class TestWideOperator:
 
         def skewed(gtg, hth, chunks, width):
             op = original(gtg, hth, chunks, width)
-            return (lambda x: op(x) * (1 + 2**-52)) if width == 37 else op
+
+            def skew(x, out):
+                return np.multiply(op(x, out), 1 + 2**-52, out=out)
+
+            return skew if width == 37 else op
 
         monkeypatch.setattr(detect, "_chunked_operator", skewed)
         recording, paths = self.recorded_paths()

@@ -586,6 +586,47 @@ class TestLockstepRounds:
         one_frame = harness.run_sweep(cfg, workers=1)
         assert results(one_frame.cells) == results(full.cells)
 
+    @staticmethod
+    def recorded_rounds(monkeypatch):
+        """A patch of the runner's ``transmit`` that hands back each round's
+        ``(cell_index, frame_index)`` keys, in stack order."""
+        rounds = []
+        original = harness._SweepRunner.transmit
+
+        def recorded(self, frames, sigma_sq):
+            rounds.append(list(frames))
+            return original(self, frames, sigma_sq)
+
+        monkeypatch.setattr(harness._SweepRunner, "transmit", recorded)
+        return rounds
+
+    def test_a_cell_that_wants_few_frames_leaves_the_rest_to_the_others(self, monkeypatch):
+        # a budget of 16 frames; the noiseless cell sees no error, so after
+        # its first round its bound asks for 19 frames, past an even share
+        monkeypatch.setattr(modem, "STACK_ENTRIES", 2 * 2 * 16)
+        rounds = self.recorded_rounds(monkeypatch)
+        cfg = tiny_config(ebn0_db_points=(-20.0, math.inf), master_seed=2, min_bit_errors=32,
+                          max_frames=40)
+        result = harness.run_sweep(cfg, workers=1)
+        assert [(c.frames, c.bit_errors) for c in result.cells] == [(9, 33), (40, 0)]
+        # the noisy cell wants 4 frames in the second round, and the rest of
+        # the budget goes to the noiseless one; each cell's frames stay
+        # contiguous, in cell order
+        assert rounds[1] == [(0, 4 + j) for j in range(4)] + [(1, 4 + j) for j in range(12)]
+        assert [len(keys) for keys in rounds] == [8, 16, 16, 9]
+
+    def test_fuller_rounds_on_a_cut_fig3_sweep(self, monkeypatch):
+        # an even share of the budget ran this sweep in 11 rounds that
+        # computed 1395 frames; the max-min share fills rounds with the
+        # frames the cells with the largest wants ask for
+        rounds = self.recorded_rounds(monkeypatch)
+        cfg = replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=400,
+                      master_seed=4)
+        result = harness.run_sweep(cfg, workers=1)
+        computed = sum(map(len, rounds))
+        assert (len(rounds), computed, sum(c.frames for c in result.cells)) == (9, 1401, 1390)
+        assert len(rounds) < 11 and computed <= 1.01 * 1395
+
     def test_rounds_never_stack_more_than_the_budget(self, monkeypatch):
         cfg = replace(harness.preset("fig2a"), ebn0_db_points=(10.0,),
                       omega_values=(0.25, 0.5, 0.75), min_bit_errors=10**9, max_frames=100)
@@ -602,6 +643,30 @@ class TestLockstepRounds:
         assert [c.frames for c in result.cells] == [100] * 3
         assert sum(stacked) == 300
         assert max(stacked) == budget
+
+
+class TestShare:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(wants=st.lists(st.integers(0, 1200), max_size=24), budget=st.integers(1, 1100))
+    def test_grants_share_the_budget_max_min_fairly(self, wants, budget):
+        grants = harness._share(wants, budget)
+        assert len(grants) == len(wants)
+        assert all(0 <= grant <= want for grant, want in zip(grants, wants))
+        assert sum(grants) == min(sum(wants), budget)
+        for grant, want in zip(grants, wants):
+            # a larger want never gets a smaller grant, and a cell short of
+            # its want is short of no other grant by more than the rounding
+            assert all(want <= other for g, other in zip(grants, wants) if grant < g)
+            if grant < want:
+                assert grant >= max(grants) - 1
+        assert harness._share(list(wants), budget) == grants
+
+    def test_a_small_want_leaves_the_rest_to_a_larger_one(self):
+        assert harness._share([4, 600], 512) == [4, 508]
+        assert harness._share([600, 4, 700], 512) == [254, 4, 254]
+        # the rounding goes to the later cells of a tie
+        assert harness._share([9, 9, 9], 10) == [3, 3, 4]
+        assert harness._share([], 512) == []
 
 
 class TestEmitResults:
