@@ -1,6 +1,6 @@
 """Non-orthogonal delay-Doppler modulation toolkit.
 
-Subpackages by concern:
+Modules by concern:
 
 - ``numerics``  dense complex linear algebra (QR with a fixed diagonal
   convention)

@@ -59,7 +59,7 @@ def _say(line):
 def _load_config(args):
     """The sweep config the ``simulate`` arguments name, ``--seed`` applied."""
     if args.preset:
-        cfg = harness.preset(args.preset)
+        cfg = harness.PRESETS[args.preset]
     else:
         with open(args.config) as fh:
             cfg = harness.SweepConfig.from_json_dict(json.load(fh))

@@ -361,20 +361,12 @@ def matched_filter_estimate(model):
 
 
 def _gram_matrices(model):
-    """``G+G`` and ``H+H``, the two sides of the correlation operator."""
+    """``G+G`` and ``H+H``, the two sides of the correlation operator
+    ``S -> (G+G) @ S @ (H+H)``, whose fixed-point inverse is the zero-forcing
+    solution.  Both have unit diagonal for the modem factors, so the
+    matched-filter output is symbol plus interference at the symbol's own
+    scale."""
     return model.g.conj().T @ model.g, model.h.conj().T @ model.h
-
-
-def distortion_operator(model):
-    """The composite correlation operator ``S -> (G+G) @ S @ (H+H)``.
-
-    Its fixed-point inverse is the zero-forcing solution; both matrices have
-    unit diagonal for the modem factors, so the matched-filter output is
-    symbol plus interference at the symbol's own scale.  It is the tests'
-    reference for the chunked operator of :func:`im_soft_decode`.
-    """
-    gtg, hth = _gram_matrices(model)
-    return lambda s: gtg @ s @ hth
 
 
 def _chunked_operator(gtg, hth, chunks, width):
@@ -433,25 +425,6 @@ def _stack_operator(model, frames):
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
 
 
-def soft_clip(w, d):
-    """Per-axis saturating clipper.
-
-    Each real axis maps ``p -> p`` when ``|p| < d`` and to ``sign(p)``
-    otherwise, with ``sign(0) = +1`` and ``sign(NaN) = +1``.  A kept entry,
-    signed zero included, passes through unchanged.  For ``d <= 1`` the
-    output lies in the closed unit square and the map is idempotent.  The
-    input is not modified.  It is the tests' reference for the clip of
-    :func:`im_soft_decode`.
-    """
-    if d < 0:
-        raise ValueError("threshold must be non-negative")
-    w = np.array(w, dtype=complex, order="C")
-    p = w.reshape(-1).view(float)
-    # not copysign, which differs at -0.0, and not abs(p) >= d, which keeps NaN
-    np.copyto(p, np.where(p < 0, -1.0, 1.0), where=~(np.abs(p) < d))
-    return w
-
-
 def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     """Iterative decoding with a shrinking soft clipper.
 
@@ -471,13 +444,12 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     clips one in place and has the operator write the next iterate into the
     other, so no step allocates.  Every step clips with no mask or branch:
     it keeps ``|p| < d_r < 1`` and takes the rest to ``1`` (a min, then a
-    max), then copies the sign of ``p`` back onto it.  The last step
-    (``d_r = 0``) keeps nothing, and first adds ``+0.0`` so that a ``-0.0``
-    takes the sign ``+1``.  This agrees with :func:`soft_clip` on every
-    finite or infinite entry, signed zeros included.  A NaN stays the same NaN here where
-    :func:`soft_clip` maps it to +1, which cannot change the result: a
-    non-finite observation makes the frame's whole ``w_0`` NaN, and with it
-    every iterate.
+    max), then copies the sign of ``p`` back onto it.  So each axis ``p``
+    is kept when ``|p| < d_r`` and goes to ``+1`` or ``-1``, the sign of
+    ``p``, otherwise.  The last step (``d_r = 0``) keeps nothing, and first
+    adds ``+0.0`` so that a ``-0.0`` goes to ``+1``.  A NaN stays the same
+    NaN, which cannot change the result: a non-finite observation makes the
+    frame's whole ``w_0`` NaN, and with it every iterate.
 
     ``omega`` is a scalar, or one relaxation factor per frame shaped like
     the observation with unit frame axes: ``(1, 1)`` for one frame and
@@ -523,7 +495,7 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
         # complex division
         p *= 1.0 / clip_scale
         if d == 0:
-            p += 0.0  # so -0.0 clips to +1, as in soft_clip
+            p += 0.0  # so -0.0 clips to +1
         np.abs(p, out=a)
         np.greater_equal(a, d, out=clipped)
         np.minimum(a, 1.0, out=a)

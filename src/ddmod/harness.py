@@ -521,10 +521,3 @@ PRESETS = {
         iterations=20, k_list=16, master_seed=20240, max_frames=3000,
     ),
 }
-
-
-def preset(name):
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None

@@ -40,7 +40,7 @@ def test_criterion_1_overloading_factors():
         "fig4b": (66.5, 1),
     }
     for name, (caption, decimals) in captions.items():
-        eta_pct = 100 * harness.preset(name).eta
+        eta_pct = 100 * harness.PRESETS[name].eta
         assert round(eta_pct, decimals) == caption, (name, eta_pct)
     elapsed = time.perf_counter() - start
     report("1 overloading factors", elapsed < 1.0, f"{elapsed:.2f}s")
@@ -155,7 +155,7 @@ def test_criterion_6_orthogonal_anchor():
 def test_criterion_7a_more_iterations_do_not_hurt():
     """Iteration scaling on the severe-overloading preset (eta = 119.5%)."""
     start = time.perf_counter()
-    base = replace(harness.preset("fig3"), omega_values=(1.0,),
+    base = replace(harness.PRESETS["fig3"], omega_values=(1.0,),
                    min_bit_errors=150, max_frames=3000)
     r75 = harness.run_sweep(replace(base, iterations=75), workers=2)
     r100 = harness.run_sweep(replace(base, iterations=100), workers=2)
@@ -176,7 +176,7 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
     BER never worse per point (within 2 SE), on both fig4 presets."""
     start = time.perf_counter()
     for preset_name in ("fig4a", "fig4b"):
-        runner = harness._SweepRunner(harness.preset(preset_name))
+        runner = harness._SweepRunner(harness.PRESETS[preset_name])
         cfg, q, bits_per_frame = runner.cfg, runner.constellation, runner.bits_per_frame
         omega = cfg.omega_values[0]
         for cell_index, ebn0 in enumerate(cfg.ebn0_db_points):
@@ -211,7 +211,7 @@ def test_criterion_7c_low_ber_under_moderate_overloading():
     top operating point with at least 1e6 bits simulated."""
     start = time.perf_counter()
     cfg = replace(
-        harness.preset("fig2a"),
+        harness.PRESETS["fig2a"],
         ebn0_db_points=(10.0,),
         omega_values=(0.25, 0.5, 0.75),
         min_bit_errors=10**9,  # run the full frame budget
@@ -233,7 +233,7 @@ def test_criterion_8_determinism_across_workers():
     """Rerunning a sweep with different worker counts yields identical rows."""
     start = time.perf_counter()
     cfg = replace(
-        harness.preset("fig4b"),
+        harness.PRESETS["fig4b"],
         ebn0_db_points=(0.0, 4.0),
         omega_values=(0.5,),
         min_bit_errors=15,

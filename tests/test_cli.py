@@ -82,6 +82,18 @@ def test_simulate_rejects_bad_worker_counts(tmp_path, capsys, workers, message):
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_simulate_refuses_an_unknown_preset_in_one_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--preset", "fig9", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith("ddmod simulate: error: argument --preset: invalid choice: 'fig9'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 1, "beta": 1, "bogus": 1}))

