@@ -29,7 +29,7 @@ def _add_simulate(sub):
     p.add_argument("--out", default="results", help="output directory (default: results/)")
     p.add_argument("--stem", default="results", help="output file stem")
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help=f"worker processes (default: ${harness.WORKERS_ENV} or cpu count)")
+                   help="worker processes (default: one per CPU this process may use)")
     p.set_defaults(handler=_cmd_simulate)
 
 
@@ -71,14 +71,13 @@ def _cmd_simulate(args):
         if args.stem in ("", ".", "..") or {os.sep, os.altsep} & set(args.stem):
             raise ValueError(f"--stem must be a file name with no directory, got {args.stem!r}")
         cfg = _load_config(args)
-        workers = harness.default_workers() if args.workers is None else args.workers
         os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"ddmod: error: {exc}", file=sys.stderr)
         return 2
     _say(f"sweep: {cfg.decoder} on ({cfg.m}x{cfg.n}) alpha={cfg.alpha} beta={cfg.beta} "
          f"eta={100 * cfg.eta:.1f}% seed={cfg.master_seed}")
-    result = harness.run_sweep(cfg, workers=workers)
+    result = harness.run_sweep(cfg, workers=args.workers)
     for cell in result.cells:
         tag = f"omega={cell.omega}" if cell.omega is not None else "        "
         outcome = f"FAILED: {cell.error}" if cell.error is not None else (

@@ -425,15 +425,15 @@ def _stack_operator(model, frames):
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
 
 
-def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
+def im_soft_decode(model, omega, iterations, constellation):
     """Iterative decoding with a shrinking soft clipper.
 
     Iterates ``r = 1..H`` with threshold ``d_r = max(0, 1 - r/H)``, where
     ``H = iterations``.  Each step forms the clipped tentative frame
-    ``s = clip(w, d_r)`` in units of ``clip_scale`` (the constellation's
-    per-axis magnitude) and applies the relaxed update anchored on the
-    clipped iterate, ``w <- omega * (w_0 - C(s)) + s``, whose fixed point is
-    the interference-cancelled observation, stable under noise.
+    ``s = clip(w, d_r)`` in units of ``constellation.axis_magnitude``, the
+    points' per-axis magnitude, and applies the relaxed update anchored on
+    the clipped iterate, ``w <- omega * (w_0 - C(s)) + s``, whose fixed
+    point is the interference-cancelled observation, stable under noise.
 
     The loop stops early at an exact fixed point: once two consecutive steps
     clip every entry with the same sign pattern, ``s`` and then ``w`` repeat,
@@ -471,7 +471,7 @@ def im_soft_decode(model, omega, iterations, clip_scale=2**-0.5):
     if np.ndim(omega) and np.shape(omega) != per_frame:
         raise ValueError(f"omega must be a scalar or shaped {per_frame}, got {np.shape(omega)}")
     w0 = matched_filter_estimate(model)
-    shape = w0.shape
+    shape, clip_scale = w0.shape, constellation.axis_magnitude
     frames = w0.reshape(-1, *model.shape)
     op, (chunks, width) = _stack_operator(model, len(frames))
     # copies of the last frame and its omega fill the last chunk: a copy

@@ -51,7 +51,6 @@ from . import channel, detect, modem
 DECODERS = ("matched", "im_soft", "sd2d", "sd2d_im_init")
 _OMEGA_DECODERS = ("im_soft", "sd2d_im_init")
 RADIUS_POLICIES = ("im_init", "infinite")
-WORKERS_ENV = "DDMOD_WORKERS"
 
 # the config-file keys that differ from their field's name; the SweepConfig
 # fields give every key, its order in the file and whether it is required
@@ -255,7 +254,7 @@ class _SweepRunner:
             return detect.matched_filter_estimate(model), ops
         radius = initial = None
         if cfg.uses_omega:
-            est = detect.im_soft_decode(model, omega, cfg.iterations, clip_scale=q.axis_magnitude)
+            est = detect.im_soft_decode(model, omega, cfg.iterations, q)
             if cfg.decoder == "im_soft":
                 return est, ops
             initial = detect.hard_demap(est, q)
@@ -383,19 +382,10 @@ def _share(wants, budget):
 
 
 def default_workers():
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        # the CPUs this process may run on, where the platform tells
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
-    return workers
+    """The CPUs this process may run on, where the platform tells."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_sweep(cfg, workers=None):
@@ -403,12 +393,14 @@ def run_sweep(cfg, workers=None):
 
     The cells are dealt into ``min(workers, cells)`` groups, and each group
     runs in lockstep (:meth:`_SweepRunner.run_group`), one group per pool
-    process.  ``workers`` defaults to the ``DDMOD_WORKERS`` environment
-    variable or one worker per core.  Results are independent of the worker
-    count.
+    process.  ``workers`` is an integer of at least 1, and defaults to one
+    worker per CPU in the process's affinity mask.  Results are independent
+    of the worker count.
     """
     if workers is None:
         workers = default_workers()
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells_spec = cfg.cells()

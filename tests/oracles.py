@@ -95,12 +95,12 @@ def _axes(z):
     return np.ascontiguousarray(z).view(float)
 
 
-def im_soft_decode_every_step(model, omega, iterations, clip_scale=2**-0.5):
+def im_soft_decode_every_step(model, omega, iterations, clip_scale):
     """The ``H``-step iterate of :func:`_im_soft_steps`."""
     return _im_soft_steps(model, omega, iterations, clip_scale)[0]
 
 
-def im_soft_settling_step(model, omega, iterations, clip_scale=2**-0.5):
+def im_soft_settling_step(model, omega, iterations, clip_scale):
     """The step at which the iterative soft decoder may stop, by its rule;
     see :func:`_im_soft_steps`."""
     return _im_soft_steps(model, omega, iterations, clip_scale)[1]

@@ -184,7 +184,7 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
             tx_bits, models = runner.transmit(
                 [(cell_index, f) for f in range(800)], [sigma_sq] * 800
             )
-            ws = detect.im_soft_decode(models, omega, cfg.iterations, clip_scale=q.axis_magnitude)
+            ws = detect.im_soft_decode(models, omega, cfg.iterations, q)
             im_frames = detect.hard_demap(ws, q)
             sd_frames, sd_loss, _ = detect.sd2d_decode(
                 models, q, k_list=cfg.k_list, initial=im_frames

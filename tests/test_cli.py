@@ -143,24 +143,6 @@ def test_simulate_rejects_an_out_of_range_seed_in_one_line(tmp_path, capsys, see
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("env,message", [
-    ("abc", "DDMOD_WORKERS must be an integer, got 'abc'"),
-    ("0", "DDMOD_WORKERS must be at least 1, got '0'"),
-], ids=["abc", "zero"])
-def test_simulate_reports_a_bad_worker_env_in_one_line(tmp_path, capsys, monkeypatch,
-                                                       env, message):
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9,
-                                    "decoder": "matched", "max_frames": 2}))
-    monkeypatch.setenv("DDMOD_WORKERS", env)
-    rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ddmod: error: {message}\n"
-    assert not (tmp_path / "out").exists()
-
-
 def test_simulate_bad_config_exits_2_without_traceback(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text('{"N": 2, "alpha": 1, "beta": 1}')
@@ -211,7 +193,7 @@ def test_simulate_preset_resolves_and_runs(tmp_path, capsys, monkeypatch):
     captured = {}
 
     def fake_run_sweep(cfg, workers=None):
-        captured["cfg"] = cfg
+        captured["cfg"], captured["workers"] = cfg, workers
         return harness.BerResult(config=cfg, cells=[])
 
     monkeypatch.setattr(harness, "run_sweep", fake_run_sweep)
@@ -220,7 +202,11 @@ def test_simulate_preset_resolves_and_runs(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert captured["cfg"].master_seed == 7
     assert captured["cfg"].alpha == 0.775
+    # the sweep, not the CLI, resolves an absent --workers
+    assert captured["workers"] is None
     assert (tmp_path / "results.csv").exists()
+    rc = cli.main(["simulate", "--preset", "fig4b", "--out", str(tmp_path), "--workers", "2"])
+    assert rc == 0 and captured["workers"] == 2
 
 
 @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "under_file"])

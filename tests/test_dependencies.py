@@ -1,4 +1,5 @@
-"""The core library depends on numpy and the standard library only."""
+"""The core library depends on numpy and the standard library only, and
+reads no environment variable."""
 
 import ast
 import re
@@ -52,6 +53,24 @@ def test_sweep_path_imports_no_other_ddmod_module():
         if module.startswith("ddmod.") and module.split(".")[1] not in SWEEP_PATH
     }
     assert not outside
+
+
+def test_core_reads_no_environment_variable():
+    # every setting comes from a config, a CLI flag or an argument, so no
+    # hidden knob can change a sweep
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads |= {
+            (path.name, node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        }
+        reads |= {(path.name, 0, name) for name in imported_modules(path)
+                  if name.startswith("os.") and name[3:] in names}
+    assert not reads
 
 
 def test_package_requires_numpy_only():

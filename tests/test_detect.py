@@ -15,6 +15,10 @@ from ddmod import detect, harness, modem, properties
 from oracles import (distortion_operator, im_soft_decode_every_step, im_soft_settling_step,
                      same_bits, soft_clip)
 
+Q = modem.qpsk()
+# its axis_magnitude is exactly 1.0
+UNIT = modem.Constellation(points=np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]))
+
 
 def make_model(n, m, alpha, beta, y=None):
     a = modem.build_doppler_matrix(alpha, n)
@@ -600,8 +604,8 @@ class TestImSoftDecode:
         b = modem.build_delay_matrix(0.9, 4)
         y = a @ s @ b.conj().T
         model = detect.build_effective_model(a, b, y)
-        omega, scale = 0.6, 2**-0.5
-        got = detect.im_soft_decode(model, omega, 1)
+        omega, scale = 0.6, Q.axis_magnitude
+        got = detect.im_soft_decode(model, omega, 1, Q)
         w0 = detect.matched_filter_estimate(model)
         op = distortion_operator(model)
         quant = scale * soft_clip(w0 / scale, 0.0)
@@ -614,7 +618,7 @@ class TestImSoftDecode:
         a = modem.build_doppler_matrix(1.0, 4)
         b = modem.build_delay_matrix(1.0, 4)
         model = detect.build_effective_model(a, b, a @ s @ b.conj().T)
-        w = detect.im_soft_decode(model, 1.0, 10)
+        w = detect.im_soft_decode(model, 1.0, 10, Q)
         assert np.array_equal(detect.hard_demap(w, q), s)
 
     def test_beats_matched_filter_on_noisy_batch(self):
@@ -632,7 +636,7 @@ class TestImSoftDecode:
             s = random_qpsk_frame(rng, n, m)
             noise = np.sqrt(0.05 / 2) * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
             model = detect.refresh_observation(base, a @ s @ b.conj().T + noise)
-            w = detect.im_soft_decode(model, 0.5, 40)
+            w = detect.im_soft_decode(model, 0.5, 40, Q)
             x0 = detect.matched_filter_estimate(model)
             err_soft += int(np.sum(detect.hard_demap(w, q) != s))
             err_matched += int(np.sum(detect.hard_demap(x0, q) != s))
@@ -643,7 +647,7 @@ class TestImSoftDecode:
         models = detect.refresh_observation(make_model(4, 3, 0.8, 0.85),
                                             np.zeros((0, 4, 3), dtype=complex))
         for omega in (0.5, np.zeros((0, 1, 1))):
-            got = detect.im_soft_decode(models, omega, 20)
+            got = detect.im_soft_decode(models, omega, 20, Q)
             assert got.shape == (0, 4, 3) and got.dtype == complex
 
 
@@ -685,12 +689,12 @@ class TestImSoftFixedPoint:
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_matches_the_loop_without_exit(self, n, frames, omega, iterations, sigma):
         models = self.stack(n, frames, sigma, seed=93 + n)
-        want = im_soft_decode_every_step(models, omega, iterations)
-        assert np.array_equal(detect.im_soft_decode(models, omega, iterations), want)
+        want = im_soft_decode_every_step(models, omega, iterations, Q.axis_magnitude)
+        assert np.array_equal(detect.im_soft_decode(models, omega, iterations, Q), want)
         # one relaxation factor per frame
         omegas = np.linspace(0.25, 1.2, frames)[:, None, None]
-        want = im_soft_decode_every_step(models, omegas, iterations)
-        assert np.array_equal(detect.im_soft_decode(models, omegas, iterations), want)
+        want = im_soft_decode_every_step(models, omegas, iterations, Q.axis_magnitude)
+        assert np.array_equal(detect.im_soft_decode(models, omegas, iterations, Q), want)
 
     @pytest.mark.parametrize("omega", [0.25, 1.0, 1.2])
     @pytest.mark.parametrize("iterations", [1, 75])
@@ -708,8 +712,8 @@ class TestImSoftFixedPoint:
         p[7, 0, :4] = [np.inf, -np.inf, np.nan, -0.0]
         with np.errstate(invalid="ignore", over="ignore"):
             models = detect.refresh_observation(models, y)
-            want = im_soft_decode_every_step(models, omega, iterations)
-            got = detect.im_soft_decode(models, omega, iterations)
+            want = im_soft_decode_every_step(models, omega, iterations, Q.axis_magnitude)
+            got = detect.im_soft_decode(models, omega, iterations, Q)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.isfinite(got[8:]).all()
 
@@ -727,11 +731,11 @@ class TestImSoftFixedPoint:
 
     @pytest.mark.parametrize("omega", [0.25, 1.0, 1.25])
     def test_clip_at_half_matches_bitwise_on_edge_values(self, omega):
-        # clip_scale 1 and two steps, so step 1 clips the observation at d = 0.5
+        # axis magnitude 1 and two steps, so step 1 clips the observation at d = 0.5
         models = self.clip_edge_stack()
         with np.errstate(invalid="ignore"):
-            want = im_soft_decode_every_step(models, omega, 2, clip_scale=1.0)
-            got = detect.im_soft_decode(models, omega, 2, clip_scale=1.0)
+            want = im_soft_decode_every_step(models, omega, 2, UNIT.axis_magnitude)
+            got = detect.im_soft_decode(models, omega, 2, UNIT)
         assert same_bits(got, want)
 
     def test_first_step_clips_edge_values_as_soft_clip_does(self, monkeypatch):
@@ -741,7 +745,7 @@ class TestImSoftFixedPoint:
         monkeypatch.setattr(detect, "matched_filter_estimate", lambda model: model.y_t.copy())
         steps = self.counted_steps(monkeypatch)
         with np.errstate(invalid="ignore"):
-            detect.im_soft_decode(models, 0.5, 2, clip_scale=1.0)
+            detect.im_soft_decode(models, 0.5, 2, UNIT)
         # a NaN stays the same NaN, where soft_clip maps it to +1
         p = models.y_t.view(float)
         want = np.where(np.isnan(p), p, soft_clip(models.y_t, 0.5).view(float))
@@ -760,8 +764,8 @@ class TestImSoftFixedPoint:
         monkeypatch.setattr(detect, "matched_filter_estimate", lambda model: model.y_t.copy())
         steps = self.counted_steps(monkeypatch)
         with np.errstate(invalid="ignore"):
-            got = detect.im_soft_decode(models, omegas, 1, clip_scale=1.0)
-            want = im_soft_decode_every_step(models, omegas, 1, clip_scale=1.0)
+            got = detect.im_soft_decode(models, omegas, 1, UNIT)
+            want = im_soft_decode_every_step(models, omegas, 1, UNIT.axis_magnitude)
         # a NaN stays the same NaN, where soft_clip maps it to +1
         p = models.y_t.view(float)
         clip = np.where(np.isnan(p), p, soft_clip(models.y_t, 0.0).view(float))
@@ -772,10 +776,10 @@ class TestImSoftFixedPoint:
 
     def test_noiseless_stack_stops_early(self, monkeypatch):
         models = self.stack(4, 10, 0.0, seed=94)
-        want = im_soft_decode_every_step(models, 0.5, 75)
-        settle = im_soft_settling_step(models, 0.5, 75)
+        want = im_soft_decode_every_step(models, 0.5, 75, Q.axis_magnitude)
+        settle = im_soft_settling_step(models, 0.5, 75, Q.axis_magnitude)
         steps = self.counted_steps(monkeypatch)
-        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
+        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75, Q), want)
         assert len(steps) == settle < 75
 
     # each step writes the next iterate into the other of two buffers, so
@@ -788,25 +792,25 @@ class TestImSoftFixedPoint:
         self, sigma, seed, settle, monkeypatch
     ):
         models = self.stack(4, 10, sigma, seed)
-        assert im_soft_settling_step(models, 0.5, 75) == settle
+        assert im_soft_settling_step(models, 0.5, 75, Q.axis_magnitude) == settle
         steps = self.counted_steps(monkeypatch)
-        got = detect.im_soft_decode(models, 0.5, 75)
+        got = detect.im_soft_decode(models, 0.5, 75, Q)
         assert len(steps) == settle
-        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 75))
+        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 75, Q.axis_magnitude))
 
     def test_stack_stops_when_its_last_frame_settles(self, monkeypatch):
         models = self.stack(4, 6, 0.3, seed=95)
-        want = im_soft_decode_every_step(models, 0.5, 75)
+        want = im_soft_decode_every_step(models, 0.5, 75, Q.axis_magnitude)
         steps = self.counted_steps(monkeypatch)
         alone = []
         for y in models.y_t:
             model = detect.refresh_observation(models, y)
-            detect.im_soft_decode(model, 0.5, 75)
-            assert len(steps) == im_soft_settling_step(model, 0.5, 75)
+            detect.im_soft_decode(model, 0.5, 75, Q)
+            assert len(steps) == im_soft_settling_step(model, 0.5, 75, Q.axis_magnitude)
             alone.append(len(steps))
             steps.clear()
-        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
-        assert len(steps) == max(alone) == im_soft_settling_step(models, 0.5, 75)
+        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75, Q), want)
+        assert len(steps) == max(alone) == im_soft_settling_step(models, 0.5, 75, Q.axis_magnitude)
         assert min(alone) < max(alone) < 75
 
 
@@ -905,12 +909,13 @@ class TestWideOperator:
         recording, paths = self.recorded_paths()
         with self.forced_chunks(), np.errstate(invalid="ignore", over="ignore"):
             with recording:
-                stacked = detect.im_soft_decode(models, omegas, iterations)
+                stacked = detect.im_soft_decode(models, omegas, iterations, Q)
             assert paths == [(frames, self.layout(frames, cap))]
-            assert same_bits(stacked, im_soft_decode_every_step(models, omegas, iterations))
+            want = im_soft_decode_every_step(models, omegas, iterations, Q.axis_magnitude)
+            assert same_bits(stacked, want)
             for y, omega, w in zip(models.y_t, omegas, stacked):
                 model = detect.refresh_observation(models, y)
-                assert same_bits(detect.im_soft_decode(model, omega, iterations), w)
+                assert same_bits(detect.im_soft_decode(model, omega, iterations, Q), w)
 
     # a round of 16 rows is cut into 2 or 3 chunks, the last one padded
     @pytest.mark.parametrize("n,m,frames,chunks,width", [
@@ -927,12 +932,13 @@ class TestWideOperator:
         recording, paths = self.recorded_paths()
         with np.errstate(invalid="ignore", over="ignore"):
             with recording:
-                stacked = detect.im_soft_decode(models, omegas, 75)
+                stacked = detect.im_soft_decode(models, omegas, 75, Q)
             assert paths == [(frames, (chunks, width))]
-            assert same_bits(stacked, im_soft_decode_every_step(models, omegas, 75))
+            want = im_soft_decode_every_step(models, omegas, 75, Q.axis_magnitude)
+            assert same_bits(stacked, want)
             for y, omega, w in zip(models.y_t, omegas, stacked):
                 model = detect.refresh_observation(models, y)
-                assert same_bits(detect.im_soft_decode(model, omega, 75), w)
+                assert same_bits(detect.im_soft_decode(model, omega, 75, Q), w)
         assert np.isnan(stacked[frames - 1]).all() and np.isfinite(stacked[1]).all()
 
     def test_every_product_stays_on_one_blas_thread(self, monkeypatch):
@@ -995,14 +1001,15 @@ class TestWideOperator:
                     models.y_t.shape[:-2] + (1, 1))
                 recording, paths = self.recorded_paths()
                 with recording:
-                    got = detect.im_soft_decode(models, omegas, 20)
+                    got = detect.im_soft_decode(models, omegas, 20, Q)
                 b = frames or 1
                 assert paths == [(b, (1, b) if b > 1 and keeps(n, m, b) else (b, 1))]
-                assert same_bits(got, im_soft_decode_every_step(models, omegas, 20))
+                want = im_soft_decode_every_step(models, omegas, 20, Q.axis_magnitude)
+                assert same_bits(got, want)
                 for y, omega, w in zip(models.y_t.reshape(-1, n, m), omegas.reshape(-1, 1, 1),
                                        got.reshape(-1, n, m)):
                     model = detect.refresh_observation(models, y)
-                    assert same_bits(detect.im_soft_decode(model, omega, 20), w)
+                    assert same_bits(detect.im_soft_decode(model, omega, 20, Q), w)
             # each stack's width above 1 was checked, and nothing else
             assert checked == [3, 40]
 
@@ -1047,7 +1054,7 @@ class TestWideOperator:
             for (n, m), counts in sizes.items():
                 for frames in counts:
                     models = self.stack(n, m, frames, 0.3, seed=frames + n)
-                    detect.im_soft_decode(models, 0.5, 3)
+                    detect.im_soft_decode(models, 0.5, 3, Q)
                     ran.append((n, m, self.layout(frames, self.cap(n, m))[1]))
         # each stack ran at the width of its cap, or as chunks of one frame
         # where its width failed the check
@@ -1074,8 +1081,8 @@ class TestWideOperator:
             models = self.stack(4, 4, frames, 0.3, seed=101)
             omegas = np.linspace(0.25, 1.2, frames)[:, None, None]
             with recording:
-                got = detect.im_soft_decode(models, omegas, 75)
-            assert same_bits(got, im_soft_decode_every_step(models, omegas, 75))
+                got = detect.im_soft_decode(models, omegas, 75, Q)
+            assert same_bits(got, im_soft_decode_every_step(models, omegas, 75, Q.axis_magnitude))
         assert paths == [(37, (37, 1)), (36, (1, 36))]
 
     def test_cap_of_one_gives_the_forced_caps_bits(self, monkeypatch):
@@ -1084,9 +1091,9 @@ class TestWideOperator:
         recording, paths = self.recorded_paths()
         with recording:
             with self.forced_chunks():
-                chunked = detect.im_soft_decode(models, omegas, 75)
+                chunked = detect.im_soft_decode(models, omegas, 75, Q)
             monkeypatch.setattr(detect, "_chunk_cap", lambda n, m: 1)
-            one_each = detect.im_soft_decode(models, omegas, 75)
+            one_each = detect.im_soft_decode(models, omegas, 75, Q)
         assert paths == [(50, (1, 50)), (50, (50, 1))]
         assert same_bits(chunked, one_each)
 
@@ -1101,13 +1108,13 @@ class TestWideOperator:
             for model, shape in bad:
                 want = f"omega must be a scalar or shaped {model.y_t.shape[:-2] + (1, 1)}, "
                 with pytest.raises(ValueError, match=re.escape(f"{want}got {shape}")):
-                    detect.im_soft_decode(model, np.full(shape, 0.5), 20)
+                    detect.im_soft_decode(model, np.full(shape, 0.5), 20, Q)
         assert paths == []
         # one factor per frame gives each frame the bits of a scalar omega
         with self.forced_chunks(chunked), recording:
             for model, shape in [(models, (6, 1, 1)), (one, (1, 1))]:
-                got = detect.im_soft_decode(model, np.full(shape, 0.5), 20)
-                assert same_bits(got, detect.im_soft_decode(model, 0.5, 20))
+                got = detect.im_soft_decode(model, np.full(shape, 0.5), 20, Q)
+                assert same_bits(got, detect.im_soft_decode(model, 0.5, 20, Q))
         six = (1, 6) if chunked else (6, 1)
         assert paths == [(6, six), (6, six), (1, (1, 1)), (1, (1, 1))]
 
@@ -1119,14 +1126,14 @@ class TestWideOperator:
         steps = TestImSoftFixedPoint.counted_steps(monkeypatch)
         recording, paths = self.recorded_paths()
         with recording:
-            got = detect.im_soft_decode(models, omegas, 75)
+            got = detect.im_soft_decode(models, omegas, 75, Q)
             # the copy of the last frame that fills the last chunk settles
             # with it, so the stack stops when the unpadded one would
-            assert len(steps) == im_soft_settling_step(models, omegas, 75) < 75
-            head_got = detect.im_soft_decode(head, omegas[:4], 75)
+            assert len(steps) == im_soft_settling_step(models, omegas, 75, Q.axis_magnitude) < 75
+            head_got = detect.im_soft_decode(head, omegas[:4], 75, Q)
         # two chunks of three frames, the last frame twice
         assert paths == [(5, (2, 3)), (4, (1, 4))]
-        assert same_bits(got, im_soft_decode_every_step(models, omegas, 75))
+        assert same_bits(got, im_soft_decode_every_step(models, omegas, 75, Q.axis_magnitude))
         assert same_bits(head_got, got[:4])
 
 

@@ -345,31 +345,19 @@ class TestRunSweep:
         assert results(huge.cells) == results(exhaustive.cells)
         assert peak < 4 * 2**20
 
-    def test_worker_count_env_var(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "3")
-        assert harness.default_workers() == 3
-        monkeypatch.delenv(harness.WORKERS_ENV)
-        assert harness.default_workers() >= 1
-
     def test_default_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert harness.default_workers() == 1
 
-    def test_worker_count_env_var_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "abc")
-        with pytest.raises(ValueError, match=f"{harness.WORKERS_ENV}.*'abc'"):
-            harness.default_workers()
-
-    @pytest.mark.parametrize("env", ["0", "-2"])
-    def test_workers_env_below_one_rejected(self, monkeypatch, env):
-        monkeypatch.setenv(harness.WORKERS_ENV, env)
-        with pytest.raises(ValueError, match=f"{harness.WORKERS_ENV} must be at least 1"):
-            harness.run_sweep(tiny_config(max_frames=1))
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+    @pytest.mark.parametrize("workers,message", [
+        (0, "workers must be at least 1, got 0"),
+        (-3, "workers must be at least 1, got -3"),
+        (1.5, "workers must be an integer, got 1.5"),
+        (True, "workers must be an integer, got True"),
+        ("2", "workers must be an integer, got '2'"),
+    ], ids=["0", "-3", "1.5", "True", "str"])
+    def test_worker_count_below_one_rejected(self, workers, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             harness.run_sweep(tiny_config(max_frames=1), workers=workers)
 
 
@@ -425,7 +413,7 @@ class TestBatchedChain:
         sigma_sq = [channel.noise_variance(e, runner.eb) for _, _, e, _ in frames]
         bits, models = runner.transmit([(c, f) for c, f, _, _ in frames], sigma_sq)
         omega = np.array([w for _, _, _, w in frames])[:, None, None]
-        ws = detect.im_soft_decode(models, omega, iterations, clip_scale=q.axis_magnitude)
+        ws = detect.im_soft_decode(models, omega, iterations, q)
         initial = detect.hard_demap(ws, q)
         sd_hat, sd_loss, sd_ops = detect.sd2d_decode(models, q, k_list, initial=initial)
         for i, (cell_index, frame_index, _, w) in enumerate(frames):
@@ -433,7 +421,7 @@ class TestBatchedChain:
             assert np.array_equal(bits[i], bits_1)
             assert same_bits(models.y_t[i], model_1.y_t)
             assert same_bits(models.u[i], model_1.u)
-            w_1 = detect.im_soft_decode(model_1, w, iterations, clip_scale=q.axis_magnitude)
+            w_1 = detect.im_soft_decode(model_1, w, iterations, q)
             assert np.array_equal(ws[i], w_1)
             sd_1 = detect.sd2d_decode(model_1, q, k_list, initial=detect.hard_demap(w_1, q))
             assert np.array_equal(sd_hat[i], sd_1[0]) and sd_loss[i] == sd_1[1]
@@ -498,8 +486,8 @@ class TestDecode:
         assert args[0] is model and args[0].y_t.shape == (frames, 2, 3)
         if cfg.uses_omega:
             # iterations in third place, as a probe of the benchmark reads it
-            assert len(args) == 3 and args[1] is omega and args[2] == cfg.iterations
-            assert kwargs == {"clip_scale": q.axis_magnitude}
+            assert len(args) == 4 and args[1] is omega and args[2] == cfg.iterations
+            assert args[3] is q and kwargs == {}
         if decoder == "sd2d_im_init":
             (_, demap_args, _, initial), (_, args, kwargs, _) = rest
             assert demap_args[0] is first and demap_args[1] is q
@@ -767,7 +755,7 @@ class TestDecoderOrdering:
         sigma_sq = channel.noise_variance(6.0, runner.eb)
         op = distortion_operator(runner.base_model)
         _, models = runner.transmit([(0, f) for f in range(40)], [sigma_sq] * 40)
-        ws = detect.im_soft_decode(models, 0.5, 20)
+        ws = detect.im_soft_decode(models, 0.5, 20, q)
         im_frames = detect.hard_demap(ws, q)
         _, sd_loss, _ = detect.sd2d_decode(models, q, k_list=16, initial=im_frames)
         assert np.all(sd_loss <= detect.total_objective(models, im_frames) * (1 + 1e-9))
