@@ -38,6 +38,7 @@ one ``(B,)`` integer array each for multiplies and additions.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,28 +177,22 @@ def partial_metric(model, s, row, col):
 def wavefront_schedule(n_rows, m_cols):
     """Visit order of the frame grid for the 2-D sphere decoder.
 
-    Starts at the bottom-right corner and expands in L-shaped shells toward
-    (0, 0), followed by full row/column strips when the frame is not square.
-    Every position appears exactly once and, when it is visited, its whole
-    lower-right quadrant has already been decided.
+    With ``up, left = n_rows-1-row, m_cols-1-col`` a cell's offsets from the
+    bottom-right corner, cells go in order of ``max(up, left)``: L-shaped
+    shells toward (0, 0), then full row or column strips when the frame is
+    not square.  Within a shell they go in order of ``min(up, left)``, the
+    column arm's cell before the row arm's.  Every position appears exactly
+    once and, when it is visited, its whole lower-right quadrant has already
+    been decided.
     """
     if n_rows < 1 or m_cols < 1:
         raise ValueError("grid dimensions must be at least 1")
-    order = [(n_rows - 1, m_cols - 1)]
-    for i in range(1, min(n_rows, m_cols)):
-        for k in range(i):
-            order.append((n_rows - 1 - k, m_cols - 1 - i))
-            order.append((n_rows - 1 - i, m_cols - 1 - k))
-        order.append((n_rows - 1 - i, m_cols - 1 - i))
-    if n_rows > m_cols:
-        for i in range(m_cols, n_rows):
-            for k in range(m_cols):
-                order.append((n_rows - 1 - i, m_cols - 1 - k))
-    elif m_cols > n_rows:
-        for i in range(n_rows, m_cols):
-            for k in range(n_rows):
-                order.append((n_rows - 1 - k, m_cols - 1 - i))
-    return order
+
+    def key(cell):
+        up, left = n_rows - 1 - cell[0], m_cols - 1 - cell[1]
+        return max(up, left), min(up, left), up >= left
+
+    return sorted(itertools.product(range(n_rows), range(m_cols)), key=key)
 
 
 @functools.lru_cache(maxsize=None)

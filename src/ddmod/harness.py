@@ -14,11 +14,12 @@ lockstep rounds: each round, every live cell adds its next frames to one
 together, one call per layer and round.  One decode
 (:meth:`_SweepRunner.decode`) serves every decoder: it returns the round's
 estimates and a ``(B,)`` integer array of each frame's multiplies plus adds,
-zeros for the decoders that count none.  A cell asks for frames from its
-running BER, and the cells share each round's budget max-min fairly, so a
-round may compute frames past a cell's stop rule, but the cell counts its
-frames only up to the first at which a frame-by-frame loop would stop:
-frames past the stop rule may be computed, and are never counted.
+zeros for the decoders that count none.  A cell asks for the frames its
+missing errors take at the upper confidence bound of its running BER, and
+the cells share each round's budget max-min fairly, so a round may compute
+frames past a cell's stop rule, but the cell counts its frames only up to
+the first at which a frame-by-frame loop would stop: frames past the stop
+rule may be computed, and are never counted.
 ``modem.STACK_ENTRIES`` caps the symbols stacked in one round.
 
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
@@ -293,19 +294,20 @@ class _SweepRunner:
         most ``modem.STACK_ENTRIES`` symbols in all.  A cell wants as many
         as its missing errors take at the three-sigma Wilson upper bound of
         its BER (inverse binomial sampling; the bound is 1.0 before its first
-        frame), at least as many as ``min_bit_errors`` could need, and never
-        more than it may still send.  The budget is shared max-min fairly
-        (:func:`_share`): a cell that wants less than an even share leaves
-        the rest to the others, so a round fills its budget whenever the
-        cells want that much.  After the decode a cell counts its frames in
-        order up to the first at which its running error count reaches
-        ``min_bit_errors``; the frames after it were computed but are
-        dropped: neither their errors nor their operations are counted.  So a
-        cell stops at exactly the frame where a frame-by-frame loop would
-        stop.  A cell's frames are contiguous in the stack, in ``live``
-        order, so its frames, errors and operations are booked once per
-        round.  A cell's ``wall_time`` is its share of the rounds, split by
-        the frames computed.
+        frame), and never more than it may still send.  The bound is at most
+        1, so the want already covers the frames the missing errors need at
+        one error a bit, or the whole budget when they need more.  The
+        budget is shared max-min fairly (:func:`_share`): a cell that wants
+        less than an even share leaves the rest to the others, so a round
+        fills its budget whenever the cells want that much.  After the
+        decode a cell counts its frames in order up to the first at which
+        its running error count reaches ``min_bit_errors``; the frames after
+        it were computed but are dropped: neither their errors nor their
+        operations are counted.  So a cell stops at exactly the frame where
+        a frame-by-frame loop would stop.  A cell's frames are contiguous in
+        the stack, in ``live`` order, so its frames, errors and operations
+        are booked once per round.  A cell's ``wall_time`` is its share of
+        the rounds, split by the frames computed.
         """
         cfg, bpf = self.cfg, self.bits_per_frame
         cells = [BerCell(cell_index=i, ebn0_db=e, omega=w) for i, e, w in group]
@@ -318,14 +320,13 @@ class _SweepRunner:
             wants = []
             for cell in live:
                 left = cfg.min_bit_errors - cell.bit_errors
-                need = -(-left // bpf)
                 # three sigma rather than 1.96 computes fewer frames past the
                 # stop rule, in about as many rounds
                 high = wilson_interval(cell.bit_errors, cell.frames * bpf, z=3.0)[1]
                 # a left past the round's bits asks for the whole budget
                 # anyway; clamped, a huge min_bit_errors divides as a float
                 guess = math.ceil(min(left, bpf * budget) / (bpf * high))
-                wants.append(min(cfg.max_frames - cell.frames, max(need, guess)))
+                wants.append(min(cfg.max_frames - cell.frames, guess))
             # (cell, frames it adds), in live order, so its frames are contiguous
             takes = [(cell, take) for cell, take in zip(live, _share(wants, budget)) if take]
             counts = [take for _, take in takes]
@@ -474,7 +475,7 @@ def emit_results(result, out_dir, stem="results"):
         raise OSError(f"failed writing results under {out_dir}: {exc}") from exc
     finally:
         for tmp_path in tmp.values():
-            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            with contextlib.suppress(OSError):
                 os.remove(tmp_path)
     return csv_path, json_path
 

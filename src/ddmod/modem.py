@@ -222,15 +222,17 @@ def map_bits(bits, constellation, n_rows, m_cols):
     A ``(B, bits)`` array maps row by row onto a ``(B, n_rows, m_cols)``
     stack of frames.
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     bps = constellation.bits_per_symbol
     if bits.ndim > 2 or bits.shape[-1:] != (n_rows * m_cols * bps,):
         raise ValueError(
             f"expected {n_rows * m_cols * bps} bits for a {n_rows}x{m_cols} frame, "
             f"got shape {bits.shape}"
         )
+    # checked before the cast, which would truncate 0.5 to a valid 0
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
+    bits = bits.astype(int, copy=False)
     weights = 1 << np.arange(bps - 1, -1, -1)
     idx = bits.reshape(-1, bps) @ weights
     return constellation.points[idx].reshape(*bits.shape[:-1], n_rows, m_cols)

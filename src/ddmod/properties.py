@@ -38,15 +38,15 @@ def random_signal(p, rng):
 
 
 def _block_phase(p):
-    """Factor picked up by the map when the signal advances one ``lam*T`` block."""
-    return np.exp(2j * np.pi * p.nu_grid * p.T / p.mu)
+    """Factor picked up by the map when the signal advances one ``lam`` block."""
+    return np.exp(2j * np.pi * p.nu_grid / p.mu)
 
 
 def nu_convolution(va, vb, p):
     """Map of a pointwise product: the scaled periodic convolution along nu."""
     lag = (np.arange(p.periods)[:, None] - np.arange(p.periods)[None, :]) % p.periods
     conv = np.einsum("ajk,ak->aj", va[:, lag], vb)
-    return np.sqrt(p.lam * p.T) / (p.lam * p.mu) * p.nu_step * conv
+    return np.sqrt(p.lam) / (p.lam * p.mu) * p.nu_step * conv
 
 
 def tau_convolution(va, vb, p):
@@ -54,7 +54,7 @@ def tau_convolution(va, vb, p):
     lag = np.arange(p.block_len)[:, None] - np.arange(p.block_len)[None, :]
     terms = va[lag % p.block_len]
     terms[lag < 0] *= np.conj(_block_phase(p))
-    return np.einsum("ijk,jk->ik", terms, vb) * p.step / np.sqrt(p.lam * p.T)
+    return np.einsum("ijk,jk->ik", terms, vb) * p.step / np.sqrt(p.lam)
 
 
 def check_zak_roundtrip(p, rng):
@@ -79,9 +79,9 @@ def check_nu_periodicity(p, rng):
     """
     x = random_signal(p, rng)
     v = zak.zak_transform(x, p)
-    nu_up = p.nu_grid + p.mu * p.delta_f
-    kernel = np.exp(-2j * np.pi * np.outer(np.arange(p.periods), nu_up) * p.T / p.mu)
-    direct = np.sqrt(p.lam * p.T) * (x.reshape(p.periods, p.block_len).T @ kernel)
+    nu_up = p.nu_grid + p.mu
+    kernel = np.exp(-2j * np.pi * np.outer(np.arange(p.periods), nu_up) / p.mu)
+    direct = np.sqrt(p.lam) * (x.reshape(p.periods, p.block_len).T @ kernel)
     return float(np.max(np.abs(direct - v) / np.abs(v)))
 
 
@@ -96,7 +96,7 @@ def check_shift_invariance(p, rng, shift=None):
         shift = int(rng.integers(0, p.block_len)), int(rng.integers(0, p.frame_len))
     delay, bins = shift
     tau0 = delay * p.step
-    nu0 = bins / (p.periods * p.lam * p.T)
+    nu0 = bins / (p.periods * p.lam)
     v = zak.zak_transform(x, p)
     vr = zak.zak_transform(zak.dd_shift(x, tau0, nu0, p), p)
     b_shift = int(round(p.lam * p.mu * nu0 / p.nu_step))
@@ -128,7 +128,7 @@ def check_convolution(p, rng):
 def check_fourier_inversion(p, rng):
     """``zak_to_spectrum`` against the direct DFT at a random grid frequency."""
     x = random_signal(p, rng)
-    f = int(rng.integers(0, p.frame_len)) / (p.periods * p.lam * p.T)
+    f = int(rng.integers(0, p.frame_len)) / (p.periods * p.lam)
     t = np.arange(p.frame_len) * p.step
     direct = p.step * np.sum(x * np.exp(-2j * np.pi * f * t))
     via_map = zak.zak_to_spectrum(zak.zak_transform(x, p), p, f)
@@ -140,7 +140,7 @@ def check_completeness(p, rng):
     recon = np.zeros(p.frame_len, dtype=complex)
     for a in range(p.block_len):
         for b in range(p.periods):
-            psi = zak.pulse_basis(p.tau_grid[a], p.nu_grid[b], p, p.periods)
+            psi = zak.pulse_basis(p.tau_grid[a], p.nu_grid[b], p)
             # the lam*mu reweighting inverts the coefficient normalization
             recon += np.vdot(psi, x) * psi * p.nu_step * p.lam * p.mu
     return _max_rel(recon, x)

@@ -1,25 +1,26 @@
 """Discrete delay-Doppler signal analysis on a (lam, mu)-parameterized grid.
 
-A sampled signal is analyzed over a finite frame of ``periods`` consecutive
-intervals of length ``lam * T`` seconds and treated as frame-periodic.  The
-transform maps it onto the fundamental delay-Doppler cell
-``[0, lam*T) x [0, mu*delta_f)``; under the frame-periodic convention every
+Time is in units of the symbol duration T and frequency in units of
+``delta_f = 1/T``.  A sampled signal is analyzed over a finite frame of
+``periods`` consecutive blocks of length ``lam`` and treated as
+frame-periodic.  The transform maps it onto the fundamental delay-Doppler
+cell ``[0, lam) x [0, mu)``; under the frame-periodic convention every
 continuous-time identity (quasi-periodicity, the multiplication and
 convolution images, inversion back to time or frequency) holds exactly in
 its discrete circular form, which is what the property tests assert.
 
 Grid conventions
 ----------------
-``step = T / samples_per_T`` is the sampling interval and
+``step = 1 / samples_per_T`` is the sampling interval and
 ``block_len = lam * samples_per_T`` must be an integer (delays are rejected,
 never resampled).  With ``P = periods`` and ``L = block_len``:
 
-- delay grid      ``tau_a = a * step``,                ``a = 0 .. L-1``
-- Doppler grid    ``nu_b  = b * mu * delta_f / P``,    ``b = 0 .. P-1``
-- forward map     ``map[a, b] = sqrt(lam*T) * sum_n x(tau_a + n*lam*T)
+- delay grid      ``tau_a = a * step``,         ``a = 0 .. L-1``
+- Doppler grid    ``nu_b  = b * mu / P``,       ``b = 0 .. P-1``
+- forward map     ``map[a, b] = sqrt(lam) * sum_n x(tau_a + n*lam)
   * exp(-2j*pi*n*b/P)`` summed over the ``P`` retained blocks
 - time inversion  rectangle rule over the Doppler grid,
-  ``x(tau_a + n*lam*T) = sqrt(lam*T)/(lam*mu) * nu_step
+  ``x(tau_a + n*lam) = sqrt(lam)/(lam*mu) * nu_step
   * sum_b map[a, b] * exp(+2j*pi*n*b/P)``
 
 A signal is a plain ``(P*L,)`` complex array and a map a plain ``(L, P)``
@@ -41,42 +42,39 @@ class GridAlignmentError(ValueError):
 
 @dataclass(frozen=True)
 class ZakParams:
-    """Transform grid: period multipliers, symbol duration, and resolution.
+    """Transform grid: period multipliers and resolution, in units of T.
 
-    ``lam`` scales the delay period ``lam*T`` and ``mu`` the Doppler period
-    ``mu*delta_f`` with ``delta_f = 1/T`` held exactly.  ``samples_per_T``
-    sets the delay-grid density and ``periods`` the number of retained
-    ``lam*T`` blocks (equivalently the Doppler-grid density).
+    ``lam`` is the delay period and ``mu`` the Doppler period.
+    ``samples_per_T`` sets the delay-grid density and ``periods`` the number
+    of retained ``lam`` blocks (equivalently the Doppler-grid density).
     """
 
     lam: float = 1.0
     mu: float = 1.0
-    T: float = 1.0
     samples_per_T: int = 8
     periods: int = 8
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.lam, self.mu, self.T)):
+        if not all(math.isfinite(v) and v > 0 for v in (self.lam, self.mu)):
             raise ValueError(
-                f"lam, mu and T must be finite and positive, got "
-                f"lam={self.lam}, mu={self.mu}, T={self.T}"
+                f"lam and mu must be finite and positive, got lam={self.lam}, mu={self.mu}"
             )
         if self.samples_per_T < 1 or self.periods < 1:
             raise ValueError("samples_per_T and periods must be at least 1")
-        blocks = self.lam * self.samples_per_T
-        if round(blocks) < 1 or abs(blocks - round(blocks)) > ALIGN_TOL:
+        try:
+            blocks = self.lam * self.samples_per_T
+        except OverflowError:
+            blocks = math.inf
+        if not (math.isfinite(blocks) and round(blocks) >= 1
+                and abs(blocks - round(blocks)) <= ALIGN_TOL):
             raise GridAlignmentError(
-                f"lam*T is not a positive multiple of the sampling step: "
+                f"lam is not a positive multiple of the sampling step: "
                 f"lam*samples_per_T={blocks}"
             )
 
     @property
-    def delta_f(self):
-        return 1.0 / self.T
-
-    @property
     def step(self):
-        return self.T / self.samples_per_T
+        return 1 / self.samples_per_T
 
     @property
     def block_len(self):
@@ -88,7 +86,7 @@ class ZakParams:
 
     @property
     def nu_step(self):
-        return self.mu * self.delta_f / self.periods
+        return self.mu / self.periods
 
     @property
     def tau_grid(self):
@@ -133,13 +131,13 @@ def _check_signal(x, p):
 def zak_transform(x, p):
     """Forward transform of a frame-periodic signal onto the fundamental cell.
 
-    ``map[a, b] = sqrt(lam*T) * sum_n x(tau_a + n*lam*T) * exp(-2j*pi*n*nu_b*T/mu)``
+    ``map[a, b] = sqrt(lam) * sum_n x(tau_a + n*lam) * exp(-2j*pi*n*nu_b/mu)``
     with the sum over the frame's ``periods`` blocks.  On the Doppler grid the
     phase factors reduce to a DFT across blocks.  Returns the
     ``(block_len, periods)`` map.
     """
     blocks = _check_signal(x, p).reshape(p.periods, p.block_len)
-    return np.sqrt(p.lam * p.T) * np.fft.fft(blocks, axis=0).T
+    return np.sqrt(p.lam) * np.fft.fft(blocks, axis=0).T
 
 
 def zak_to_time(m, p):
@@ -150,7 +148,7 @@ def zak_to_time(m, p):
     :func:`zak_transform` is exact.
     """
     values = _check_map(m, p)
-    coeff = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * p.nu_step
+    coeff = np.sqrt(p.lam) / (p.lam * p.mu) * p.nu_step
     blocks = coeff * (p.periods * np.fft.ifft(values, axis=1)).T
     return blocks.reshape(-1)
 
@@ -158,15 +156,15 @@ def zak_to_time(m, p):
 def zak_to_spectrum(m, p, f):
     """Fourier value of the underlying frame at frequency ``f``.
 
-    ``F(f) = 1/sqrt(lam*T) * integral_0^{lam*T} map(tau, lam*mu*f) *
+    ``F(f) = 1/sqrt(lam) * integral_0^{lam} map(tau, lam*mu*f) *
     exp(-2j*pi*f*tau) dtau`` discretized by the rectangle rule.  ``lam*mu*f``
-    must land on the Doppler grid modulo ``mu*delta_f``, i.e. ``f`` must be a
-    multiple of the frame's frequency resolution ``1/(periods*lam*T)``.
+    must land on the Doppler grid modulo ``mu``, i.e. ``f`` must be a
+    multiple of the frame's frequency resolution ``1/(periods*lam)``.
     """
     values = _check_map(m, p)
     b = _aligned_index(p.lam * p.mu * f, p.nu_step, "lam*mu*f") % p.periods
     return complex(
-        p.step / np.sqrt(p.lam * p.T)
+        p.step / np.sqrt(p.lam)
         * np.sum(values[:, b] * np.exp(-2j * np.pi * f * p.tau_grid))
     )
 
@@ -185,51 +183,47 @@ def dd_shift(x, tau0, nu0, p):
     return np.roll(x, shift) * np.exp(2j * np.pi * nu0 * t_rel)
 
 
-def _check_train(tau0, nu0, p, n_count):
-    if not (0 <= tau0 < p.lam * p.T * (1 + ALIGN_TOL)):
-        raise ValueError(f"tau0={tau0} outside the fundamental cell [0, {p.lam * p.T})")
-    if not (0 <= nu0 < p.mu * p.delta_f * (1 + ALIGN_TOL)):
-        raise ValueError(f"nu0={nu0} outside the fundamental cell [0, {p.mu * p.delta_f})")
-    if n_count < 1:
-        raise ValueError("n_count must be at least 1")
+def _check_train(tau0, nu0, p):
+    if not (0 <= tau0 < p.lam * (1 + ALIGN_TOL)):
+        raise ValueError(f"tau0={tau0} outside the fundamental cell [0, {p.lam})")
+    if not (0 <= nu0 < p.mu * (1 + ALIGN_TOL)):
+        raise ValueError(f"nu0={nu0} outside the fundamental cell [0, {p.mu})")
 
 
 def _pulse_train(shape, start, nu0, p, n_count):
     """``n_count`` copies of ``shape`` a block apart from sample ``start``, copy ``n``
-    weighted ``sqrt(lam*T)/(lam*mu) * exp(2j*pi*nu0*n*T/mu)``, wrapping at the frame edge."""
+    weighted ``sqrt(lam)/(lam*mu) * exp(2j*pi*nu0*n/mu)``, wrapping at the frame edge."""
     samples = np.zeros(p.frame_len, dtype=complex)
-    amp = np.sqrt(p.lam * p.T) / (p.lam * p.mu)
+    amp = np.sqrt(p.lam) / (p.lam * p.mu)
     for n in range(n_count):
-        w = amp * np.exp(2j * np.pi * nu0 * n * p.T / p.mu)
+        w = amp * np.exp(2j * np.pi * nu0 * n / p.mu)
         pos = (start + n * p.block_len + np.arange(len(shape))) % p.frame_len
         samples[pos] += w * shape
     return samples
 
 
-def pulse_basis(tau0, nu0, p, n_count):
-    """Impulse-train basis element ``psi`` rendered over the frame.
+def pulse_basis(tau0, nu0, p):
+    """Delta-train basis element ``psi`` at ``(tau0, nu0)``, rendered over the frame.
 
-    ``psi(t) = sqrt(lam*T)/(lam*mu) * sum_{n=0}^{n_count-1}
-    exp(2j*pi*nu0*n*T/mu) * delta(t - tau0 - n*lam*T)``, each impulse a
-    value-1 single sample at the grid-aligned ``tau0``.  With
-    ``n_count = periods`` this is the delta-train basis element at
-    ``(tau0, nu0)``: ``np.vdot(psi, x)`` equals the map of ``x`` at that cell
-    point divided by ``lam*mu``, and the elements over the whole grid,
-    weighted ``nu_step * lam * mu``, rebuild ``x``.  Impulses wrap circularly
-    at the frame edge.
+    ``psi(t) = sqrt(lam)/(lam*mu) * sum_{n=0}^{periods-1}
+    exp(2j*pi*nu0*n/mu) * delta(t - tau0 - n*lam)``, each impulse a value-1
+    single sample at the grid-aligned ``tau0``.  ``np.vdot(psi, x)`` equals
+    the map of ``x`` at that cell point divided by ``lam*mu``, and the
+    elements over the whole grid, weighted ``nu_step * lam * mu``, rebuild
+    ``x``.  Impulses wrap circularly at the frame edge.
     """
-    _check_train(tau0, nu0, p, n_count)
+    _check_train(tau0, nu0, p)
     start = _aligned_index(tau0, p.step, "tau0")
-    return _pulse_train(np.ones(1, dtype=complex), start, nu0, p, n_count)
+    return _pulse_train(np.ones(1, dtype=complex), start, nu0, p, p.periods)
 
 
 def modulation_base(k, l, p, M, N, theta, phi):
     """Modulation base ``chi_(k,l)``: a scaled multitone pulse train.
 
     ``chi_(k,l) = 1/sqrt(M*N) * psi``, with ``psi`` the train of
-    :func:`pulse_basis` at ``tau0 = l*phi*T/M``, ``nu0 = k*theta*delta_f/N``
-    and ``n_count = max(1, round(N/lam))``, each impulse replaced by the
-    block-periodic sum of ``M`` tones spaced ``1/(lam*T)``, so any in-cell
+    :func:`pulse_basis` at ``tau0 = l*phi/M``, ``nu0 = k*theta/N`` and
+    ``max(1, round(N/lam))`` impulses, each replaced by the block-periodic
+    sum of ``M`` tones spaced ``1/lam``, so any in-cell
     ``tau0`` is renderable.  Spanning ``M`` frequency slots makes distinct
     delay indices orthogonal in the ``theta = mu, phi = 1`` limit and
     non-orthogonal under compression.
@@ -238,11 +232,10 @@ def modulation_base(k, l, p, M, N, theta, phi):
         raise ValueError(f"Doppler index k={k} out of range [0, {N})")
     if not (0 <= l < M):
         raise ValueError(f"delay index l={l} out of range [0, {M})")
-    tau0 = l * phi * p.T / M
-    nu0 = k * theta * p.delta_f / N
-    n_count = max(1, round(N / p.lam))
-    _check_train(tau0, nu0, p, n_count)
+    tau0 = l * phi / M
+    nu0 = k * theta / N
+    _check_train(tau0, nu0, p)
     t_block = np.arange(p.block_len) * p.step
     tones = np.arange(M)
-    shape = np.exp(2j * np.pi * np.outer(t_block - tau0, tones) / (p.lam * p.T)).sum(axis=1)
-    return _pulse_train(shape, 0, nu0, p, n_count) / np.sqrt(M * N)
+    shape = np.exp(2j * np.pi * np.outer(t_block - tau0, tones) / p.lam).sum(axis=1)
+    return _pulse_train(shape, 0, nu0, p, max(1, round(N / p.lam))) / np.sqrt(M * N)

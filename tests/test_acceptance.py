@@ -118,7 +118,7 @@ def test_criterion_5_transform_property_suite():
     )
     worst = 0.0
     for lam, mu in [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]:
-        p = zak.ZakParams(lam=lam, mu=mu, T=1.0, samples_per_T=6, periods=5)
+        p = zak.ZakParams(lam=lam, mu=mu, samples_per_T=6, periods=5)
         rng = np.random.default_rng(55)
         for _ in range(50):
             worst = max(worst, *(check(p, rng) for check in checks))

@@ -165,6 +165,16 @@ class TestWavefrontSchedule:
         order = detect.wavefront_schedule(2, 3)
         assert len(order) == 6 and len(set(order)) == 6
 
+    def test_wide_frame_order(self):
+        assert detect.wavefront_schedule(2, 3) == [
+            (1, 2), (1, 1), (0, 2), (0, 1), (1, 0), (0, 0)
+        ]
+
+    def test_tall_frame_order(self):
+        assert detect.wavefront_schedule(3, 2) == [
+            (2, 1), (2, 0), (1, 1), (1, 0), (0, 1), (0, 0)
+        ]
+
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("m", range(1, 9))
     def test_permutation_and_dependency_soundness(self, n, m):

@@ -705,6 +705,16 @@ class TestEmitResults:
         assert open(csv_path, "rb").read() == old_bytes
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    def test_a_sidecar_name_too_long_leaves_no_temporary_file(self, tmp_path):
+        # the CSV's temporary name fits the directory's name limit, the
+        # sidecar's is 8 characters longer and does not
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        stem = "s" * (name_max - len(f".csv.{os.getpid()}.tmp"))
+        result = harness.BerResult(config=tiny_config(), cells=[])
+        with pytest.raises(OSError, match="failed writing results under"):
+            harness.emit_results(result, tmp_path, stem=stem)
+        assert list(tmp_path.iterdir()) == []
+
     def test_blocked_sidecar_keeps_previous_csv(self, tmp_path):
         result = harness.run_sweep(tiny_config(max_frames=3), workers=1)
         csv_path, json_path = harness.emit_results(result, tmp_path)

@@ -270,6 +270,20 @@ class TestBitMapping:
         with pytest.raises(ValueError):
             modem.map_bits(bits[None], q, 2, 3)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.5, -0.5])
+    def test_non_binary_values_refused_before_the_cast(self, bad):
+        bits = np.zeros(32)
+        bits[5] = bad
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            modem.map_bits(bits, modem.qpsk(), 4, 4)
+
+    def test_float_and_bool_bits_map_as_integers(self):
+        q = modem.qpsk()
+        bits = np.random.default_rng(42).integers(0, 2, size=(2, 32))
+        frames = modem.map_bits(bits, q, 4, 4)
+        assert np.array_equal(modem.map_bits(bits.astype(float), q, 4, 4), frames)
+        assert np.array_equal(modem.map_bits(bits.astype(bool), q, 4, 4), frames)
+
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError):
             modem.map_bits(np.zeros(7, dtype=int), modem.qpsk(), 2, 2)

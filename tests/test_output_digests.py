@@ -5,9 +5,10 @@ frames: the only sweeps whose rounds run several chunks, and at the 16x8
 widths), and a 4x3 sweep of every decoder under both radius policies must
 write the same CSV and JSON sidecar bytes, at one, two and three workers, as
 the tree that pinned their SHA-256 digests.  ``ddmod verify-properties`` must
-print the same 13 lines.  A change that means to move a result must say why,
-and pin the new digests.  The digests hold for the BLAS they were taken on,
-OpenBLAS 0.3.31; on another the tests skip.
+print the same 13 lines, and :func:`properties.run_all` return the same
+worst errors to the last bit.  A change that means to move a result must
+say why, and pin the new digests.  The digests hold for the BLAS they were
+taken on, OpenBLAS 0.3.31; on another the tests skip.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddmod import cli, harness
+from ddmod import cli, harness, properties
 
 
 def _blas():
@@ -120,4 +121,13 @@ def test_verify_properties_prints_the_pinned_lines(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e5ed30851a66c4165aad9cb478444f3bb2c861a87f03f92eb79a8ded18f43a71"
+    )
+
+
+@pinned
+def test_property_checks_return_the_pinned_worst_errors():
+    # verify-properties prints two decimals; this pins every bit of each value
+    lines = "\n".join(f"{name} {worst!r}" for name, _, worst in properties.run_all())
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "27934d2dddc6c540db00f0541e83de213b195dc7dcae4ed1b6a859975ce829cb"
     )

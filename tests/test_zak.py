@@ -10,13 +10,8 @@ from oracles import dirichlet_sq
 PARAM_SETS = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
 
 
-def make_params(lam=1.0, mu=1.0, samples_per_T=8, periods=6, T=1.0):
-    return zak.ZakParams(lam=lam, mu=mu, T=T, samples_per_T=samples_per_T, periods=periods)
-
-
-def delta_basis(tau0, nu0, p):
-    """Samples of the delta-train basis element at ``(tau0, nu0)``."""
-    return zak.pulse_basis(tau0, nu0, p, p.periods)
+def make_params(lam=1.0, mu=1.0, samples_per_T=8, periods=6):
+    return zak.ZakParams(lam=lam, mu=mu, samples_per_T=samples_per_T, periods=periods)
 
 
 def forward_oracle(x, p):
@@ -27,9 +22,9 @@ def forward_oracle(x, p):
             acc = 0.0 + 0.0j
             for n in range(p.periods):
                 acc += x[a + n * p.block_len] * np.exp(
-                    -2j * np.pi * n * p.nu_grid[b] * p.T / p.mu
+                    -2j * np.pi * n * p.nu_grid[b] / p.mu
                 )
-            out[a, b] = np.sqrt(p.lam * p.T) * acc
+            out[a, b] = np.sqrt(p.lam) * acc
     return out
 
 
@@ -37,10 +32,6 @@ class TestParams:
     def test_grid_alignment_enforced(self):
         with pytest.raises(zak.GridAlignmentError):
             zak.ZakParams(lam=0.3, samples_per_T=8)
-
-    def test_delta_f_is_exact(self):
-        p = make_params(T=0.25)
-        assert p.delta_f * p.T == 1.0
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -50,23 +41,29 @@ class TestParams:
 
     @pytest.mark.parametrize("field,value", [
         ("lam", np.inf), ("lam", np.nan), ("mu", np.inf), ("mu", np.nan),
-        ("T", np.inf), ("T", np.nan), ("T", 0.0), ("mu", -2.0),
+        ("mu", 0.0), ("mu", -2.0),
     ])
     def test_rejects_nonfinite_or_nonpositive_fields(self, field, value):
-        with pytest.raises(ValueError, match="lam, mu and T must be finite and positive"):
+        with pytest.raises(ValueError, match="lam and mu must be finite and positive"):
             zak.ZakParams(**{field: value})
 
     def test_rejects_a_block_shorter_than_one_sample(self):
         with pytest.raises(zak.GridAlignmentError, match="positive multiple"):
             zak.ZakParams(lam=1e-12, samples_per_T=8)
 
+    @pytest.mark.parametrize("fields", [{"lam": 1e308}, {"samples_per_T": 10**400}],
+                             ids=["lam", "samples_per_T"])
+    def test_rejects_a_block_length_past_the_float_range(self, fields):
+        with pytest.raises(zak.GridAlignmentError, match=r"lam\*samples_per_T=inf"):
+            zak.ZakParams(**fields)
+
     def test_grids(self):
         p = make_params(lam=2.0, mu=1.0, samples_per_T=4, periods=3)
         assert p.block_len == 8
         assert p.frame_len == 24
         assert len(p.tau_grid) == 8 and len(p.nu_grid) == 3
-        assert p.tau_grid[-1] < p.lam * p.T
-        assert p.nu_grid[-1] < p.mu * p.delta_f
+        assert p.tau_grid[-1] < p.lam
+        assert p.nu_grid[-1] < p.mu
 
 
 NONFINITE = [complex(np.inf, 0), complex(0, np.inf), complex(0, np.nan)]
@@ -109,11 +106,11 @@ class TestFiniteValues:
 
 class TestForward:
     def test_unit_impulse(self):
-        p = make_params(T=2.0)
+        p = make_params(lam=2.0)
         x = np.zeros(p.frame_len, dtype=complex)
         x[0] = 1.0
         m = zak.zak_transform(x, p)
-        assert np.allclose(m[0, :], np.sqrt(p.T))
+        assert np.allclose(m[0, :], np.sqrt(p.lam))
         assert np.allclose(m[1:, :], 0.0)
 
     def test_matches_direct_summation_oracle(self):
@@ -146,7 +143,7 @@ class TestForward:
         x[q * p.block_len:] = 0.0
         m = zak.zak_transform(x, p)
         profile = np.abs(m[0, :]) ** 2
-        expect = p.T * dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), q)
+        expect = p.lam * dirichlet_sq((p.nu_grid - nu0) / p.mu, q)
         assert np.allclose(profile, expect, rtol=1e-10, atol=1e-12)
 
     def test_rejects_misaligned_signal(self):
@@ -191,7 +188,7 @@ class TestInversion:
 
 class TestSpectrum:
     def freqs(self, p):
-        return np.arange(p.frame_len) / (p.periods * p.lam * p.T)
+        return np.arange(p.frame_len) / (p.periods * p.lam)
 
     def dft_oracle(self, x, p, f):
         t = np.arange(p.frame_len) * p.step
@@ -226,7 +223,7 @@ class TestSpectrum:
         m = zak.zak_transform(x, p)
         # spectrum magnitudes around the peak follow the Dirichlet kernel
         for df_blocks in range(-3, 4):
-            f = f0 + df_blocks / (p.periods * p.lam * p.T)
+            f = f0 + df_blocks / (p.periods * p.lam)
             got = abs(zak.zak_to_spectrum(m, p, f)) ** 2
             expect = abs(self.dft_oracle(x, p, f)) ** 2
             assert got == pytest.approx(expect, rel=1e-9, abs=1e-15)
@@ -239,7 +236,7 @@ class TestSpectrum:
         rng = np.random.default_rng(13)
         p = make_params()
         x1, x2 = random_signal(p, rng), random_signal(p, rng)
-        f = 3.0 / (p.periods * p.lam * p.T)
+        f = 3.0 / (p.periods * p.lam)
         lhs = zak.zak_to_spectrum(zak.zak_transform(x1 + x2, p), p, f)
         rhs = zak.zak_to_spectrum(zak.zak_transform(x1, p), p, f) + zak.zak_to_spectrum(
             zak.zak_transform(x2, p), p, f
@@ -281,29 +278,29 @@ class TestDDShift:
 
 
 class TestImpulseBasis:
-    """The delta-train basis element: ``pulse_basis`` with ``periods`` impulses."""
+    """The delta-train basis element ``pulse_basis``."""
 
     def test_zero_doppler_weights_equal(self):
         p = make_params(lam=2.0, mu=1.0)
-        psi = delta_basis(3 * p.step, 0.0, p)
+        psi = zak.pulse_basis(3 * p.step, 0.0, p)
         atoms = np.flatnonzero(psi)
-        expect = np.sqrt(p.lam * p.T) / (p.lam * p.mu)
+        expect = np.sqrt(p.lam) / (p.lam * p.mu)
         assert np.allclose(psi[atoms], expect)
         assert atoms[0] == 3 and len(atoms) == p.periods
-        assert np.allclose(np.diff(atoms) * p.step, p.lam * p.T)
+        assert np.allclose(np.diff(atoms) * p.step, p.lam)
 
     def test_half_cell_doppler_alternates_sign(self):
         p = make_params(lam=1.0, mu=1.0)
-        weights = delta_basis(0.0, p.delta_f / 2, p)[:: p.block_len]
+        weights = zak.pulse_basis(0.0, p.mu / 2, p)[:: p.block_len]
         signs = weights / weights[0]
         assert np.allclose(signs, [(-1.0) ** n for n in range(p.periods)])
 
     def test_out_of_cell_rejected(self):
         p = make_params()
         with pytest.raises(ValueError):
-            delta_basis(p.lam * p.T * 1.5, 0.0, p)
+            zak.pulse_basis(p.lam * 1.5, 0.0, p)
         with pytest.raises(ValueError):
-            delta_basis(0.0, p.mu * p.delta_f * 1.1, p)
+            zak.pulse_basis(0.0, p.mu * 1.1, p)
 
     def test_projection_equals_scaled_transform(self):
         # coefficient from the inner product against the transform value,
@@ -314,7 +311,7 @@ class TestImpulseBasis:
             x = random_signal(p, rng)
             m = zak.zak_transform(x, p)
             for a, b in [(0, 0), (2, 1), (5, 3)]:
-                coef = np.vdot(delta_basis(p.tau_grid[a], p.nu_grid[b], p), x)
+                coef = np.vdot(zak.pulse_basis(p.tau_grid[a], p.nu_grid[b], p), x)
                 expect = m[a, b] / (p.lam * p.mu)
                 assert coef == pytest.approx(expect, rel=1e-10)
 
@@ -323,57 +320,44 @@ class TestProjection:
     def test_self_projection_and_cross_vanishing(self):
         p = make_params(samples_per_T=4, periods=4)
         tau0, nu0 = p.tau_grid[1], p.nu_grid[2]
-        basis = delta_basis(tau0, nu0, p)
+        basis = zak.pulse_basis(tau0, nu0, p)
         self_coef = np.vdot(basis, basis)
-        # periods atoms of magnitude sqrt(lam*T)/(lam*mu)
-        expect = p.periods * p.T / (p.lam * p.mu**2)
+        # periods atoms of magnitude sqrt(lam)/(lam*mu)
+        expect = p.periods / (p.lam * p.mu**2)
         assert self_coef == pytest.approx(expect, rel=1e-12)
         for a, b in [(0, 0), (2, 2), (1, 3)]:
-            cross = np.vdot(delta_basis(p.tau_grid[a], p.nu_grid[b], p), basis)
+            cross = np.vdot(zak.pulse_basis(p.tau_grid[a], p.nu_grid[b], p), basis)
             assert abs(cross) < 1e-10 * abs(self_coef)
 
     def test_zero_signal(self):
         p = make_params()
-        assert np.vdot(delta_basis(0.0, 0.0, p), np.zeros(p.frame_len)) == 0.0
+        assert np.vdot(zak.pulse_basis(0.0, 0.0, p), np.zeros(p.frame_len)) == 0.0
 
     def test_linearity(self):
         rng = np.random.default_rng(19)
         p = make_params()
         x1, x2 = random_signal(p, rng), random_signal(p, rng)
-        psi = delta_basis(p.tau_grid[2], p.nu_grid[1], p)
+        psi = zak.pulse_basis(p.tau_grid[2], p.nu_grid[1], p)
         lhs = np.vdot(psi, 2 * x1 + x2)
         rhs = 2 * np.vdot(psi, x1) + np.vdot(psi, x2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestPulseBasis:
-    def test_single_pulse(self):
-        p = make_params()
-        psi = zak.pulse_basis(2 * p.step, 0.0, p, n_count=1)
-        expect = np.sqrt(p.lam * p.T) / (p.lam * p.mu)
-        assert psi[2] == pytest.approx(expect)
-        assert np.count_nonzero(psi) == 1
-
-    def test_zero_doppler_repeats_uniformly(self):
-        p = make_params()
-        psi = zak.pulse_basis(0.0, 0.0, p, n_count=4)
-        hits = psi[:: p.block_len][:4]
-        assert np.allclose(hits, hits[0])
-
     def test_concentration_matches_dirichlet_product(self):
-        # fixture: unit-T grid, value-1 single-sample pulse, Doppler profile
-        # compared at the pulse's delay column against the closed form with
-        # one frequency term
-        p = make_params(samples_per_T=8, periods=8, T=1.0)
-        a0, b0, n_count = 3, 2, 8
+        # fixture: value-1 single-sample pulse, Doppler profile compared at
+        # the pulse's delay column against the closed form with one
+        # frequency term
+        p = make_params(samples_per_T=8, periods=8)
+        a0, b0 = 3, 2
         tau0, nu0 = p.tau_grid[a0], p.nu_grid[b0]
-        psi = zak.pulse_basis(tau0, nu0, p, n_count=n_count)
+        psi = zak.pulse_basis(tau0, nu0, p)
         m = zak.zak_transform(psi, p)
         got = np.abs(m[a0, :]) ** 2
         expect = (
             1.0
             / (p.lam * p.mu) ** 2
-            * dirichlet_sq((p.nu_grid - nu0) / (p.mu * p.delta_f), n_count)
+            * dirichlet_sq((p.nu_grid - nu0) / p.mu, p.periods)
         )
         peak_scale = np.max(expect)
         at_peaks = expect > 1e-2 * peak_scale
@@ -385,27 +369,25 @@ class TestPulseBasis:
 
     def test_bad_inputs(self):
         p = make_params()
-        with pytest.raises(ValueError, match="n_count"):
-            zak.pulse_basis(0.0, 0.0, p, n_count=0)
         with pytest.raises(zak.GridAlignmentError):
-            zak.pulse_basis(0.3 * p.step, 0.0, p, n_count=1)
+            zak.pulse_basis(0.3 * p.step, 0.0, p)
 
 
 class TestModulationBase:
     def orthogonal_params(self, M, N):
-        # dense delay grid so every l*T/M lands on a sample
-        return zak.ZakParams(lam=1.0, mu=1.0, T=1.0, samples_per_T=4 * M, periods=N)
+        # dense delay grid so every l/M lands on a sample
+        return zak.ZakParams(lam=1.0, mu=1.0, samples_per_T=4 * M, periods=N)
 
     def test_origin_base_is_scaled_pulse_train(self):
         M = N = 4
         p = self.orthogonal_params(M, N)
         chi = zak.modulation_base(0, 0, p, M, N, theta=1.0, phi=1.0)
         # the closed form at tau0 = nu0 = 0: N unit-weight copies of the sum
-        # of M tones spaced 1/(lam*T); the tones are block-periodic, so the
+        # of M tones spaced 1/lam; the tones are block-periodic, so the
         # frame's own time axis renders every copy
         t = np.arange(p.frame_len) * p.step
-        tones = np.exp(2j * np.pi * np.outer(t, np.arange(M)) / (p.lam * p.T)).sum(axis=1)
-        psi = np.sqrt(p.lam * p.T) / (p.lam * p.mu) * tones
+        tones = np.exp(2j * np.pi * np.outer(t, np.arange(M)) / p.lam).sum(axis=1)
+        psi = np.sqrt(p.lam) / (p.lam * p.mu) * tones
         assert np.allclose(chi, psi / np.sqrt(M * N))
 
     def test_orthogonal_limit(self):
@@ -421,7 +403,7 @@ class TestModulationBase:
     def test_compressed_bases_overlap(self):
         M = N = 4
         p = self.orthogonal_params(M, N)
-        beta = 0.75  # aligned: l*0.75*T/4 is a multiple of T/16
+        beta = 0.75  # aligned: l*0.75/4 is a multiple of 1/16
         c1 = zak.modulation_base(0, 1, p, M, N, theta=1.0, phi=beta)
         c2 = zak.modulation_base(0, 2, p, M, N, theta=1.0, phi=beta)
         norm = abs(np.vdot(c1, c1))
@@ -442,7 +424,7 @@ class TestTransformProperties:
         assert properties.check_quasi_periodicity(p, np.random.default_rng(20)) < 1e-10
 
     def test_nu_periodicity_exact_on_grid(self):
-        # the phase factors have period mu*delta_f in nu by construction:
+        # the phase factors have period mu in nu by construction:
         # evaluating the defining sum one period up reproduces every grid
         # entry to 1e-12 of its own magnitude
         p = make_params(mu=2.0)
