@@ -145,11 +145,8 @@ def total_objective(model, s):
 
 @dataclass(frozen=True)
 class OpCounter:
-    """Complex multiplies and adds attributed to partial-metric work.
-
-    ``mults`` and ``adds`` are ``(B,)`` integer arrays with one count per
-    frame: ``(1,)`` for a single frame, ``(B,)`` for a stacked sphere decode.
-    """
+    """Complex multiplies and adds attributed to partial-metric work, as
+    ``(B,)`` integer arrays with one count per frame, ``(1,)`` for one frame."""
 
     mults: np.ndarray
     adds: np.ndarray
@@ -280,16 +277,15 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     initializer.  ``final_loss`` equals the exact objective of the returned
     frame.
 
-    A model of one ``(N, M)`` frame returns an ``(N, M)`` frame and a float
-    loss; a stacked model returns ``(B, N, M)`` frames and ``(B,)`` losses.
-    ``counter`` holds each frame's multiplies and adds as ``(B,)`` arrays,
-    ``(1,)`` for one frame (see :class:`OpCounter`).
+    One ``(N, M)`` frame decodes as a stack of one and returns an ``(N, M)``
+    frame and a float loss; a stacked model returns ``(B, N, M)`` frames and
+    ``(B,)`` losses.  ``counter`` holds each frame's multiplies and adds as
+    ``(B,)`` arrays, ``(1,)`` for one frame (see :class:`OpCounter`).
     """
     n_rows, m_cols = model.shape
     if k_list < 1:
         raise ValueError("k_list must be at least 1")
-    single = model.u.ndim == 2
-    u = model.u[None] if single else model.u
+    u = model.u.reshape(-1, n_rows, m_cols)
     if initial is not None:
         init_loss = np.reshape(total_objective(model, initial), len(u))
         initial = np.asarray(initial, dtype=complex).reshape(u.shape)
@@ -311,10 +307,8 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     if initial is not None:
         better = init_loss < loss
         s_hat[better], loss[better] = initial[better], init_loss[better]
-    counter = OpCounter(mults, adds)
-    if single:
-        return s_hat[0], float(loss[0]), counter
-    return s_hat, loss, counter
+    shape = model.u.shape
+    return s_hat.reshape(shape), loss.reshape(shape[:-2])[()], OpCounter(mults, adds)
 
 
 @dataclass(frozen=True)
@@ -336,8 +330,7 @@ def predicted_complexity(m, n):
     QR factorizations of M x M and N x N.  The 1-D formulation of the same
     detection problem needs ``M*N*(1+M*N)/2`` of each and an MN x MN QR.
     """
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be at least 1")
+    modem.ModemParams(m=m, n=n)  # refuses a dimension that is not a count
     mn = m * n
     mini = min(m, n)
     return PredictedComplexity(
@@ -367,11 +360,9 @@ def _gram_matrices(model):
 def _chunked_operator(gtg, hth, chunks, width):
     """The correlation operator on a ``(chunks, N, width, M)`` stack, as
     ``op(x, out)``: it writes ``C(x)`` into ``out`` and returns it, one GEMM
-    per side and chunk, through one half-product buffer.  One chunk runs as
-    2-D products, which cost less than a stack of one."""
+    per side and chunk, through one half-product buffer."""
     n_rows, m_cols = len(gtg), len(hth)
-    lead = () if chunks == 1 else (chunks,)
-    cols, rows = lead + (n_rows, width * m_cols), lead + (n_rows * width, m_cols)
+    cols, rows = (chunks, n_rows, width * m_cols), (chunks, n_rows * width, m_cols)
     half = np.empty(cols, dtype=complex)
     half_rows = half.reshape(rows)
 
@@ -472,8 +463,7 @@ def im_soft_decode(model, omega, iterations, constellation):
     # copies of the last frame and its omega fill the last chunk: a copy
     # settles with its frame, so the stack stops as it would
     fill = np.minimum(np.arange(chunks * width), len(frames) - 1)
-    stack = frames if chunks * width == len(frames) else frames[fill]
-    w0 = np.ascontiguousarray(stack.reshape(chunks, width, *model.shape).swapaxes(1, 2))
+    w0 = np.ascontiguousarray(frames[fill].reshape(chunks, width, *model.shape).swapaxes(1, 2))
     # two iterates with their float views: each step clips one in place into
     # s and writes the next w into the other, so s is intact until compared
     w, s = w0.copy(), np.empty_like(w0)

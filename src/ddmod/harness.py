@@ -121,6 +121,10 @@ class SweepConfig:
             raise ValueError(f"decoder {self.decoder!r} needs a non-empty omega_values")
         if not all(math.isfinite(w) for w in self.omega_values):
             raise ValueError(f"omega_values must be finite, got {self.omega_values}")
+        # cell i draws substream i, so no cell may reach the calibration's own
+        if len(self.cells()) > channel.CALIBRATION_STREAM:
+            raise ValueError(f"a sweep has at most {channel.CALIBRATION_STREAM} cells, so that "
+                             f"none draws the Eb calibration's substream; got {len(self.cells())}")
 
     @property
     def uses_omega(self):

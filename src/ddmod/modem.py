@@ -18,6 +18,7 @@ The end-to-end bridge used by the detector:
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class ModemParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("frame dimensions must be at least 1")
+        for name, value in (("m", self.m), ("n", self.n)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not (0.0 < self.alpha <= 1.0) or not (0.0 < self.beta <= 1.0):
             raise ValueError("compression factors must lie in (0, 1]")
 

@@ -85,16 +85,14 @@ def check_nu_periodicity(p, rng):
     return float(np.max(np.abs(direct - v) / np.abs(v)))
 
 
-def check_shift_invariance(p, rng, shift=None):
+def check_shift_invariance(p, rng):
     """A grid delay/Doppler shift moves the map and phases it.
 
-    ``shift`` is ``(delay steps, Doppler bins of the frame resolution)``;
-    when omitted it is drawn from ``rng`` after the signal.
+    The shift, in delay steps and Doppler bins of the frame resolution, is
+    drawn from ``rng`` after the signal.
     """
     x = random_signal(p, rng)
-    if shift is None:
-        shift = int(rng.integers(0, p.block_len)), int(rng.integers(0, p.frame_len))
-    delay, bins = shift
+    delay, bins = int(rng.integers(0, p.block_len)), int(rng.integers(0, p.frame_len))
     tau0 = delay * p.step
     nu0 = bins / (p.periods * p.lam)
     v = zak.zak_transform(x, p)

@@ -29,6 +29,8 @@ beside them.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +57,14 @@ class ZakParams:
     periods: int = 8
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.lam, self.mu)):
+        # an int past the float range is refused here, not by an OverflowError
+        if not all(0 < v <= sys.float_info.max for v in (self.lam, self.mu)):
             raise ValueError(
                 f"lam and mu must be finite and positive, got lam={self.lam}, mu={self.mu}"
             )
-        if self.samples_per_T < 1 or self.periods < 1:
-            raise ValueError("samples_per_T and periods must be at least 1")
+        for name, value in (("samples_per_T", self.samples_per_T), ("periods", self.periods)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         try:
             blocks = self.lam * self.samples_per_T
         except OverflowError:

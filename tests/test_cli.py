@@ -117,8 +117,10 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
      % ("0" * 400), "omega_values holds a number too large for a float"),
     ('{"M": 2, "N": 2, "alpha": 1e-200, "beta": 1e-200}',
      "compression factors 1e-200 and 1e-200 multiply to 0.0"),
+    ('{"M": 2, "N": 2, "alpha": 1, "beta": 1, "decoder": "matched", "ebn0_db_points": [%s]}'
+     % ", ".join(["0"] * 236), "a sweep has at most 235 cells"),
 ], ids=["missing_key", "list", "bad_value", "far_ebn0", "bad_json", "no_file", "huge_alpha",
-        "huge_omega", "alpha_beta_underflow"])
+        "huge_omega", "alpha_beta_underflow", "too_many_cells"])
 def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "sweep.json"
     if text is not None:

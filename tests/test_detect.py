@@ -496,6 +496,12 @@ class TestOperationCounting:
         assert c44.qr_shapes == ((4, 4), (4, 4))
         assert c16.ref_1d_qr_shape == (256, 256)
 
+    @pytest.mark.parametrize("m,n,name", [(2.5, 2, "m"), (4, True, "n"), (0, 4, "m")])
+    def test_predicted_values_need_integer_dimensions(self, m, n, name):
+        # a float m once predicted a float count
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+            detect.predicted_complexity(m, n)
+
 
 class TestMatchedFilter:
     def test_unitary_case_recovers_truth_noiseless(self):

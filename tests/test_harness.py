@@ -130,6 +130,19 @@ class TestSweepConfig:
         cfg2 = tiny_config(decoder="matched", ebn0_db_points=(0.0, 2.0))
         assert [(i, e, w) for i, e, w in cfg2.cells()] == [(0, 0.0, None), (1, 2.0, None)]
 
+    def test_cell_index_stays_below_the_calibration_stream(self):
+        # cell i, frame j draws substream (seed, i, j) and the Eb calibration
+        # draws (seed, CALIBRATION_STREAM, 0), so cell 235's frame 0 would
+        # draw the calibration's bits
+        limit = channel.CALIBRATION_STREAM
+        assert limit == 235
+        assert len(tiny_config(ebn0_db_points=[0.0] * limit).cells()) == limit
+        for fields in ({"ebn0_db_points": [0.0] * (limit + 1)},
+                       {"decoder": "im_soft", "ebn0_db_points": [0.0] * 59,
+                        "omega_values": (0.25, 0.5, 0.75, 1.0)}):
+            with pytest.raises(ValueError, match=f"at most {limit} cells.*; got 236"):
+                tiny_config(**fields)
+
     def test_eta(self):
         cfg = tiny_config(alpha=0.8, beta=0.8)
         assert cfg.eta == pytest.approx(0.5625, abs=1e-12)

@@ -324,6 +324,14 @@ class TestModemParams:
         with pytest.raises(ValueError):
             modem.ModemParams(m=0, n=4)
 
+    @pytest.mark.parametrize("fields,name", [
+        ({"m": 2.5, "n": 2}, "m"), ({"m": True, "n": 2}, "m"), ({"m": 2, "n": 4.0}, "n"),
+    ])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, fields, name):
+        # a float m once built, and failed in modulate's shape check
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+            modem.ModemParams(**fields)
+
     def test_cached_factors_equal_fresh_builds(self):
         params = modem.ModemParams(m=3, n=5, alpha=0.8, beta=0.7)
         a, b_h = params.doppler_matrix, params.delay_adjoint

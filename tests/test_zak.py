@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddmod import properties, zak
+from ddmod import modem, properties, zak
 from ddmod.properties import random_signal
 from oracles import dirichlet_sq
 
@@ -45,6 +45,21 @@ class TestParams:
     ])
     def test_rejects_nonfinite_or_nonpositive_fields(self, field, value):
         with pytest.raises(ValueError, match="lam and mu must be finite and positive"):
+            zak.ZakParams(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("periods", 2.5), ("samples_per_T", True), ("periods", 8.0),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # a float count once built, and failed in the first transform
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+            zak.ZakParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lam", "mu"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_rejects_an_int_past_the_float_range(self, field, value):
+        # refused by name, not with an OverflowError from the finiteness check
+        with pytest.raises(ValueError, match=f"{field}={value}"):
             zak.ZakParams(**{field: value})
 
     def test_rejects_a_block_shorter_than_one_sample(self):
@@ -270,10 +285,11 @@ class TestDDShift:
     @pytest.mark.parametrize("lam,mu", PARAM_SETS)
     def test_shift_invariance_identity(self, lam, mu):
         # transform of the delayed/Doppler-shifted signal against the
-        # shifted-and-phased transform of the original, both numeric;
-        # 3 delay steps and a frame-periodic Doppler shift of 2 bins
+        # shifted-and-phased transform of the original, both numeric; the
+        # shift is drawn after the signal: at seed 17, 6 delay steps and 20
+        # Doppler bins (55 at lam = 2), not a multiple of the 6 periods
         p = make_params(lam=lam, mu=mu)
-        err = properties.check_shift_invariance(p, np.random.default_rng(17), shift=(3, 2))
+        err = properties.check_shift_invariance(p, np.random.default_rng(17))
         assert err < 1e-10
 
 
@@ -408,6 +424,23 @@ class TestModulationBase:
         c2 = zak.modulation_base(0, 2, p, M, N, theta=1.0, phi=beta)
         norm = abs(np.vdot(c1, c1))
         assert abs(np.vdot(c1, c2)) > 1e-3 * norm
+
+    @pytest.mark.parametrize("N,M,alpha,beta", [
+        (4, 4, 1.0, 1.0), (4, 4, 0.8, 0.75), (4, 3, 0.9, 0.85), (2, 4, 0.675, 0.675),
+    ])
+    def test_modulated_signal_is_a_combination_of_bases(self, N, M, alpha, beta):
+        # the paper's modulated signal is the frame's linear combination of
+        # the modulation bases; on the grid lam = mu = 1 with M samples per T
+        # and N periods, the modem's waveform is that combination over sqrt(M)
+        p = zak.ZakParams(lam=1, mu=1, samples_per_T=M, periods=N)
+        rng = np.random.default_rng(40)
+        s = rng.normal(size=(N, M)) + 1j * rng.normal(size=(N, M))
+        x = modem.modulate(s, modem.ModemParams(m=M, n=N, alpha=alpha, beta=beta))
+        bases = sum(
+            s[k, l] * zak.modulation_base(k, l, p, M, N, theta=alpha, phi=beta)
+            for k in range(N) for l in range(M)
+        )
+        assert np.max(np.abs(x - bases / np.sqrt(M))) <= 1e-12 * np.max(np.abs(x))
 
     def test_index_range_checked(self):
         p = self.orthogonal_params(4, 4)
