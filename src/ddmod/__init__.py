@@ -3,7 +3,8 @@
 Modules by concern:
 
 - ``numerics``  dense complex linear algebra (QR with a fixed diagonal
-  convention)
+  convention), and the count rule (``as_count``) and the real-number rule
+  (``is_real``) that every count and factor argument is checked by
 - ``zak``       discrete delay-Doppler (Zak-type) transform, maps and
   signals as plain arrays, and the pulse-train basis signals behind the
   modulation

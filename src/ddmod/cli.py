@@ -107,10 +107,9 @@ def _cmd_complexity(args):
     budget = detect.predicted_complexity(args.m, args.n)
     print(f"frame {args.m} x {args.n}")
     print(f"  2-D decoder: {budget.mults} complex multiplies, {budget.adds} complex adds; "
-          f"QR {budget.qr_shapes[0][0]}x{budget.qr_shapes[0][1]} and "
-          f"{budget.qr_shapes[1][0]}x{budget.qr_shapes[1][1]}")
+          f"QR {args.m}x{args.m} and {args.n}x{args.n}")
     print(f"  1-D reference: {budget.ref_1d_mults} multiplies, {budget.ref_1d_adds} adds; "
-          f"QR {budget.ref_1d_qr_shape[0]}x{budget.ref_1d_qr_shape[1]}")
+          f"QR {args.m * args.n}x{args.m * args.n}")
     return 0
 
 

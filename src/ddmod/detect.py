@@ -182,8 +182,7 @@ def wavefront_schedule(n_rows, m_cols):
     once and, when it is visited, its whole lower-right quadrant has already
     been decided.
     """
-    if n_rows < 1 or m_cols < 1:
-        raise ValueError("grid dimensions must be at least 1")
+    n_rows, m_cols = numerics.as_count("n_rows", n_rows), numerics.as_count("m_cols", m_cols)
 
     def key(cell):
         up, left = n_rows - 1 - cell[0], m_cols - 1 - cell[1]
@@ -283,8 +282,7 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     ``(B,)`` arrays, ``(1,)`` for one frame (see :class:`OpCounter`).
     """
     n_rows, m_cols = model.shape
-    if k_list < 1:
-        raise ValueError("k_list must be at least 1")
+    k_list = numerics.as_count("k_list", k_list)
     u = model.u.reshape(-1, n_rows, m_cols)
     if initial is not None:
         init_loss = np.reshape(total_objective(model, initial), len(u))
@@ -317,10 +315,8 @@ class PredictedComplexity:
 
     mults: int
     adds: int
-    qr_shapes: tuple
     ref_1d_mults: int
     ref_1d_adds: int
-    ref_1d_qr_shape: tuple
 
 
 def predicted_complexity(m, n):
@@ -330,16 +326,14 @@ def predicted_complexity(m, n):
     QR factorizations of M x M and N x N.  The 1-D formulation of the same
     detection problem needs ``M*N*(1+M*N)/2`` of each and an MN x MN QR.
     """
-    modem.ModemParams(m=m, n=n)  # refuses a dimension that is not a count
+    m, n = numerics.as_count("m", m), numerics.as_count("n", n)
     mn = m * n
     mini = min(m, n)
     return PredictedComplexity(
         mults=mn * (mini + 3) // 2,
         adds=mn * (mini + 1) // 2,
-        qr_shapes=((m, m), (n, n)),
         ref_1d_mults=mn * (1 + mn) // 2,
         ref_1d_adds=mn * (1 + mn) // 2,
-        ref_1d_qr_shape=(mn, mn),
     )
 
 
@@ -451,8 +445,7 @@ def im_soft_decode(model, omega, iterations, constellation):
     differs runs as ``B`` chunks of one frame.  Either way each frame comes
     out with the bits it has alone.  An empty stack gives an empty result.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+    iterations = numerics.as_count("iterations", iterations)
     per_frame = model.y_t.shape[:-2] + (1, 1)
     if np.ndim(omega) and np.shape(omega) != per_frame:
         raise ValueError(f"omega must be a scalar or shaped {per_frame}, got {np.shape(omega)}")

@@ -38,7 +38,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +45,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from . import channel, detect, modem
+from . import channel, detect, modem, numerics
 
 
 DECODERS = ("matched", "im_soft", "sd2d", "sd2d_im_init")
@@ -84,15 +83,14 @@ class SweepConfig:
             if kind is str and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
             if kind is int:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
+                least = 0 if name == "master_seed" else 1
+                object.__setattr__(self, name, numerics.as_count(name, value, least))
             if kind is float:
-                if not _is_real(value):
+                if not numerics.is_real(value):
                     raise ValueError(f"{name} must be a real number, got {value!r}")
                 object.__setattr__(self, name, _to_float(name, value))
             if kind is tuple:
-                if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
+                if not isinstance(value, (list, tuple)) or not all(map(numerics.is_real, value)):
                     raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
                 object.__setattr__(self, name, tuple(_to_float(name, x) for x in value))
         if self.decoder not in DECODERS:
@@ -102,13 +100,9 @@ class SweepConfig:
         modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
         self.eta  # refuses an alpha * beta that underflows to 0
         modem.get_constellation(self.constellation)
-        if self.iterations < 1 or self.k_list < 1:
-            raise ValueError("iterations and k_list must be at least 1")
         # the substreams key Philox on 64 bits, so a wider seed would alias
-        if not 0 <= self.master_seed < 2**64:
+        if self.master_seed >= 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
-        if self.min_bit_errors < 1 or self.max_frames < 1:
-            raise ValueError("min_bit_errors and max_frames must be at least 1")
         if len(self.ebn0_db_points) < 1:
             raise ValueError("ebn0_db_points needs at least one Eb/N0 point")
         # +inf is the noiseless point; past 3000 dB either way, 10**(e/10) or the
@@ -161,10 +155,6 @@ class SweepConfig:
 
 # config-file key -> SweepConfig field, in field order
 _FIELDS = {_JSON_KEYS.get(field.name, field.name): field for field in fields(SweepConfig)}
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _to_float(name, value):
@@ -404,10 +394,7 @@ def run_sweep(cfg, workers=None):
     """
     if workers is None:
         workers = default_workers()
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = numerics.as_count("workers", workers)
     cells_spec = cfg.cells()
     try:
         runner = _SweepRunner(cfg)

@@ -18,10 +18,11 @@ The end-to-end bridge used by the detector:
 """
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import numerics
 
 # most symbol entries (frames x N x M) stacked into one batched call by the
 # harness and the Eb calibration, and survivor entries (frames x survivors x
@@ -49,10 +50,9 @@ class ModemParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("m", self.m), ("n", self.n)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not (0.0 < self.alpha <= 1.0) or not (0.0 < self.beta <= 1.0):
+        numerics.as_count("m", self.m)
+        numerics.as_count("n", self.n)
+        if not all(numerics.is_real(f) and 0.0 < f <= 1.0 for f in (self.alpha, self.beta)):
             raise ValueError("compression factors must lie in (0, 1]")
 
     @property
@@ -136,8 +136,9 @@ def get_constellation(name):
 
 def _compressed_dft(factor, size):
     """``F[i, j] = exp(2j*pi*factor*i*j/size) / sqrt(size)``, the form of A and B."""
-    if factor <= 0 or size < 1:
-        raise ValueError(f"need a positive compression factor and size, got {factor}, {size}")
+    size = numerics.as_count("size", size)
+    if not (numerics.is_real(factor) and factor > 0):
+        raise ValueError(f"need a positive compression factor, got {factor!r}")
     idx = np.arange(size)
     return np.exp(2j * np.pi * factor * np.outer(idx, idx) / size) / np.sqrt(size)
 
@@ -211,7 +212,7 @@ def modulate(s, params):
 
 def overloading_factor(alpha, beta):
     """Fractional symbol excess over the orthogonal budget, ``1/(alpha*beta) - 1``."""
-    if alpha <= 0 or beta <= 0:
+    if not all(numerics.is_real(f) and f > 0 for f in (alpha, beta)):
         raise ValueError("compression factors must be positive")
     if alpha * beta == 0:
         raise ValueError(f"compression factors {alpha!r} and {beta!r} multiply to 0.0")
@@ -224,6 +225,7 @@ def map_bits(bits, constellation, n_rows, m_cols):
     A ``(B, bits)`` array maps row by row onto a ``(B, n_rows, m_cols)``
     stack of frames.
     """
+    n_rows, m_cols = numerics.as_count("n_rows", n_rows), numerics.as_count("m_cols", m_cols)
     bits = np.asarray(bits)
     bps = constellation.bits_per_symbol
     if bits.ndim > 2 or bits.shape[-1:] != (n_rows * m_cols * bps,):

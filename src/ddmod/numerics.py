@@ -1,10 +1,25 @@
-"""Dense complex linear algebra helpers shared by the transform and decoder code.
+"""Dense complex linear algebra helpers shared by the transform and decoder code,
+and the two rules every count and real argument of the package is checked by.
 
-Everything here is pure and operates on plain numpy arrays.  Frame sizes in
-this package are small (at most 16 x 16), so dense storage is used throughout.
+Everything here is pure, and the matrix helpers take plain numpy arrays.  Frame
+sizes in this package are small (at most 16 x 16), so dense storage is used throughout.
 """
 
+import numbers
+
 import numpy as np
+
+
+def as_count(name, value, least=1):
+    """``int(value)``, refused by ``name`` unless an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def is_real(value):
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_matrix(a):

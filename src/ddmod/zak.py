@@ -29,11 +29,12 @@ beside them.
 """
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import numerics
 
 ALIGN_TOL = 1e-9
 
@@ -58,13 +59,13 @@ class ZakParams:
 
     def __post_init__(self):
         # an int past the float range is refused here, not by an OverflowError
-        if not all(0 < v <= sys.float_info.max for v in (self.lam, self.mu)):
+        if not all(numerics.is_real(v) and 0 < v <= sys.float_info.max
+                   for v in (self.lam, self.mu)):
             raise ValueError(
                 f"lam and mu must be finite and positive, got lam={self.lam}, mu={self.mu}"
             )
-        for name, value in (("samples_per_T", self.samples_per_T), ("periods", self.periods)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        numerics.as_count("samples_per_T", self.samples_per_T)
+        numerics.as_count("periods", self.periods)
         try:
             blocks = self.lam * self.samples_per_T
         except OverflowError:

@@ -12,12 +12,29 @@ import ddmod
 from ddmod import cli
 
 
+COMPLEXITY_OUT = {  # (M, N) -> the whole stdout, pinned byte for byte
+    (4, 4): "frame 4 x 4\n"
+            "  2-D decoder: 56 complex multiplies, 40 complex adds; QR 4x4 and 4x4\n"
+            "  1-D reference: 136 multiplies, 136 adds; QR 16x16\n",
+    (16, 16): "frame 16 x 16\n"
+              "  2-D decoder: 2432 complex multiplies, 2176 complex adds; QR 16x16 and 16x16\n"
+              "  1-D reference: 32896 multiplies, 32896 adds; QR 256x256\n",
+    (8, 16): "frame 8 x 16\n"
+             "  2-D decoder: 704 complex multiplies, 576 complex adds; QR 8x8 and 16x16\n"
+             "  1-D reference: 8256 multiplies, 8256 adds; QR 128x128\n",
+    (1, 1): "frame 1 x 1\n"
+            "  2-D decoder: 2 complex multiplies, 1 complex adds; QR 1x1 and 1x1\n"
+            "  1-D reference: 1 multiplies, 1 adds; QR 1x1\n",
+    (3, 5): "frame 3 x 5\n"
+            "  2-D decoder: 45 complex multiplies, 30 complex adds; QR 3x3 and 5x5\n"
+            "  1-D reference: 120 multiplies, 120 adds; QR 15x15\n",
+}
+
+
 def test_complexity_prints_budget(capsys):
-    assert cli.main(["complexity", "--M", "4", "--N", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "56 complex multiplies" in out
-    assert "40 complex adds" in out
-    assert "136" in out  # 1-D reference
+    for (m, n), want in COMPLEXITY_OUT.items():
+        assert cli.main(["complexity", "--M", str(m), "--N", str(n)]) == 0
+        assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -134,14 +151,17 @@ def test_simulate_reports_a_bad_config_in_one_line(tmp_path, capsys, text, messa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_simulate_rejects_an_out_of_range_seed_in_one_line(tmp_path, capsys, seed):
+@pytest.mark.parametrize("seed,message", [
+    ("-1", "must be an integer of at least 0, got -1"),
+    (str(2**64), f"must lie in [0, 2**64), got {2**64}"),
+], ids=["-1", str(2**64)])
+def test_simulate_rejects_an_out_of_range_seed_in_one_line(tmp_path, capsys, seed, message):
     rc = cli.main(["simulate", "--preset", "fig4a", "--seed", seed,
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"ddmod: error: master_seed must lie in [0, 2**64), got {seed}\n"
+    assert captured.err == f"ddmod: error: master_seed {message}\n"
     assert not (tmp_path / "out").exists()
 
 

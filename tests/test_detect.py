@@ -493,8 +493,6 @@ class TestOperationCounting:
         assert c16.ref_1d_mults == 32896
         c11 = detect.predicted_complexity(1, 1)
         assert (c11.mults, c11.adds) == (2, 1)
-        assert c44.qr_shapes == ((4, 4), (4, 4))
-        assert c16.ref_1d_qr_shape == (256, 256)
 
     @pytest.mark.parametrize("m,n,name", [(2.5, 2, "m"), (4, True, "n"), (0, 4, "m")])
     def test_predicted_values_need_integer_dimensions(self, m, n, name):

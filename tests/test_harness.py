@@ -363,11 +363,11 @@ class TestRunSweep:
         assert harness.default_workers() == 1
 
     @pytest.mark.parametrize("workers,message", [
-        (0, "workers must be at least 1, got 0"),
-        (-3, "workers must be at least 1, got -3"),
-        (1.5, "workers must be an integer, got 1.5"),
-        (True, "workers must be an integer, got True"),
-        ("2", "workers must be an integer, got '2'"),
+        (0, "workers must be an integer of at least 1, got 0"),
+        (-3, "workers must be an integer of at least 1, got -3"),
+        (1.5, "workers must be an integer of at least 1, got 1.5"),
+        (True, "workers must be an integer of at least 1, got True"),
+        ("2", "workers must be an integer of at least 1, got '2'"),
     ], ids=["0", "-3", "1.5", "True", "str"])
     def test_worker_count_below_one_rejected(self, workers, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,9 +1,9 @@
-"""Tests for the shared linear-algebra helpers."""
+"""Tests for the shared linear-algebra helpers and the count and real-number rules."""
 
 import numpy as np
 import pytest
 
-from ddmod import numerics
+from ddmod import detect, harness, modem, numerics, zak
 from oracles import dirichlet_sq
 
 
@@ -104,3 +104,75 @@ class TestDirichletSq:
         assert out.shape == (2,)
         assert out[0] == 4.0
 
+
+def small_model():
+    a, b = modem.build_doppler_matrix(0.8, 2), modem.build_delay_matrix(0.8, 2)
+    return detect.build_effective_model(a, b, np.ones((2, 2), dtype=complex))
+
+
+def small_config(**fields):
+    base = dict(m=2, n=2, alpha=0.9, beta=0.9, decoder="matched",
+                ebn0_db_points=(4.0,), max_frames=1)
+    return harness.SweepConfig(**{**base, **fields})
+
+
+# caller -> (the name its message gives, the least count, a call taking the count)
+COUNT_CALLERS = {
+    "ZakParams.samples_per_T": ("samples_per_T", 1, lambda v: zak.ZakParams(samples_per_T=v)),
+    "ZakParams.periods": ("periods", 1, lambda v: zak.ZakParams(periods=v)),
+    "ModemParams.m": ("m", 1, lambda v: modem.ModemParams(m=v, n=2)),
+    "ModemParams.n": ("n", 1, lambda v: modem.ModemParams(m=2, n=v)),
+    "build_doppler_matrix": ("size", 1, lambda v: modem.build_doppler_matrix(0.8, v)),
+    "build_delay_matrix": ("size", 1, lambda v: modem.build_delay_matrix(0.8, v)),
+    "map_bits.n_rows": ("n_rows", 1, lambda v: modem.map_bits(np.zeros(12), modem.qpsk(), v, 2)),
+    "map_bits.m_cols": ("m_cols", 1, lambda v: modem.map_bits(np.zeros(12), modem.qpsk(), 2, v)),
+    "wavefront_schedule.n_rows": ("n_rows", 1, lambda v: detect.wavefront_schedule(v, 2)),
+    "wavefront_schedule.m_cols": ("m_cols", 1, lambda v: detect.wavefront_schedule(2, v)),
+    "sd2d_decode": ("k_list", 1, lambda v: detect.sd2d_decode(small_model(), modem.qpsk(), v)),
+    "im_soft_decode": ("iterations", 1,
+                       lambda v: detect.im_soft_decode(small_model(), 0.5, v, modem.qpsk())),
+    "predicted_complexity.m": ("m", 1, lambda v: detect.predicted_complexity(v, 2)),
+    "predicted_complexity.n": ("n", 1, lambda v: detect.predicted_complexity(2, v)),
+    **{f"SweepConfig.{name}": (name, 1, lambda v, name=name: small_config(**{name: v}))
+       for name in ("m", "n", "iterations", "k_list", "min_bit_errors", "max_frames")},
+    "SweepConfig.master_seed": ("master_seed", 0, lambda v: small_config(master_seed=v)),
+    "run_sweep": ("workers", 1, lambda v: harness.run_sweep(small_config(), workers=v)),
+}
+
+# caller -> (the message it refuses a factor with, a call taking the factor)
+FACTOR_CALLERS = {
+    "ModemParams.alpha": ("compression factors", lambda v: modem.ModemParams(2, 2, alpha=v)),
+    "ModemParams.beta": ("compression factors", lambda v: modem.ModemParams(2, 2, beta=v)),
+    "build_doppler_matrix": ("positive compression factor",
+                             lambda v: modem.build_doppler_matrix(v, 2)),
+    "build_delay_matrix": ("positive compression factor", lambda v: modem.build_delay_matrix(v, 2)),
+    "overloading_factor": ("compression factors", lambda v: modem.overloading_factor(v, 0.5)),
+    "ZakParams.lam": ("lam and mu must be", lambda v: zak.ZakParams(lam=v)),
+    "ZakParams.mu": ("lam and mu must be", lambda v: zak.ZakParams(mu=v)),
+    "SweepConfig.alpha": ("alpha must be a real number", lambda v: small_config(alpha=v)),
+    "SweepConfig.beta": ("beta must be a real number", lambda v: small_config(beta=v)),
+}
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "2"],
+                             ids=["0", "-1", "2.5", "True", "str"])
+    @pytest.mark.parametrize("caller", COUNT_CALLERS)
+    def test_a_count_is_checked_by_the_count_rule(self, caller, value):
+        name, least, call = COUNT_CALLERS[caller]
+        if value == 0 and least == 0:
+            call(value)
+            return
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {least}, "):
+            call(value)
+
+    @pytest.mark.parametrize("caller", COUNT_CALLERS)
+    def test_a_numpy_integer_count_is_accepted(self, caller):
+        COUNT_CALLERS[caller][2](np.int64(3))
+
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["True", "str"])
+    @pytest.mark.parametrize("caller", FACTOR_CALLERS)
+    def test_a_factor_that_is_not_a_real_number_is_refused(self, caller, value):
+        message, call = FACTOR_CALLERS[caller]
+        with pytest.raises(ValueError, match=message):
+            call(value)
