@@ -7,8 +7,11 @@ regardless of worker count, execution order or how frames are stacked.  A
 runner keeps one generator and resets it to each frame's substream.
 
 The set-up (Eb calibration, QR factors) is built once per sweep, in the
-calling process.  The cells are dealt round-robin into one group per worker,
-and the pool receives the set-up with each group.  A group runs its cells in
+calling process.  The cells are dealt round-robin into one group per worker.
+The calling process runs the first group itself and each other group in a
+child process of its own, started from the platform's default context, which
+sends its cells back through a pipe; a child that forks inherits the set-up,
+and one that spawns receives it pickled.  A group runs its cells in
 lockstep rounds: each round, every live cell adds its next frames to one
 ``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
 together, one call per layer and round.  One decode
@@ -24,9 +27,10 @@ rule may be computed, and are never counted.
 
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
-``BerCell.error``.  Any other exception aborts the sweep.  Configurations are
-validated when a :class:`SweepConfig` is built, so a bad value fails before
-any cell runs.
+``BerCell.error``.  Any other exception aborts the sweep, and so does a
+child that exits before it sends its cells; no child outlives the sweep.
+Configurations are validated when a :class:`SweepConfig` is built, so a bad
+value fails before any cell runs.
 
 Output contract: one CSV row per cell (see :func:`emit_results`) plus a JSON
 sidecar holding the fully resolved configuration and its hash.
@@ -38,9 +42,10 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -383,14 +388,30 @@ def default_workers():
     return os.cpu_count() or 1
 
 
+def _serve_group(conn, runner, group):
+    """Send ``runner.run_group(group)``'s cells through ``conn``, or the
+    exception it raised with the text of its traceback; a child's target."""
+    try:
+        conn.send(runner.run_group(group))
+    except Exception as exc:
+        conn.send((exc, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
 def run_sweep(cfg, workers=None):
     """Map the decoder over the (Eb/N0 x omega) grid and aggregate.
 
     The cells are dealt into ``min(workers, cells)`` groups, and each group
-    runs in lockstep (:meth:`_SweepRunner.run_group`), one group per pool
-    process.  ``workers`` is an integer of at least 1, and defaults to one
-    worker per CPU in the process's affinity mask.  Results are independent
-    of the worker count.
+    runs in lockstep (:meth:`_SweepRunner.run_group`).  The calling process
+    starts one child per group after the first, each with a one-way pipe,
+    runs the first group itself, then receives each child's cells.  An
+    exception a child sends is raised again here; a child that exits without
+    sending raises a ``RuntimeError`` that names its cells.  Every child is
+    joined before this returns or raises, and terminated first if it raises.
+    ``workers`` is an integer of at least 1, and defaults to one worker per
+    CPU in the process's affinity mask.  Results are independent of the
+    worker count.
     """
     if workers is None:
         workers = default_workers()
@@ -404,11 +425,38 @@ def run_sweep(cfg, workers=None):
     # cells are dealt round-robin, so each group mixes low and high Eb/N0
     n_groups = min(workers, len(cells_spec))
     groups = [cells_spec[g::n_groups] for g in range(n_groups)]
-    if n_groups == 1:
-        done = map(runner.run_group, groups)
-    else:
-        with ProcessPoolExecutor(max_workers=n_groups) as pool:
-            done = list(pool.map(runner.run_group, groups))
+    context = multiprocessing.get_context()
+    children = []  # (process, receiving end, group)
+    try:
+        for group in groups[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_serve_group, args=(sender, runner, group))
+            child.start()
+            # the child now holds the only sending end, so its exit ends the pipe
+            sender.close()
+            children.append((child, receiver, group))
+        done = [runner.run_group(groups[0])]
+        for child, receiver, group in children:
+            try:
+                sent = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"the child process running cells {[i for i, _, _ in group]} exited "
+                    f"with code {child.exitcode} before sending their results"
+                ) from None
+            if isinstance(sent, tuple):  # cells come as a list
+                exc, text = sent
+                raise exc from RuntimeError(f"raised in a child process:\n{text}")
+            done.append(sent)
+    except BaseException:
+        for child, _, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver, _ in children:
+            child.join()
+            receiver.close()
     cells = sorted((c for group in done for c in group), key=lambda c: c.cell_index)
     return BerResult(config=cfg, cells=cells)
 

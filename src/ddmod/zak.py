@@ -62,7 +62,7 @@ class ZakParams:
         if not all(numerics.is_real(v) and 0 < v <= sys.float_info.max
                    for v in (self.lam, self.mu)):
             raise ValueError(
-                f"lam and mu must be finite and positive, got lam={self.lam}, mu={self.mu}"
+                f"lam and mu must be finite and positive, got lam={self.lam!r}, mu={self.mu!r}"
             )
         numerics.as_count("samples_per_T", self.samples_per_T)
         numerics.as_count("periods", self.periods)

@@ -89,7 +89,8 @@ class TestBuildEffectiveModel:
     def test_refreshed_u_is_never_stale(self):
         # u is computed on first read, so read it before each refresh: a
         # refreshed model must not keep the u of the model it came from, nor
-        # of its pickled copy, which is how a pool worker gets the base model
+        # of its pickled copy, which is how a sweep's child process gets the
+        # base model when it spawns; a child that forks inherits it unpickled
         rng = np.random.default_rng(66)
         model = make_model(3, 2, 0.9, 0.9, y=rng.normal(size=(3, 2)) + 0j)
         y = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
@@ -493,12 +494,6 @@ class TestOperationCounting:
         assert c16.ref_1d_mults == 32896
         c11 = detect.predicted_complexity(1, 1)
         assert (c11.mults, c11.adds) == (2, 1)
-
-    @pytest.mark.parametrize("m,n,name", [(2.5, 2, "m"), (4, True, "n"), (0, 4, "m")])
-    def test_predicted_values_need_integer_dimensions(self, m, n, name):
-        # a float m once predicted a float count
-        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
-            detect.predicted_complexity(m, n)
 
 
 class TestMatchedFilter:

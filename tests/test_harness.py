@@ -1,11 +1,15 @@
 """Tests for the Monte-Carlo sweep runner, persistence, and presets."""
 
 import csv
+import contextlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -292,17 +296,87 @@ class TestRunBerPoint:
                 assert cell.mean_decoder_ops > 0
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block if it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a child runs the class's run_group only if it forks from this process
+needs_fork = pytest.mark.skipif(
+    not hasattr(signal, "SIGALRM") or multiprocessing.get_start_method() != "fork",
+    reason="patches run_group in the children, so needs fork and SIGALRM",
+)
+
+
+def patch_groups(monkeypatch, in_children, in_caller=None):
+    """Make every group but the caller's (the one holding cell 0) call
+    ``in_children(cell indices)`` in place of running, and the caller's
+    ``in_caller``, if given."""
+    original = harness._SweepRunner.run_group
+
+    def run_group(self, group):
+        action = in_caller if group[0][0] == 0 else in_children
+        return original(self, group) if action is None else action([i for i, _, _ in group])
+
+    monkeypatch.setattr(harness._SweepRunner, "run_group", run_group)
+
+
 class TestRunSweep:
-    def test_grid_and_determinism_across_worker_counts(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_grid_and_determinism_across_worker_counts(self, workers):
         cfg = tiny_config(decoder="im_soft", ebn0_db_points=(2.0, 4.0),
                           omega_values=(0.5, 1.0), iterations=5, max_frames=20,
                           min_bit_errors=10)
         seq = harness.run_sweep(cfg, workers=1)
-        par = harness.run_sweep(cfg, workers=2)
+        par = harness.run_sweep(cfg, workers=workers)
+        assert not multiprocessing.active_children()
         assert len(seq.cells) == 4
         for a, b in zip(seq.cells, par.cells):
             assert (a.cell_index, a.ebn0_db, a.omega) == (b.cell_index, b.ebn0_db, b.omega)
             assert (a.bits_sent, a.bit_errors, a.ber) == (b.bits_sent, b.bit_errors, b.ber)
+
+    @needs_fork
+    def test_an_exception_in_a_child_is_raised_again(self, monkeypatch):
+        def fail(cells):
+            raise ValueError(f"synthetic failure in cells {cells}")
+
+        patch_groups(monkeypatch, fail)
+        # the first child's, received first
+        message = r"^synthetic failure in cells \[1\]$"
+        with deadline(60), pytest.raises(ValueError, match=message) as raised:
+            harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0, 4.0)), workers=3)
+        assert not multiprocessing.active_children()
+        # the child's traceback comes with it
+        assert ", in fail\n" in str(raised.value.__cause__)
+
+    @needs_fork
+    def test_a_child_that_exits_without_sending_is_named(self, monkeypatch):
+        patch_groups(monkeypatch, lambda cells: os._exit(1))
+        message = "the child process running cells [1, 3] exited with code 1"
+        with deadline(60), pytest.raises(RuntimeError, match=re.escape(message)):
+            harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0, 4.0, 6.0)), workers=2)
+        assert not multiprocessing.active_children()
+
+    @needs_fork
+    def test_an_exception_in_the_caller_stops_the_children(self, monkeypatch):
+        def fail(cells):
+            raise ValueError("synthetic failure in the caller")
+
+        # the children would sleep past the deadline if they were joined unstopped
+        patch_groups(monkeypatch, lambda cells: time.sleep(300), in_caller=fail)
+        with deadline(60), pytest.raises(ValueError, match="synthetic failure in the caller"):
+            harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0)), workers=2)
+        assert not multiprocessing.active_children()
 
     def test_failed_cell_does_not_abort(self, monkeypatch):
         cfg = tiny_config(ebn0_db_points=(0.0, 4.0), max_frames=5, min_bit_errors=1)
@@ -361,17 +435,6 @@ class TestRunSweep:
     def test_default_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert harness.default_workers() == 1
-
-    @pytest.mark.parametrize("workers,message", [
-        (0, "workers must be an integer of at least 1, got 0"),
-        (-3, "workers must be an integer of at least 1, got -3"),
-        (1.5, "workers must be an integer of at least 1, got 1.5"),
-        (True, "workers must be an integer of at least 1, got True"),
-        ("2", "workers must be an integer of at least 1, got '2'"),
-    ], ids=["0", "-3", "1.5", "True", "str"])
-    def test_worker_count_below_one_rejected(self, workers, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            harness.run_sweep(tiny_config(max_frames=1), workers=workers)
 
 
 def frame_alone(runner, cell_index, frame_index, sigma_sq):

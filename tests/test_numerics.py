@@ -1,5 +1,7 @@
 """Tests for the shared linear-algebra helpers and the count and real-number rules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -155,15 +157,16 @@ FACTOR_CALLERS = {
 
 
 class TestNumberRules:
-    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "2"],
-                             ids=["0", "-1", "2.5", "True", "str"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, True, "2"],
+                             ids=["0", "-1", "2.5", "2.0", "True", "str"])
     @pytest.mark.parametrize("caller", COUNT_CALLERS)
     def test_a_count_is_checked_by_the_count_rule(self, caller, value):
         name, least, call = COUNT_CALLERS[caller]
         if value == 0 and least == 0:
             call(value)
             return
-        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {least}, "):
+        message = f"{name} must be an integer of at least {least}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
 
     @pytest.mark.parametrize("caller", COUNT_CALLERS)
