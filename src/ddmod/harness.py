@@ -9,15 +9,27 @@ runner keeps one generator and resets it to each frame's substream.
 The set-up (Eb calibration, QR factors) is built once per sweep, in the
 calling process.  The cells are dealt round-robin into one group per worker.
 The calling process runs the first group itself and each other group in a
-child process of its own, started from the platform's default context, which
-sends its cells back through a pipe; a child that forks inherits the set-up,
-and one that spawns receives it pickled.  A group runs its cells in
+child process of its own, started from the platform's default context and
+joined to the caller by a duplex pipe; a child that forks inherits the
+set-up, and one that spawns receives it pickled.  A group runs its cells in
 lockstep rounds: each round, every live cell adds its next frames to one
 ``(B, N, M)`` stack, which goes through modulate, AWGN, receive and decode
-together, one call per layer and round.  One decode
-(:meth:`_SweepRunner.decode`) serves every decoder: it returns the round's
-estimates and a ``(B,)`` integer array of each frame's multiplies plus adds,
-zeros for the decoders that count none.  A cell asks for the frames its
+together, one call per layer and round (:meth:`_SweepRunner.compute`).  One
+decode (:meth:`_SweepRunner.decode`) serves every decoder: it returns the
+round's estimates and a ``(B,)`` integer array of each frame's multiplies
+plus adds, zeros for the decoders that count none.
+
+A process whose own group has ended helps a group still running: a child
+helps the caller's group, and the caller, once its own group has ended,
+helps each child's group in turn.  The owner of a group plans every round
+itself, hands an even share of the round's frames to each process that
+helps it, computes the first share, and joins the bit errors and operation
+counts in stack order before it plans the next round.  A frame comes out
+the same in any stack, so the rounds, the frames computed and every result
+do not depend on who computes them.  A shared round's wall time is booked
+to the owner's cells.
+
+A cell asks for the frames its
 missing errors take at the upper confidence bound of its running BER, and
 the cells share each round's budget max-min fairly, so a round may compute
 frames past a cell's stop rule, but the cell counts its frames only up to
@@ -28,7 +40,7 @@ rule may be computed, and are never counted.
 A singular effective model (:class:`detect.SingularModelError`) fails the whole
 sweep: every cell is recorded as failed, with the message in
 ``BerCell.error``.  Any other exception aborts the sweep, and so does a
-child that exits before it sends its cells; no child outlives the sweep.
+child that exits before the sweep ends; no child outlives the sweep.
 Configurations are validated when a :class:`SweepConfig` is built, so a bad
 value fails before any cell runs.
 
@@ -44,6 +56,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
 from dataclasses import MISSING, dataclass, fields
@@ -196,7 +209,8 @@ class BerCell:
     ci_low: float = 0.0
     ci_high: float = 1.0
     mean_decoder_ops: float = 0.0
-    # the cell's share of its group's rounds, split by frames
+    # the cell's share of its group's rounds, split by frames; a round that
+    # other processes helped to compute is booked here in full
     wall_time: float = 0.0
     error: str | None = None
 
@@ -240,6 +254,7 @@ class _SweepRunner:
         self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
         # built by the first frame's substream, then reset for every frame
         self.rng = None
+        self.sent = self.decoded = None  # the last round's, see compute
 
     def decode(self, model, omega):
         """Estimates of a stacked model's ``B`` frames and a ``(B,)`` integer
@@ -286,7 +301,37 @@ class _SweepRunner:
         y_tf = modem.wigner_rect(channel.awgn(x, sigma_sq, noise), self.params)
         return bits, detect.refresh_observation(self.base_model, y_tf)
 
-    def run_group(self, group):
+    def compute(self, frames, sigma_sq, omega):
+        """Bit errors and decoder operations of the frames keyed
+        ``(cell_index, frame_index)`` in ``frames``, as two ``(B,)`` integer
+        arrays: the round's one step, in the owner of a round and in each
+        process that computes a share of it.  ``sigma_sq`` holds each frame's
+        noise variance and ``omega`` is ``(B, 1, 1)`` or ``None``.
+        """
+        # the runner holds a round's bits and model until the next transmit
+        # returns, and its estimates until the next decode returns; freed
+        # first, they let glibc trim the heap, and each round faulted its
+        # pages in again (9.5 against 0.8 minor faults a frame on cut fig2a
+        # in one process)
+        self.sent = bits, model = self.transmit(frames, sigma_sq)
+        self.decoded = est, ops = self.decode(model, omega)
+        return np.sum(modem.demap_symbols(est, self.constellation) != bits, axis=1), ops
+
+    def compute_shared(self, links, frames, sigma_sq, omega):
+        """:meth:`compute` of a round, with an even share of its frames
+        computed by each process on ``links`` whose own group has ended, as
+        many as the frames allow.  The shares are contiguous, this process
+        computes the first, and the results are joined in stack order."""
+        helpers = [link for link in links if link.idle()][:len(frames) - 1]
+        cuts = [len(frames) * k // (len(helpers) + 1) for k in range(len(helpers) + 2)]
+        shares = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        jobs = [(frames[s], sigma_sq[s], None if omega is None else omega[s]) for s in shares]
+        for link, job in zip(helpers, jobs[1:]):
+            link.send("job", job)
+        parts = [self.compute(*jobs[0])] + [link.recv()[1] for link in helpers]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def run_group(self, group, links=()):
         """Run the cells ``[(cell_index, ebn0_db, omega)]`` in lockstep rounds.
 
         Each round every live cell adds its next frames to one stack, at
@@ -298,7 +343,9 @@ class _SweepRunner:
         one error a bit, or the whole budget when they need more.  The
         budget is shared max-min fairly (:func:`_share`): a cell that wants
         less than an even share leaves the rest to the others, so a round
-        fills its budget whenever the cells want that much.  After the
+        fills its budget whenever the cells want that much.  The round is
+        computed with the help of each process on ``links`` whose own group
+        has ended (:meth:`compute_shared`).  After the
         decode a cell counts its frames in order up to the first at which
         its running error count reaches ``min_bit_errors``; the frames after
         it were computed but are dropped: neither their errors nor their
@@ -330,15 +377,15 @@ class _SweepRunner:
             takes = [(cell, take) for cell, take in zip(live, _share(wants, budget)) if take]
             counts = [take for _, take in takes]
             size = sum(counts)
-            bits, model = self.transmit(
-                [(cell.cell_index, cell.frames + j) for cell, take in takes for j in range(take)],
-                np.repeat([sigma_sq[cell.cell_index] for cell, _ in takes], counts),
-            )
             omega = None
             if cfg.uses_omega:
                 omega = np.repeat([cell.omega for cell, _ in takes], counts)[:, None, None]
-            est, frame_ops = self.decode(model, omega)
-            errors = np.sum(modem.demap_symbols(est, self.constellation) != bits, axis=1)
+            errors, frame_ops = self.compute_shared(
+                links,
+                [(cell.cell_index, cell.frames + j) for cell, take in takes for j in range(take)],
+                np.repeat([sigma_sq[cell.cell_index] for cell, _ in takes], counts),
+                omega,
+            )
             now = time.perf_counter()
             share, clock = (now - clock) / size, now
             start = 0
@@ -388,13 +435,97 @@ def default_workers():
     return os.cpu_count() or 1
 
 
-def _serve_group(conn, runner, group):
-    """Send ``runner.run_group(group)``'s cells through ``conn``, or the
-    exception it raised with the text of its traceback; a child's target."""
+class _Link:
+    """One end of the duplex pipe between the calling process and a child.
+
+    Each side sends ``("end", cells)`` once its own group has ended (a child
+    its ``BerCell`` list, the caller ``None``), and from then on it only
+    computes the shares of rounds that the other side sends it as
+    ``("job", (frames, sigma_sq, omega))``, answering each with
+    ``("ops", (errors, ops))``.  A child that raises sends
+    ``("raise", (exception, traceback text))`` and stops.  On the caller's
+    end, ``child`` is the child's process and ``group`` its cells.
+    """
+
+    def __init__(self, conn, child=None, group=()):
+        self.conn, self.child, self.group = conn, child, group
+        self.ended = False  # whether the other side's own group has ended
+        self.cells = None  # what the other side sent with its end
+
+    def recv(self):
+        """The other side's next ``(tag, body)``.  An exception a child sent
+        is raised here, with its traceback text as the cause, and so is a
+        ``RuntimeError`` when the other side closed the pipe."""
+        try:
+            tag, body = self.conn.recv()
+        # a side that exits with a message unread resets the pipe
+        except (EOFError, ConnectionResetError):
+            if self.child is None:
+                raise RuntimeError("the calling process closed its pipe") from None
+            self.child.join()
+            raise RuntimeError(
+                f"the child process running cells {[i for i, _, _ in self.group]} exited "
+                f"with code {self.child.exitcode} before the sweep ended"
+            ) from None
+        if tag == "raise":
+            exc, text = body
+            raise exc from RuntimeError(f"raised in a child process:\n{text}")
+        if tag == "end":
+            self.ended, self.cells = True, body
+        return tag, body
+
+    def send(self, tag, body):
+        try:
+            self.conn.send((tag, body))
+        except OSError:
+            # the other side has closed its end: raise what it sent last,
+            # or that it closed the pipe
+            while True:
+                self.recv()
+
+    def idle(self):
+        """Whether the other side's own group has ended, so that it helps
+        this side; reads its end message when one has come, without waiting."""
+        if not self.ended and self.conn.poll():
+            self.recv()
+        return self.ended
+
+    def serve(self, runner):
+        """Compute each share of a round the other side sends, until its own
+        group ends."""
+        while not self.ended:
+            tag, body = self.recv()
+            if tag == "job":
+                self.send("ops", runner.compute(*body))
+
+
+def _portable(exc):
+    """``exc``, or a ``RuntimeError`` naming its type and message if it does
+    not come back from pickling (an ``__init__`` that takes other arguments
+    than its ``args``, say)."""
     try:
-        conn.send(runner.run_group(group))
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__qualname__}: {exc}")
+    return exc
+
+
+def _serve_group(conn, caller_end, runner, group):
+    """A child's target: run ``group`` with the caller's help once the
+    caller's own group has ended, send the cells through ``conn``, then help
+    the caller's group until it ends.  An exception is sent in place of the
+    next message, with the text of its traceback."""
+    # a forked child inherits the caller's end; closed, the caller's exit
+    # ends the pipe for this child
+    caller_end.close()
+    link = _Link(conn)
+    try:
+        link.send("end", runner.run_group(group, [link]))
+        link.serve(runner)
     except Exception as exc:
-        conn.send((exc, traceback.format_exc()))
+        # a closed pipe leaves no one to tell
+        with contextlib.suppress(OSError):
+            conn.send(("raise", (_portable(exc), traceback.format_exc())))
     finally:
         conn.close()
 
@@ -404,14 +535,21 @@ def run_sweep(cfg, workers=None):
 
     The cells are dealt into ``min(workers, cells)`` groups, and each group
     runs in lockstep (:meth:`_SweepRunner.run_group`).  The calling process
-    starts one child per group after the first, each with a one-way pipe,
-    runs the first group itself, then receives each child's cells.  An
-    exception a child sends is raised again here; a child that exits without
-    sending raises a ``RuntimeError`` that names its cells.  Every child is
-    joined before this returns or raises, and terminated first if it raises.
-    ``workers`` is an integer of at least 1, and defaults to one worker per
-    CPU in the process's affinity mask.  Results are independent of the
-    worker count.
+    starts one child per group after the first, each with a duplex pipe
+    (:class:`_Link`), and runs the first group itself.  A child whose group
+    has ended helps the caller's group, and once the caller's group has
+    ended the caller helps each child's group in turn until it ends: the
+    owner of a group plans each round and hands every helper an even share
+    of its frames, so the rounds, the frames computed and the results do
+    not depend on who computes them, and a shared round's wall time is
+    booked to the owner's cells.  An exception a child raises, in its own
+    group or in a share, is raised again here, with the child's traceback
+    as its cause; a child that exits before the sweep ends raises a
+    ``RuntimeError`` that names its cells.  Every child is joined before
+    this returns or raises, and terminated first if it raises.  ``workers``
+    is an integer of at least 1, and defaults to one worker per CPU in the
+    process's affinity mask; at one worker no process or pipe is made.
+    Results are independent of the worker count.
     """
     if workers is None:
         workers = default_workers()
@@ -426,37 +564,29 @@ def run_sweep(cfg, workers=None):
     n_groups = min(workers, len(cells_spec))
     groups = [cells_spec[g::n_groups] for g in range(n_groups)]
     context = multiprocessing.get_context()
-    children = []  # (process, receiving end, group)
+    links = []
     try:
         for group in groups[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_serve_group, args=(sender, runner, group))
+            mine, theirs = context.Pipe()
+            child = context.Process(target=_serve_group, args=(theirs, mine, runner, group))
             child.start()
-            # the child now holds the only sending end, so its exit ends the pipe
-            sender.close()
-            children.append((child, receiver, group))
-        done = [runner.run_group(groups[0])]
-        for child, receiver, group in children:
-            try:
-                sent = receiver.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"the child process running cells {[i for i, _, _ in group]} exited "
-                    f"with code {child.exitcode} before sending their results"
-                ) from None
-            if isinstance(sent, tuple):  # cells come as a list
-                exc, text = sent
-                raise exc from RuntimeError(f"raised in a child process:\n{text}")
-            done.append(sent)
+            # the child now holds the only other end, so its exit ends the pipe
+            theirs.close()
+            links.append(_Link(mine, child, group))
+        done = [runner.run_group(groups[0], links)]
+        # then help each child's group that is still running, in turn
+        for link in links:
+            link.send("end", None)
+            link.serve(runner)
+            done.append(link.cells)
     except BaseException:
-        for child, _, _ in children:
-            child.terminate()
+        for link in links:
+            link.child.terminate()
         raise
     finally:
-        for child, receiver, _ in children:
-            child.join()
-            receiver.close()
+        for link in links:
+            link.child.join()
+            link.conn.close()
     cells = sorted((c for group in done for c in group), key=lambda c: c.cell_index)
     return BerResult(config=cfg, cells=cells)
 

@@ -8,9 +8,11 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -324,11 +326,21 @@ def patch_groups(monkeypatch, in_children, in_caller=None):
     ``in_caller``, if given."""
     original = harness._SweepRunner.run_group
 
-    def run_group(self, group):
+    def run_group(self, group, links=()):
         action = in_caller if group[0][0] == 0 else in_children
-        return original(self, group) if action is None else action([i for i, _, _ in group])
+        if action is None:
+            return original(self, group, links)
+        return action([i for i, _, _ in group])
 
     monkeypatch.setattr(harness._SweepRunner, "run_group", run_group)
+
+
+class Odd(Exception):
+    """An exception that pickles but does not unpickle: pickle rebuilds it
+    from its ``args``, one message, but its ``__init__`` takes two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"odd {a} and {b}")
 
 
 class TestRunSweep:
@@ -351,8 +363,9 @@ class TestRunSweep:
             raise ValueError(f"synthetic failure in cells {cells}")
 
         patch_groups(monkeypatch, fail)
-        # the first child's, received first
-        message = r"^synthetic failure in cells \[1\]$"
+        # the caller reads a child's message while its own group runs, so
+        # either child's may come first
+        message = r"^synthetic failure in cells \[[12]\]$"
         with deadline(60), pytest.raises(ValueError, match=message) as raised:
             harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0, 4.0)), workers=3)
         assert not multiprocessing.active_children()
@@ -366,6 +379,17 @@ class TestRunSweep:
         with deadline(60), pytest.raises(RuntimeError, match=re.escape(message)):
             harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0, 4.0, 6.0)), workers=2)
         assert not multiprocessing.active_children()
+
+    @needs_fork
+    def test_an_exception_that_does_not_unpickle_keeps_its_message(self, monkeypatch):
+        def fail(cells):
+            raise Odd("one", cells)
+
+        patch_groups(monkeypatch, fail)
+        with deadline(60), pytest.raises(RuntimeError, match=r"^Odd: odd one and \[1\]$") as raised:
+            harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0)), workers=2)
+        assert not multiprocessing.active_children()
+        assert ", in fail\n" in str(raised.value.__cause__)
 
     @needs_fork
     def test_an_exception_in_the_caller_stops_the_children(self, monkeypatch):
@@ -382,11 +406,11 @@ class TestRunSweep:
         cfg = tiny_config(ebn0_db_points=(0.0, 4.0), max_frames=5, min_bit_errors=1)
         original = harness._SweepRunner.run_group
 
-        def sabotage(self, group):
+        def sabotage(self, group, links=()):
             # cell 0 fails before its first frame; the rest of its group runs
             failed = [harness.BerCell(i, e, w, error="synthetic failure")
                       for i, e, w in group if i == 0]
-            return failed + original(self, [spec for spec in group if spec[0] != 0])
+            return failed + original(self, [spec for spec in group if spec[0] != 0], links)
 
         monkeypatch.setattr(harness._SweepRunner, "run_group", sabotage)
         result = harness.run_sweep(cfg, workers=1)
@@ -435,6 +459,210 @@ class TestRunSweep:
     def test_default_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert harness.default_workers() == 1
+
+
+def record_work(monkeypatch, log_dir):
+    """Make each process of a sweep log, in a file of its own under
+    ``log_dir``, the cells of its own group and the ``(cell_index,
+    frame_index)`` keys it computes.  Returns a reader of the logs:
+    ``[(own cells, computed keys)]``, one entry a process."""
+    run_group, compute = harness._SweepRunner.run_group, harness._SweepRunner.compute
+
+    def log(entry):
+        with open(log_dir / f"{os.getpid()}.log", "a") as fh:
+            fh.write(json.dumps(entry) + "\n")
+
+    def logged_run_group(self, group, links=()):
+        log({"own": [i for i, _, _ in group]})
+        return run_group(self, group, links)
+
+    def logged_compute(self, frames, sigma_sq, omega):
+        log({"computed": [list(key) for key in frames]})
+        return compute(self, frames, sigma_sq, omega)
+
+    monkeypatch.setattr(harness._SweepRunner, "run_group", logged_run_group)
+    monkeypatch.setattr(harness._SweepRunner, "compute", logged_compute)
+
+    def read():
+        work = []
+        for path in log_dir.glob("*.log"):
+            entries = [json.loads(line) for line in path.read_text().splitlines()]
+            (own,) = [e["own"] for e in entries if "own" in e]
+            work.append((set(own), [tuple(k) for e in entries for k in e.get("computed", [])]))
+        return work
+
+    return read
+
+
+def long_and_short(monkeypatch, long_cell):
+    """A sweep of a noiseless cell, which runs to ``max_frames`` in 16-frame
+    rounds, and a 0 dB cell, which ends in its first round; the long cell is
+    cell ``long_cell``: 0, in the caller's group, or 1, in the child's.  The
+    long cell's owner waits before each round until the other process has
+    ended its own group, so each of its rounds is shared, whichever process
+    starts first."""
+    monkeypatch.setattr(modem, "STACK_ENTRIES", 16 * 16)
+    original = harness._SweepRunner.compute_shared
+
+    def compute_shared(self, links, frames, sigma_sq, omega):
+        while frames[0][0] == long_cell and not all(link.idle() for link in links):
+            time.sleep(0.001)
+        return original(self, links, frames, sigma_sq, omega)
+
+    monkeypatch.setattr(harness._SweepRunner, "compute_shared", compute_shared)
+    points = (math.inf, 0.0) if long_cell == 0 else (0.0, math.inf)
+    return tiny_config(m=4, n=4, ebn0_db_points=points, max_frames=400)
+
+
+def owner_of(frames, workers):
+    """The group, 0 for the caller's, that owns the cell of a round's frames."""
+    return frames[0][0] % workers
+
+
+@needs_fork
+class TestHelp:
+    """A process whose own group has ended computes a share of each round of
+    a group still running."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("points", [(6.0, 0.0, 2.0, 4.0), (0.0, 6.0, 2.0, 4.0)],
+                             ids=["long_cell_in_caller", "long_cell_in_child"])
+    def test_help_leaves_every_result_as_in_one_process(
+        self, points, workers, monkeypatch, tmp_path
+    ):
+        # fig4a with its 6 dB cell, which takes most of the sweep's frames,
+        # moved to cell 0 (the caller's group) or cell 1 (a child's)
+        cfg = replace(harness.PRESETS["fig4a"], ebn0_db_points=points)
+        alone = harness.run_sweep(cfg, workers=1)
+        work = record_work(monkeypatch, tmp_path)
+        with deadline(60):
+            helped = harness.run_sweep(cfg, workers=workers)
+        assert not multiprocessing.active_children()
+        assert results(helped.cells) == results(alone.cells)
+        assert all(c.mean_decoder_ops > 0 for c in helped.cells)
+        processes = work()
+        assert len(processes) == workers
+        # some frames were computed by a process that does not own their cell
+        assert any(cell not in own for own, keys in processes for cell, _ in keys)
+        # and each frame a round holds was computed once
+        keys = [key for _, keys in processes for key in keys]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("long_cell", [0, 1], ids=["in_the_child", "in_the_caller"])
+    def test_an_exception_in_a_shared_job_is_raised_again(self, long_cell, monkeypatch):
+        # the share is computed in the process that does not own the long cell
+        caller, original = os.getpid(), harness._SweepRunner.compute
+
+        def failing_compute(self, frames, sigma_sq, omega):
+            helping = owner_of(frames, 2) != (0 if os.getpid() == caller else 1)
+            if helping:
+                raise ValueError("synthetic failure in a shared job")
+            return original(self, frames, sigma_sq, omega)
+
+        cfg = long_and_short(monkeypatch, long_cell)
+        monkeypatch.setattr(harness._SweepRunner, "compute", failing_compute)
+        with deadline(60), pytest.raises(ValueError, match="synthetic failure") as raised:
+            harness.run_sweep(cfg, workers=2)
+        assert not multiprocessing.active_children()
+        if long_cell == 0:
+            # raised in the child, whose traceback comes with it
+            assert ", in failing_compute\n" in str(raised.value.__cause__)
+        else:
+            assert "failing_compute" in [entry.name for entry in raised.traceback]
+
+    @pytest.mark.parametrize("long_cell", [0, 1], ids=["while_it_helps", "while_it_is_helped"])
+    def test_a_child_that_dies_is_named(self, long_cell, monkeypatch):
+        cfg = long_and_short(monkeypatch, long_cell)
+        caller = os.getpid()
+        compute, compute_shared = (harness._SweepRunner.compute,
+                                   harness._SweepRunner.compute_shared)
+
+        def dying_compute(self, frames, sigma_sq, omega):
+            # the child computes a share of the caller's long cell
+            if os.getpid() != caller and owner_of(frames, 2) == 0:
+                os._exit(3)
+            return compute(self, frames, sigma_sq, omega)
+
+        def dying_compute_shared(self, links, *round_):
+            result = compute_shared(self, links, *round_)
+            # the child's round was shared with the caller
+            if os.getpid() != caller and any(link.ended for link in links):
+                os._exit(3)
+            return result
+
+        if long_cell == 0:
+            monkeypatch.setattr(harness._SweepRunner, "compute", dying_compute)
+        else:
+            monkeypatch.setattr(harness._SweepRunner, "compute_shared", dying_compute_shared)
+        message = "the child process running cells [1] exited with code 3"
+        with deadline(60), pytest.raises(RuntimeError, match=re.escape(message)):
+            harness.run_sweep(cfg, workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_a_child_that_dies_with_a_message_unread_is_named(self, monkeypatch):
+        # on Linux the caller then reads a reset pipe, not its end
+        def run_group(self, group, links=()):
+            if group[0][0] == 0:
+                return original(self, group, links)
+            links[0].conn.poll(60)  # the caller's end has come, unread
+            os._exit(3)
+
+        original = harness._SweepRunner.run_group
+        monkeypatch.setattr(harness._SweepRunner, "run_group", run_group)
+        message = "the child process running cells [1] exited with code 3"
+        with deadline(60), pytest.raises(RuntimeError, match=re.escape(message)):
+            harness.run_sweep(tiny_config(ebn0_db_points=(0.0, 2.0)), workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_children_exit_when_the_caller_is_killed(self):
+        # the caller's group waits until both children have ended their own
+        # groups, and so wait to help it, then sleeps; killed, it leaves them
+        # its closed pipes, and the second child holds a copy of the first
+        # one's, so the first exits only after the second
+        script = """if True:
+            import time
+            from ddmod import harness
+
+            def run_group(self, group, links=()):
+                if group[0][0] != 0:
+                    return original(self, group, links)
+                while not all(link.idle() for link in links):
+                    time.sleep(0.01)
+                print(*[link.child.pid for link in links], flush=True)
+                time.sleep(300)
+
+            original, harness._SweepRunner.run_group = harness._SweepRunner.run_group, run_group
+            cfg = harness.SweepConfig(m=2, n=2, alpha=0.9, beta=0.9, decoder="matched",
+                                      ebn0_db_points=(0.0, 2.0, 4.0), min_bit_errors=20)
+            harness.run_sweep(cfg, workers=3)
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                text=True, env=dict(os.environ, PYTHONPATH=path))
+        pids = []
+        try:
+            with deadline(60):
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(pids) == 2
+                proc.kill()
+                proc.wait()
+                while any(map(running, pids)):
+                    time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+def running(pid):
+    """Whether the process ``pid`` runs: it exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
 
 
 def frame_alone(runner, cell_index, frame_index, sigma_sq):
@@ -663,6 +891,25 @@ class TestLockstepRounds:
 
         monkeypatch.setattr(harness._SweepRunner, "transmit", recorded)
         return rounds
+
+    def test_a_round_keeps_its_arrays_until_the_next_round_has_allocated(self, monkeypatch):
+        # freed first, a 32-frame 16x16 round's 128 KiB arrays let glibc trim
+        # the heap, and each round faulted its pages in again: 9.5 minor
+        # faults a frame against 0.8, and cut fig2a ran 5-9 % slower
+        kept, last = [], []
+        original = harness._SweepRunner.transmit
+
+        def recorded(self, frames, sigma_sq):
+            bits, model = original(self, frames, sigma_sq)
+            kept.append(all(ref() is not None for ref in last))
+            last[:] = [weakref.ref(bits), weakref.ref(model)]
+            return bits, model
+
+        monkeypatch.setattr(harness._SweepRunner, "transmit", recorded)
+        cfg = replace(harness.PRESETS["fig2a"], ebn0_db_points=(2.0,), omega_values=(0.5,),
+                      iterations=5, min_bit_errors=10**9, max_frames=100)
+        harness.run_sweep(cfg, workers=1)
+        assert len(kept) == 4 and all(kept)
 
     def test_a_cell_that_wants_few_frames_leaves_the_rest_to_the_others(self, monkeypatch):
         # a budget of 16 frames; the noiseless cell sees no error, so after
