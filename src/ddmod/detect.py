@@ -132,15 +132,14 @@ def refresh_observation(model, y_tf):
 def total_objective(model, s):
     """Exact Frobenius objective ``|| Y_T - G S H+ ||_F^2``.
 
-    A float for one frame; a ``(B,)`` array for the ``(B, N, M)`` frames
-    ``s`` of a stacked model.
+    A ``(B,)`` array for the ``(B, N, M)`` frames ``s`` of a stacked model,
+    and for one frame the same sum as a numpy scalar.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != model.y_t.shape:
         raise ValueError(f"frame shape {s.shape} does not match {model.y_t.shape}")
     resid = model.y_t - model.g @ s @ model.h.conj().T
-    loss = np.sum(np.abs(resid) ** 2, axis=(-2, -1))
-    return float(loss) if loss.ndim == 0 else loss
+    return np.sum(np.abs(resid) ** 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -258,13 +257,13 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     of a frame, that frame keeps its single best child, so a decode always
     completes.
 
-    ``S = min(k_list, |A|**cells_decided)`` depends only on the cell, so the
+    ``S = min(k_list, 4**cells_decided)`` depends only on the cell, so the
     products run on the same shapes at any ``B`` and each frame decodes bit
     for bit as it would alone.  A frame with fewer live survivors pads its
     losses with NaN, which sorts after every child and never passes a
     radius, so each frame keeps its own radius, fallback and live count.
     The stack is decoded in chunks of
-    ``max(1, modem.STACK_ENTRIES // (min(k_list, |A|**(N*M)) * N * M))``
+    ``max(1, modem.STACK_ENTRIES // (min(k_list, 4**(N*M)) * N * M))``
     frames, so one chunk's survivors hold at most ``STACK_ENTRIES`` entries
     (a chunk of one frame may hold more), and the returned arrays hold no
     survivors.
@@ -496,5 +495,8 @@ def im_soft_decode(model, omega, iterations, constellation):
 
 
 def hard_demap(w, constellation):
-    """Entrywise nearest constellation point; ties break to the lowest index."""
+    """Entrywise nearest constellation point, the one with the signs of ``w``.
+
+    An axis of ``±0.0`` or NaN counts as positive, and ``±inf`` goes by its sign.
+    """
     return constellation.points[constellation.nearest(w)]

@@ -14,7 +14,7 @@ matrices non-unitary.
 
 The end-to-end bridge used by the detector:
 ``wigner_rect(modulate(S)) == A @ S @ B.conj().T`` exactly, for all
-``alpha, beta``.
+``alpha, beta``.  The one alphabet is Gray-mapped QPSK, decided by sign.
 """
 
 import functools
@@ -72,28 +72,34 @@ class ModemParams:
         return b.T
 
 
+# Gray QPSK's points up to scale, in label order
+_QPSK_PATTERN = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
+
+
 @dataclass(frozen=True)
 class Constellation:
-    """Symbol alphabet with an index <-> bit-label convention.
+    """Gray-mapped QPSK at a positive scale, the modem's one alphabet.
 
-    ``points[i]`` carries the bit label given by the big-endian binary
-    expansion of ``i`` over ``bits_per_symbol`` bits.
+    ``points`` is ``c * (1+1j, -1+1j, 1-1j, -1-1j)`` for a finite ``c > 0``,
+    and ``points[i]`` carries the two-bit label ``i``: bit 0 (the high bit)
+    is ``imag < 0`` and bit 1 is ``real < 0``.  Each axis of a point is
+    nearest to every value of its sign, so :meth:`nearest` decides by sign.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
-        if pts.size == 0:
-            raise ValueError("constellation must not be empty")
-        k = int(np.log2(pts.size))
-        if 2**k != pts.size:
-            raise ValueError("constellation size must be a power of two")
+        scale = pts[0].real if pts.shape == _QPSK_PATTERN.shape else np.nan
+        if not (0 < scale < np.inf and np.array_equal(pts, scale * _QPSK_PATTERN)):
+            raise ValueError(
+                "a constellation must be c * (1+1j, -1+1j, 1-1j, -1-1j) with a finite c > 0"
+            )
         object.__setattr__(self, "points", pts)
 
     @property
     def bits_per_symbol(self):
-        return int(np.log2(self.points.size))
+        return 2
 
     @property
     def axis_magnitude(self):
@@ -101,19 +107,13 @@ class Constellation:
         return float(np.mean(np.abs(self.points.real)))
 
     def nearest(self, w):
-        """Entrywise index of the nearest point; ties break to the lowest index.
+        """Entrywise index of the nearest point, ``2 * (w.imag < 0) + (w.real < 0)``.
 
-        The points are compared one at a time, so the work arrays keep the
-        shape of ``w``.
+        The sign rule decides every value: an axis of ``+0.0``, ``-0.0`` or
+        NaN counts as positive, and ``+inf`` or ``-inf`` goes by its sign.
         """
         w = np.asarray(w, dtype=complex)
-        best = np.abs(w - self.points[0])
-        idx = np.zeros(w.shape, dtype=np.intp)
-        for k in range(1, self.points.size):
-            dist = np.abs(w - self.points[k])
-            idx[dist < best] = k
-            np.minimum(best, dist, out=best)
-        return idx
+        return 2 * (w.imag < 0) + (w.real < 0)
 
 
 def qpsk():
@@ -123,8 +123,7 @@ def qpsk():
     11 -> (-1-j)/sqrt(2),      10 -> (+1-j)/sqrt(2);
     first bit selects the imaginary sign, second the real sign.
     """
-    pts = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
-    return Constellation(points=pts)
+    return Constellation(points=_QPSK_PATTERN / np.sqrt(2.0))
 
 
 def get_constellation(name):
@@ -222,35 +221,31 @@ def overloading_factor(alpha, beta):
 def map_bits(bits, constellation, n_rows, m_cols):
     """Map a bit vector onto an ``n_rows x m_cols`` symbol frame.
 
+    Each pair of bits ``(b0, b1)`` picks the point of label ``2*b0 + b1``.
     A ``(B, bits)`` array maps row by row onto a ``(B, n_rows, m_cols)``
     stack of frames.
     """
     n_rows, m_cols = numerics.as_count("n_rows", n_rows), numerics.as_count("m_cols", m_cols)
     bits = np.asarray(bits)
-    bps = constellation.bits_per_symbol
-    if bits.ndim > 2 or bits.shape[-1:] != (n_rows * m_cols * bps,):
+    if bits.ndim > 2 or bits.shape[-1:] != (n_rows * m_cols * 2,):
         raise ValueError(
-            f"expected {n_rows * m_cols * bps} bits for a {n_rows}x{m_cols} frame, "
+            f"expected {n_rows * m_cols * 2} bits for a {n_rows}x{m_cols} frame, "
             f"got shape {bits.shape}"
         )
     # checked before the cast, which would truncate 0.5 to a valid 0
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
-    bits = bits.astype(int, copy=False)
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    idx = bits.reshape(-1, bps) @ weights
-    return constellation.points[idx].reshape(*bits.shape[:-1], n_rows, m_cols)
+    pairs = bits.astype(int, copy=False).reshape(*bits.shape[:-1], n_rows, m_cols, 2)
+    return constellation.points[2 * pairs[..., 0] + pairs[..., 1]]
 
 
 def demap_symbols(frame, constellation):
-    """Nearest-neighbor demap of a symbol frame back to a bit vector.
+    """Demap a symbol frame back to a bit vector by sign.
 
-    A ``(B, N, M)`` stack of frames demaps to a ``(B, bits)`` array, one row
-    per frame.  Ties break toward the lowest constellation index, so the
-    demap is deterministic for any input.
+    Each entry ``w`` gives the bits ``(w.imag < 0, w.real < 0)`` of its
+    nearest point (see :meth:`Constellation.nearest` for ``±0``, NaN and
+    ``±inf``).  A ``(B, N, M)`` stack of frames demaps to a ``(B, bits)``
+    array, one row per frame.
     """
-    frame = np.asarray(frame)
-    idx = constellation.nearest(frame)[..., None]
-    bps = constellation.bits_per_symbol
-    bits = (idx >> np.arange(bps - 1, -1, -1)) & 1
-    return bits.reshape(*frame.shape[:-2], -1)
+    idx = constellation.nearest(frame)
+    return np.stack((idx >> 1, idx & 1), axis=-1).reshape(*idx.shape[:-2], -1)

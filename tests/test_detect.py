@@ -149,6 +149,25 @@ class TestObjectiveAndPartialMetric:
         expect = abs(model.u[r, c] - model.r[r, r] * s[r, c] * model.l[c, c]) ** 2
         assert detect.partial_metric(model, s, r, c) == pytest.approx(expect, rel=1e-12)
 
+    def test_one_frame_sums_like_a_stack_of_one(self):
+        rng = np.random.default_rng(69)
+        y = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        model = make_model(3, 4, 0.8, 0.7, y=y)
+        s = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        one = detect.total_objective(model, s)
+        stack = detect.total_objective(detect.refresh_observation(model, y[None]), s[None])
+        assert one.shape == () and stack.shape == (1,) and same_bits(one, stack[0])
+
+    def test_frame_of_another_shape_refused(self):
+        model = make_model(3, 4, 0.8, 0.7)
+        wrong = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=r"observation shape \(4, 3\) does not match \(3, 4\)"):
+            detect.build_effective_model(model.g, model.h, wrong)
+        with pytest.raises(ValueError, match=r"frame shape \(4, 3\) does not match \(3, 4\)"):
+            detect.total_objective(model, wrong)
+        with pytest.raises(ValueError, match=r"frame shape \(4, 3\) does not match \(3, 4\)"):
+            detect.partial_metric(model, wrong, 0, 0)
+
     @pytest.mark.parametrize("n,m", [(3, 4), (4, 3), (5, 5)])
     def test_decomposition_identity(self, n, m):
         err = properties.check_objective_decomposition(n, m, 0.8, 0.9, np.random.default_rng(68))
@@ -1166,7 +1185,7 @@ class TestHardDemap:
         assert np.array_equal(detect.hard_demap(s + delta, q), s)
 
     def test_agrees_with_bit_demap(self):
-        # both demappers share one nearest-point search, ties included
+        # both demappers decide by the one sign rule, ties included
         rng = np.random.default_rng(88)
         q = modem.qpsk()
         frames = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(20)]

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddmod import modem, properties
 
 # regression baseline from an SVD oracle, see test_condition_number_baseline
 COND_A_09_16 = 17.139345394283602
+# Gray QPSK up to scale, in label order, and the refusal of any other alphabet
+PATTERN = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
+CONSTELLATION_MESSAGE = (
+    r"^a constellation must be c \* \(1\+1j, -1\+1j, 1-1j, -1-1j\) with a finite c > 0$"
+)
 
 
 def random_frame(rng, n, m):
@@ -298,19 +305,63 @@ class TestBitMapping:
         assert q.axis_magnitude == pytest.approx(2**-0.5)
 
 
+class TestConstellation:
+    def test_scaled_qpsk_accepted(self):
+        for scale in (2**-0.5, 1.0, 3.0, 5e-324):
+            q = modem.Constellation(points=scale * PATTERN)
+            assert np.array_equal(q.points, scale * PATTERN) and q.bits_per_symbol == 2
+
+    @pytest.mark.parametrize("points", [
+        np.exp(2j * np.pi * np.arange(8) / 8),
+        np.concatenate([PATTERN, PATTERN]),
+        PATTERN[[0, 1, 3, 2]],
+        PATTERN[::-1],
+        np.conj(PATTERN),
+        -1.0 * PATTERN,
+        0.0 * PATTERN,
+        np.nan * PATTERN,
+        np.inf * PATTERN,
+        np.array([]),
+    ], ids=["8psk", "8 points", "gray order swapped", "reversed", "conjugated",
+            "negative scale", "zero scale", "nan scale", "inf scale", "empty"])
+    def test_anything_else_refused_with_one_message(self, points):
+        with pytest.raises(ValueError, match=CONSTELLATION_MESSAGE):
+            modem.Constellation(points=points)
+
+
 class TestNearest:
-    def test_equals_argmin_over_all_points(self):
-        # the one-point-at-a-time search against the argmin of the full
-        # distance table, on random stacks, exact ties and special values
-        q = modem.qpsk()
-        rng = np.random.default_rng(90)
-        axis = [0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan]
-        special = np.array([complex(a, b) for a in axis for b in axis])
-        cases = [rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4)),
-                 q.points, q.points * 3, special, special.reshape(8, 8)]
-        for w in cases:
-            dist = np.abs(w.reshape(-1)[:, None] - q.points[None, :])
-            assert np.array_equal(q.nearest(w), np.argmin(dist, axis=1).reshape(w.shape))
+    # each axis value, and whether the sign rule counts it as negative
+    AXES = [(0.0, 0), (-0.0, 0), (np.nan, 0), (5e-324, 0), (-5e-324, 1),
+            (0.5, 0), (-0.5, 1), (np.inf, 0), (-np.inf, 1)]
+
+    @pytest.mark.parametrize("scale", [2**-0.5, 1.0, 1e300])
+    def test_sign_rule(self, scale):
+        # label 2 * (imag < 0) + (real < 0): +-0 and NaN count as positive,
+        # +-inf goes by its sign
+        q = modem.Constellation(points=scale * PATTERN)
+        w = np.array([[complex(re, im) for re, _ in self.AXES] for im, _ in self.AXES])
+        bits = np.array([[(im_neg, re_neg) for _, re_neg in self.AXES] for _, im_neg in self.AXES])
+        want = 2 * bits[..., 0] + bits[..., 1]
+        assert np.array_equal(q.nearest(w), want)
+        assert np.array_equal(q.nearest(w[None].repeat(3, axis=0)), np.stack([want] * 3))
+        assert np.array_equal(modem.demap_symbols(w, q), bits.reshape(-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 8),
+           spread=st.floats(-12, 12), scale=st.floats(1e-100, 1e100))
+    def test_equals_argmin_where_the_distances_do_not_tie(self, seed, frames, spread, scale):
+        # the argmin of the rounded distances on random stacks, at any
+        # positive scale, wherever its best two distances differ by more than
+        # rounding; the pinned sweeps hold no value closer to a tie
+        q = modem.Constellation(points=scale * PATTERN)
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(frames, 4, 8)).view(complex) * (scale * 10.0**spread)
+        dist = np.abs(w[..., None] - q.points)
+        best = np.sort(dist, axis=-1)
+        apart = best[..., 1] - best[..., 0] > 8 * np.finfo(float).eps * best[..., 1]
+        # within 1e12 of the scale a tie is rare, so most entries are compared
+        assert apart.mean() > 0.5
+        assert np.array_equal(q.nearest(w)[apart], np.argmin(dist, axis=-1)[apart])
 
 
 class TestModemParams:
