@@ -533,23 +533,23 @@ def _serve_group(conn, caller_end, runner, group):
 def run_sweep(cfg, workers=None):
     """Map the decoder over the (Eb/N0 x omega) grid and aggregate.
 
-    The cells are dealt into ``min(workers, cells)`` groups, and each group
-    runs in lockstep (:meth:`_SweepRunner.run_group`).  The calling process
-    starts one child per group after the first, each with a duplex pipe
-    (:class:`_Link`), and runs the first group itself.  A child whose group
-    has ended helps the caller's group, and once the caller's group has
-    ended the caller helps each child's group in turn until it ends: the
-    owner of a group plans each round and hands every helper an even share
-    of its frames, so the rounds, the frames computed and the results do
-    not depend on who computes them, and a shared round's wall time is
-    booked to the owner's cells.  An exception a child raises, in its own
-    group or in a share, is raised again here, with the child's traceback
-    as its cause; a child that exits before the sweep ends raises a
-    ``RuntimeError`` that names its cells.  Every child is joined before
-    this returns or raises, and terminated first if it raises.  ``workers``
-    is an integer of at least 1, and defaults to one worker per CPU in the
-    process's affinity mask; at one worker no process or pipe is made.
-    Results are independent of the worker count.
+    The cells are dealt into ``min(workers, cells)`` groups, each run in
+    lockstep (:meth:`_SweepRunner.run_group`).  The calling process runs the
+    first group itself and starts a child for each other group, joined to it
+    by a duplex pipe (:class:`_Link`).  A child whose group has ended helps
+    the caller's group, and the caller, once its own has ended, helps each
+    child's group in turn.  The pipes join each child to the caller only,
+    so at three or more workers a child whose group has ended sits idle
+    while another child's group runs.  The owner of a group plans each round
+    and hands every helper an even share of its frames, so the rounds, the
+    frames computed and the results do not depend on who computes them, and
+    a shared round's wall time is booked to the owner's cells.  A child's
+    exception, in its own group or in a share, is raised again here with the
+    child's traceback as its cause; a child that exits before the sweep ends
+    raises a ``RuntimeError`` that names its cells.  Every child is joined,
+    and terminated first on an error.  ``workers`` is an integer of at least
+    1, by default the CPUs in the process's affinity mask; at one worker no
+    process or pipe is made.  Results are independent of the worker count.
     """
     if workers is None:
         workers = default_workers()

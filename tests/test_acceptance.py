@@ -50,7 +50,7 @@ def test_criterion_2_operation_counts():
     """Instrumented single-candidate sweep counts equal the closed forms."""
     start = time.perf_counter()
     ref_seen = []
-    for m, n in [(2, 2), (4, 4), (4, 8), (16, 16)]:
+    for m, n in [(2, 2), (4, 4), (4, 8), (8, 4), (16, 16)]:
         assert properties.check_counter_conformance(n, m, 0.9, 0.9) == 0.0, (m, n)
         want = detect.predicted_complexity(m, n)
         assert want.mults == m * n * (min(m, n) + 3) // 2

@@ -31,10 +31,10 @@ COMPLEXITY_OUT = {  # (M, N) -> the whole stdout, pinned byte for byte
 }
 
 
-def test_complexity_prints_budget(capsys):
-    for (m, n), want in COMPLEXITY_OUT.items():
-        assert cli.main(["complexity", "--M", str(m), "--N", str(n)]) == 0
-        assert capsys.readouterr().out == want
+@pytest.mark.parametrize("m, n", COMPLEXITY_OUT)
+def test_complexity_prints_budget(capsys, m, n):
+    assert cli.main(["complexity", "--M", str(m), "--N", str(n)]) == 0
+    assert capsys.readouterr().out == COMPLEXITY_OUT[m, n]
 
 
 @pytest.mark.parametrize("argv, message", [

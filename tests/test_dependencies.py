@@ -13,6 +13,7 @@ SRC = ROOT / "src" / "ddmod"
 ALLOWED = {"ddmod", "numpy", *sys.stdlib_module_names}
 # the modules a sweep runs through; zak, properties and cli stay off this path
 SWEEP_PATH = {"harness", "modem", "channel", "detect", "numerics"}
+SOURCES = sorted(SRC.glob("*.py"))
 
 
 def imported_modules(path):
@@ -29,15 +30,13 @@ def imported_modules(path):
             yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
-def test_core_imports_numpy_and_the_standard_library_only():
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    foreign = {
-        (path.name, name)
-        for path in sources
-        for name in imported_modules(path)
-        if name.partition(".")[0] not in ALLOWED
-    }
+def test_the_source_files_are_found():
+    assert {path.name for path in SOURCES} >= {f"{name}.py" for name in SWEEP_PATH}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_core_imports_numpy_and_the_standard_library_only(path):
+    foreign = {name for name in imported_modules(path) if name.partition(".")[0] not in ALLOWED}
     assert not foreign
 
 
@@ -55,21 +54,20 @@ def test_sweep_path_imports_no_other_ddmod_module():
     assert not outside
 
 
-def test_core_reads_no_environment_variable():
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_core_reads_no_environment_variable(path):
     # every setting comes from a config, a CLI flag or an argument, so no
     # hidden knob can change a sweep
     names = {"environ", "environb", "getenv", "getenvb"}
-    reads = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        reads |= {
-            (path.name, node.lineno, node.attr)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in names
-            and isinstance(node.value, ast.Name) and node.value.id == "os"
-        }
-        reads |= {(path.name, 0, name) for name in imported_modules(path)
-                  if name.startswith("os.") and name[3:] in names}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = {
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+    }
+    reads |= {(0, name) for name in imported_modules(path)
+              if name.startswith("os.") and name[3:] in names}
     assert not reads
 
 

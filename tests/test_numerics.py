@@ -27,21 +27,18 @@ class TestQRDecompose:
         assert np.allclose(np.diag(r), [1.0, 1.0])
         assert np.allclose(r, np.diag(np.diag(r)))
 
-    def test_roundtrip_seed0(self):
-        rng = np.random.default_rng(0)
-        a = random_complex(rng, (8, 8))
+    @pytest.mark.parametrize("seed,n", [(0, 8), (1, 6), (3, 7)])
+    def test_factors(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, (n, n))
         q, r = numerics.qr_decompose(a)
         assert np.linalg.norm(a - q @ r) / np.linalg.norm(a) < 1e-12
-
-    def test_q_unitary_and_r_upper(self):
-        rng = np.random.default_rng(1)
-        a = random_complex(rng, (6, 6))
-        q, r = numerics.qr_decompose(a)
-        n = a.shape[0]
         assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-10 * n
         assert np.allclose(r, np.triu(r))
         diag = np.diag(r)
         assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
+        x = random_complex(rng, (n,))
+        assert np.linalg.norm(q @ x) == pytest.approx(np.linalg.norm(x), rel=1e-10)
 
     def test_deterministic_factors(self):
         rng = np.random.default_rng(2)
@@ -54,57 +51,27 @@ class TestQRDecompose:
         with pytest.raises(ValueError, match="square"):
             numerics.qr_decompose(np.ones((2, 3)))
 
-    def test_rejects_nonfinite(self):
-        a = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(0, np.nan)])
+    def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            numerics.qr_decompose(a)
-
-    @pytest.mark.parametrize("bad", [complex(0, np.inf), complex(0, np.nan)])
-    def test_rejects_nonfinite_imaginary_parts(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            numerics.as_matrix([[1.0, bad]])
-
-    def test_norm_identities(self):
-        rng = np.random.default_rng(3)
-        a = random_complex(rng, (7, 7))
-        q, r = numerics.qr_decompose(a)
-        assert np.sum(np.abs(a) ** 2) == pytest.approx(np.sum(np.abs(q @ r) ** 2), rel=1e-10)
-        x = random_complex(rng, (7,))
-        assert np.linalg.norm(q @ x) == pytest.approx(np.linalg.norm(x), rel=1e-10)
+            numerics.qr_decompose(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 class TestDirichletSq:
-    def test_removable_singularity(self):
-        assert dirichlet_sq(0.0, 5) == 25.0
-        assert dirichlet_sq(1.0, 5) == 25.0
-        assert dirichlet_sq(-3.0, 4) == 16.0
+    """The closed-form kernel of the zak tests against its defining sum."""
 
-    def test_half_mainlobe_point(self):
-        k = 4
-        expect = 1.0 / np.sin(np.pi / 8) ** 2
-        assert dirichlet_sq(1.0 / (2 * k), k) == pytest.approx(expect, rel=1e-12)
-
-    def test_matches_geometric_sum_oracle(self):
-        # |sum_{n=0}^{K-1} exp(2j pi n x)|^2 evaluated directly
-        x, k = 0.3, 7
-        oracle = abs(np.sum(np.exp(2j * np.pi * np.arange(k) * x))) ** 2
-        assert dirichlet_sq(x, k) == pytest.approx(oracle, rel=1e-12)
-
-    def test_even_and_periodic(self):
+    def test_matches_the_geometric_sum(self):
+        # |sum_{n=0}^{k-1} exp(2j pi n x)|^2, at integers (the removable
+        # singularity), at half a main lobe, and where it is even and periodic
         rng = np.random.default_rng(4)
-        for x in rng.uniform(-2, 2, size=20):
-            v = dirichlet_sq(x, 6)
-            assert dirichlet_sq(-x, 6) == pytest.approx(v, rel=1e-9)
-            assert dirichlet_sq(x + 1.0, 6) == pytest.approx(v, rel=1e-9)
-
-    def test_rejects_bad_count(self):
+        x = np.concatenate([[0.0, 1.0, -3.0, 1 / 8, 0.3], rng.uniform(-2, 2, size=20)])
+        x = np.concatenate([x, -x, x + 1.0])
+        for k in (1, 2, 4, 5, 7):
+            oracle = np.abs(np.exp(2j * np.pi * np.outer(x, np.arange(k))).sum(axis=1)) ** 2
+            assert np.allclose(dirichlet_sq(x, k), oracle, rtol=1e-9, atol=1e-9)
+        assert dirichlet_sq(0.0, 5) == 25.0 and dirichlet_sq(-3.0, 4) == 16.0
         with pytest.raises(ValueError):
             dirichlet_sq(0.1, 0)
-
-    def test_vector_argument(self):
-        out = dirichlet_sq(np.array([0.0, 0.25]), 2)
-        assert out.shape == (2,)
-        assert out[0] == 4.0
 
 
 def small_model():
