@@ -103,16 +103,18 @@ def measure_eb(params, constellation, master_seed):
     Measured from the actual waveform rather than assumed from constellation
     energy: for compression factors below 1 the transform is non-unitary and
     per-frame energy fluctuates, so measured-energy normalization keeps Eb/N0
-    comparisons fair across overloading factors.
+    comparisons fair across overloading factors.  ``constellation`` is not
+    read: the frames carry the modem's one alphabet (see
+    ``modem.Constellation`` for why the parameter stays).
     """
     rng = substream(master_seed, CALIBRATION_STREAM)
-    bits_per_frame = params.frame_symbols * constellation.bits_per_symbol
+    bits_per_frame = params.frame_symbols * modem.BITS_PER_SYMBOL
     chunk = max(1, modem.STACK_ENTRIES // params.frame_symbols)
     energy = 0.0
     for start in range(0, CALIBRATION_FRAMES, chunk):
         shape = (min(chunk, CALIBRATION_FRAMES - start), bits_per_frame)
         bits = raw_bits(rng.bit_generator.random_raw(-(-shape[0] * bits_per_frame // 2)), shape)
-        x = modem.modulate(modem.map_bits(bits, constellation, params.n, params.m), params)
+        x = modem.modulate(modem.map_bits(bits, params.n, params.m), params)
         # frame energies are added left to right, one at a time, so Eb does
         # not depend on the chunk size or on how a reduction groups them
         for frame_energy in np.sum(np.abs(x) ** 2, axis=1):

@@ -22,9 +22,9 @@ decodes a ``(B, N, M)`` stack of frames in chunks of frames whose survivors
 hold at most ``modem.STACK_ENTRIES`` entries.  Its survivors are plain
 arrays: a ``(B, S, N, M)`` stack of partial frames, zero in the cells not yet
 decided, and their accumulated ``(B, S)`` losses, NaN in the slots a frame
-does not fill.  Each cell extends every survivor by every constellation point
-and keeps each frame's ``k <= k_list`` lowest-loss children inside its
-squared radius, indexing the stack by parent.
+does not fill.  Each cell extends every survivor by every point of
+``modem.POINTS`` and keeps each frame's ``k <= k_list`` lowest-loss children
+inside its squared radius, indexing the stack by parent.
 
 Operation counting: the counter attributes to each cell evaluation the
 update recursion along the shorter frame axis: one inner product of the
@@ -51,6 +51,8 @@ RADIUS_SLACK = 1e-6
 # threads cost more than they save on products this small, and a pool of
 # one worker per core would run more threads than there are cores.
 SERIAL_GEMM_MNK = 1 << 16
+# fewest symbol entries a width check compares, see _width_keeps_bits
+WIDTH_CHECK_ENTRIES = 256
 # Smallest |R_ii| relative to ||A||_F at or below which a QR factor is
 # considered effectively rank deficient.
 RANK_EPS = 1e-12
@@ -201,7 +203,7 @@ def _schedule_arrays(n_rows, m_cols):
     return schedule, rows, cols, exts
 
 
-def _kbest(model, u, points, k_list, radius_sq):
+def _kbest(model, u, k_list, radius_sq):
     """Each frame's best survivor for the ``(B, N, M)`` observations ``u``.
 
     Returns the ``(B, N, M)`` frames and ``(B,)`` losses of the best
@@ -209,6 +211,7 @@ def _kbest(model, u, points, k_list, radius_sq):
     is ``(B, 1)``.
     """
     n_rows, m_cols = model.shape
+    points = modem.POINTS
     schedule, rows, cols, exts = _schedule_arrays(n_rows, m_cols)
     # scale * point is a child's own term: its cell is still 0, so it enters
     # the cell's residual only through the diagonals of R and L
@@ -245,13 +248,13 @@ def _kbest(model, u, points, k_list, radius_sq):
     return frames[:, 0], losses[:, 0], adds + len(exts) + live.sum(axis=1), adds
 
 
-def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
+def sd2d_decode(model, k_list, radius_sq=None, initial=None):
     """2-D K-best sphere decode; returns ``(s_hat, final_loss, counter)``.
 
     The survivors are ``frames``, a ``(B, S, N, M)`` stack of partial frames
     that are zero where undecided, and their accumulated ``(B, S)``
     ``losses``.  At each cell of :func:`wavefront_schedule` every survivor is
-    extended by every constellation point; each frame's children are sorted
+    extended by every point of ``modem.POINTS``; each frame's children are sorted
     ascending (stable, so ties keep parent-then-point order) and its best
     ``k_list`` inside the radius survive.  If the radius prunes every child
     of a frame, that frame keeps its single best child, so a decode always
@@ -291,15 +294,14 @@ def sd2d_decode(model, constellation, k_list, radius_sq=None, initial=None):
     radius_sq = np.broadcast_to(np.reshape(radius_sq, (-1, 1)), (len(u), 1))
     if not (radius_sq >= 0).all():
         raise ValueError("radius_sq must be non-negative or infinite")
-    points = constellation.points
-    survivors = min(k_list, points.size ** (n_rows * m_cols))
+    survivors = min(k_list, modem.POINTS.size ** (n_rows * m_cols))
     chunk = max(1, modem.STACK_ENTRIES // (survivors * n_rows * m_cols))
     s_hat, loss = np.empty(u.shape, dtype=complex), np.empty(len(u))
     mults, adds = np.empty(len(u), dtype=int), np.empty(len(u), dtype=int)
     for start in range(0, len(u), chunk):
         part = slice(start, start + chunk)
         s_hat[part], loss[part], mults[part], adds[part] = _kbest(
-            model, u[part], points, k_list, radius_sq[part]
+            model, u[part], k_list, radius_sq[part]
         )
     if initial is not None:
         better = init_loss < loss
@@ -381,14 +383,19 @@ def _width_keeps_bits(n_rows, m_cols, width):
     the machine that decodes, the first time a process runs the width.  On
     OpenBLAS 0.3.31's Haswell kernels, of the 256 shapes with ``N, M <= 16``
     the 194 that fail at some width are those with ``N < 2`` or
-    ``M % 4 != 0``, all but 1x1 and 1x4."""
+    ``M % 4 != 0``, all but 1x1 and 1x4.
+
+    The check runs chunks of random frames, at least ``WIDTH_CHECK_ENTRIES``
+    entries in all: a sum taken in another order gives the same bits on
+    some inputs, as one chunk of 2x1 frames at width 2 or 3 does there."""
     rng = np.random.default_rng(0)
+    chunks = -(-WIDTH_CHECK_ENTRIES // (width * n_rows * m_cols))
     gtg = rng.normal(size=(n_rows, 2 * n_rows)).view(complex)
     hth = rng.normal(size=(m_cols, 2 * m_cols)).view(complex)
-    s = rng.normal(size=(width, n_rows, 2 * m_cols)).view(complex)
-    want = (gtg @ s @ hth).transpose(1, 0, 2)
-    x = np.ascontiguousarray(s.transpose(1, 0, 2))
-    got = _chunked_operator(gtg, hth, 1, width)(x, np.empty_like(x))
+    s = rng.normal(size=(chunks, width, n_rows, 2 * m_cols)).view(complex)
+    want = (gtg @ s @ hth).swapaxes(1, 2)
+    x = np.ascontiguousarray(s.swapaxes(1, 2))
+    got = _chunked_operator(gtg, hth, chunks, width)(x, np.empty_like(x))
     return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -404,15 +411,16 @@ def _stack_operator(model, frames):
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)
 
 
-def im_soft_decode(model, omega, iterations, constellation):
+def im_soft_decode(model, omega, iterations):
     """Iterative decoding with a shrinking soft clipper.
 
     Iterates ``r = 1..H`` with threshold ``d_r = max(0, 1 - r/H)``, where
     ``H = iterations``.  Each step forms the clipped tentative frame
-    ``s = clip(w, d_r)`` in units of ``constellation.axis_magnitude``, the
-    points' per-axis magnitude, and applies the relaxed update anchored on
-    the clipped iterate, ``w <- omega * (w_0 - C(s)) + s``, whose fixed
-    point is the interference-cancelled observation, stable under noise.
+    ``s = clip(w, d_r)`` in units of ``modem.AXIS_MAGNITUDE``, the points'
+    per-axis magnitude, read when the call starts, and applies the relaxed
+    update anchored on the clipped iterate, ``w <- omega * (w_0 - C(s)) + s``,
+    whose fixed point is the interference-cancelled observation, stable
+    under noise.
 
     The loop stops early at an exact fixed point: once two consecutive steps
     clip every entry with the same sign pattern, ``s`` and then ``w`` repeat,
@@ -449,7 +457,7 @@ def im_soft_decode(model, omega, iterations, constellation):
     if np.ndim(omega) and np.shape(omega) != per_frame:
         raise ValueError(f"omega must be a scalar or shaped {per_frame}, got {np.shape(omega)}")
     w0 = matched_filter_estimate(model)
-    shape, clip_scale = w0.shape, constellation.axis_magnitude
+    shape, clip_scale = w0.shape, modem.AXIS_MAGNITUDE
     frames = w0.reshape(-1, *model.shape)
     op, (chunks, width) = _stack_operator(model, len(frames))
     # copies of the last frame and its omega fill the last chunk: a copy
@@ -494,9 +502,9 @@ def im_soft_decode(model, omega, iterations, constellation):
     return w.reshape(shape)
 
 
-def hard_demap(w, constellation):
-    """Entrywise nearest constellation point, the one with the signs of ``w``.
+def hard_demap(w):
+    """Entrywise nearest point of ``modem.POINTS``, the one with the signs of ``w``.
 
     An axis of ``±0.0`` or NaN counts as positive, and ``±inf`` goes by its sign.
     """
-    return constellation.points[constellation.nearest(w)]
+    return modem.POINTS[modem.nearest(w)]

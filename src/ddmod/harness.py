@@ -114,7 +114,9 @@ class SweepConfig:
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.radius_policy not in RADIUS_POLICIES:
-            raise ValueError(f"radius_policy must be one of {RADIUS_POLICIES}")
+            raise ValueError(
+                f"radius_policy must be one of {RADIUS_POLICIES}, got {self.radius_policy!r}"
+            )
         modem.ModemParams(m=self.m, n=self.n, alpha=self.alpha, beta=self.beta)
         self.eta  # refuses an alpha * beta that underflows to 0
         modem.get_constellation(self.constellation)
@@ -244,14 +246,13 @@ class _SweepRunner:
     def __init__(self, cfg):
         self.cfg = cfg
         self.params = modem.ModemParams(m=cfg.m, n=cfg.n, alpha=cfg.alpha, beta=cfg.beta)
-        self.constellation = modem.get_constellation(cfg.constellation)
-        self.eb = channel.measure_eb(self.params, self.constellation, cfg.master_seed)
+        self.eb = channel.measure_eb(self.params, None, cfg.master_seed)
         self.base_model = detect.build_effective_model(
             self.params.doppler_matrix,
             modem.build_delay_matrix(cfg.beta, cfg.m),
             np.zeros((cfg.n, cfg.m), dtype=complex),
         )
-        self.bits_per_frame = self.params.frame_symbols * self.constellation.bits_per_symbol
+        self.bits_per_frame = self.params.frame_symbols * modem.BITS_PER_SYMBOL
         # built by the first frame's substream, then reset for every frame
         self.rng = None
         self.sent = self.decoded = None  # the last round's, see compute
@@ -263,20 +264,18 @@ class _SweepRunner:
         that takes none.  The ``detect`` functions are looked up when called,
         so wrappers installed on the module see the calls.
         """
-        cfg, q = self.cfg, self.constellation
+        cfg = self.cfg
         ops = np.zeros(len(model.y_t), dtype=int)
         if cfg.decoder == "matched":
             return detect.matched_filter_estimate(model), ops
         radius = initial = None
         if cfg.uses_omega:
-            est = detect.im_soft_decode(model, omega, cfg.iterations, q)
+            est = detect.im_soft_decode(model, omega, cfg.iterations)
             if cfg.decoder == "im_soft":
                 return est, ops
-            initial = detect.hard_demap(est, q)
+            initial = detect.hard_demap(est)
             radius = None if cfg.radius_policy == "im_init" else np.inf
-        est, _, counter = detect.sd2d_decode(
-            model, q, cfg.k_list, radius_sq=radius, initial=initial
-        )
+        est, _, counter = detect.sd2d_decode(model, cfg.k_list, radius_sq=radius, initial=initial)
         return est, counter.mults + counter.adds
 
     def transmit(self, frames, sigma_sq):
@@ -297,7 +296,7 @@ class _SweepRunner:
             rng.standard_normal(out=z)
         self.rng = rng
         bits = channel.raw_bits(words, (len(frames), self.bits_per_frame))
-        x = modem.modulate(modem.map_bits(bits, self.constellation, cfg.n, cfg.m), self.params)
+        x = modem.modulate(modem.map_bits(bits, cfg.n, cfg.m), self.params)
         y_tf = modem.wigner_rect(channel.awgn(x, sigma_sq, noise), self.params)
         return bits, detect.refresh_observation(self.base_model, y_tf)
 
@@ -315,7 +314,7 @@ class _SweepRunner:
         # in one process)
         self.sent = bits, model = self.transmit(frames, sigma_sq)
         self.decoded = est, ops = self.decode(model, omega)
-        return np.sum(modem.demap_symbols(est, self.constellation) != bits, axis=1), ops
+        return np.sum(modem.demap_symbols(est) != bits, axis=1), ops
 
     def compute_shared(self, links, frames, sigma_sq, omega):
         """:meth:`compute` of a round, with an even share of its frames

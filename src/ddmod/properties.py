@@ -185,7 +185,7 @@ def check_schedule_soundness(n, m):
 def check_counter_conformance(n, m, alpha, beta):
     """A single-candidate sweep counts exactly the predicted operations."""
     model = _model(n, m, alpha, beta, np.ones((n, m), dtype=complex))
-    _, _, counter = detect.sd2d_decode(model, modem.qpsk(), k_list=1)
+    _, _, counter = detect.sd2d_decode(model, k_list=1)
     want = detect.predicted_complexity(m, n)
     return max(
         _rel(abs(int(counter.mults.sum()) - want.mults), want.mults),
@@ -199,16 +199,15 @@ def check_ml_equivalence(n, m, alpha, beta, rng):
     Checked on 20 random QPSK frames with noise of standard deviation 0.3
     per real axis.
     """
-    qpsk = modem.qpsk()
     a = modem.build_doppler_matrix(alpha, n)
     b = modem.build_delay_matrix(beta, m)
-    hypotheses = [np.array(pts).reshape(n, m) for pts in product(qpsk.points, repeat=n * m)]
+    hypotheses = [np.array(pts).reshape(n, m) for pts in product(modem.POINTS, repeat=n * m)]
     worst = 0.0
     for _ in range(20):
-        s = qpsk.points[rng.integers(0, qpsk.points.size, size=(n, m))]
+        s = modem.POINTS[rng.integers(0, 4, size=(n, m))]
         y = a @ s @ b.conj().T + 0.3 * _complex_normal(rng, (n, m))
         model = detect.build_effective_model(a, b, y)
-        s_hat, _, _ = detect.sd2d_decode(model, qpsk, k_list=len(hypotheses))
+        s_hat, _, _ = detect.sd2d_decode(model, k_list=len(hypotheses))
         best = min(detect.total_objective(model, f) for f in hypotheses)
         worst = max(worst, _rel(detect.total_objective(model, s_hat) - best, best))
     return worst

@@ -68,11 +68,10 @@ def test_criterion_3_ml_equivalence():
     runner = harness._SweepRunner(
         harness.SweepConfig(m=2, n=2, alpha=0.775, beta=0.775, decoder="sd2d", master_seed=33)
     )
-    q = runner.constellation
-    hypotheses = np.array([np.array(p).reshape(2, 2) for p in product(q.points, repeat=4)])
+    hypotheses = np.array([np.array(p).reshape(2, 2) for p in product(modem.POINTS, repeat=4)])
     sigma_sq = channel.noise_variance(4.0, runner.eb)
     _, models = runner.transmit([(0, f) for f in range(200)], [sigma_sq] * 200)
-    s_hats, losses, _ = detect.sd2d_decode(models, q, k_list=256)
+    s_hats, losses, _ = detect.sd2d_decode(models, k_list=256)
     for frame_index in range(200):
         y_t = models.y_t[frame_index]
         objs = np.array(
@@ -177,25 +176,25 @@ def test_criterion_7b_sphere_decoder_improves_on_iterative_init():
     start = time.perf_counter()
     for preset_name in ("fig4a", "fig4b"):
         runner = harness._SweepRunner(harness.PRESETS[preset_name])
-        cfg, q, bits_per_frame = runner.cfg, runner.constellation, runner.bits_per_frame
+        cfg, bits_per_frame = runner.cfg, runner.bits_per_frame
         omega = cfg.omega_values[0]
         for cell_index, ebn0 in enumerate(cfg.ebn0_db_points):
             sigma_sq = channel.noise_variance(ebn0, runner.eb)
             tx_bits, models = runner.transmit(
                 [(cell_index, f) for f in range(800)], [sigma_sq] * 800
             )
-            ws = detect.im_soft_decode(models, omega, cfg.iterations, q)
-            im_frames = detect.hard_demap(ws, q)
+            ws = detect.im_soft_decode(models, omega, cfg.iterations)
+            im_frames = detect.hard_demap(ws)
             sd_frames, sd_loss, _ = detect.sd2d_decode(
-                models, q, k_list=cfg.k_list, initial=im_frames
+                models, k_list=cfg.k_list, initial=im_frames
             )
             im_loss = detect.total_objective(models, im_frames)
             worse = np.flatnonzero(sd_loss > im_loss * (1 + 1e-9))
             assert worse.size == 0, (
                 f"{preset_name} {ebn0} dB frames {worse}: SD loss above IM loss"
             )
-            err_im = int(np.sum(modem.demap_symbols(im_frames, q) != tx_bits))
-            err_sd = int(np.sum(modem.demap_symbols(sd_frames, q) != tx_bits))
+            err_im = int(np.sum(modem.demap_symbols(im_frames) != tx_bits))
+            err_sd = int(np.sum(modem.demap_symbols(sd_frames) != tx_bits))
             bits = 800 * bits_per_frame
             ber_im, ber_sd = err_im / bits, err_sd / bits
             se = math.sqrt(ber_im * (1 - ber_im) / bits + ber_sd * (1 - ber_sd) / bits)

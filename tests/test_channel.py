@@ -23,15 +23,14 @@ class TestNoiseVariance:
     def test_energy_accounting_oracle(self):
         # sigma^2 consistent with measured frame energy per bit
         params = modem.ModemParams(m=4, n=4, alpha=0.8, beta=0.8)
-        q = modem.qpsk()
         seed = 99
-        eb = channel.measure_eb(params, q, seed)
+        eb = channel.measure_eb(params, None, seed)
         rng = channel.substream(seed, channel.CALIBRATION_STREAM)
         energy = 0.0
         bits_total = 0
         for _ in range(200):
             bits = rng.integers(0, 2, size=32)
-            s = modem.map_bits(bits, q, 4, 4)
+            s = modem.map_bits(bits, 4, 4)
             energy += float(np.sum(np.abs(modem.modulate(s, params)) ** 2))
             bits_total += 32
         oracle = (energy / bits_total) / 10 ** (6.0 / 10.0)
@@ -170,5 +169,11 @@ class TestMeasureEb:
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.9, 0.9), (0.675, 0.675)])
     def test_close_to_nominal_for_unit_energy_symbols(self, alpha, beta):
         params = modem.ModemParams(m=8, n=8, alpha=alpha, beta=beta)
-        eb = channel.measure_eb(params, modem.qpsk(), master_seed=3)
+        eb = channel.measure_eb(params, None, master_seed=3)
         assert eb == pytest.approx(0.5, rel=0.05)
+
+    def test_the_constellation_argument_is_not_read(self):
+        # the sweep passes None and the benchmark's set-up a Constellation
+        params = modem.ModemParams(m=4, n=2, alpha=0.8, beta=0.9)
+        eb = channel.measure_eb(params, modem.get_constellation("qpsk"), 5)
+        assert channel.measure_eb(params, None, 5) == eb

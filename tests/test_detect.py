@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 from ddmod import detect, harness, modem, properties
 from oracles import im_soft_decode_every_step, im_soft_settling_step, same_bits, soft_clip
 
-Q = modem.qpsk()
-# its axis_magnitude is exactly 1.0
-UNIT = modem.Constellation(points=np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]))
 
 
 def make_model(n, m, alpha, beta, y=None):
@@ -33,14 +30,13 @@ def identity_model(n, m, y):
 
 
 def random_qpsk_frame(rng, n, m):
-    q = modem.qpsk()
-    return q.points[rng.integers(0, 4, size=(n, m))]
+    return modem.POINTS[rng.integers(0, 4, size=(n, m))]
 
 
 def all_qpsk_frames(n, m):
     """Every QPSK frame, in ``itertools.product`` order over the entries."""
     digits = np.indices((4,) * (n * m)).reshape(n * m, -1).T
-    return modem.qpsk().points[digits].reshape(-1, n, m)
+    return modem.POINTS[digits].reshape(-1, n, m)
 
 
 class TestBuildEffectiveModel:
@@ -167,26 +163,24 @@ class TestSd2dUpdate:
 
     def test_greedy_identity_factors_round_to_nearest(self):
         rng = np.random.default_rng(69)
-        q = modem.qpsk()
         y = 0.8 * random_qpsk_frame(rng, 2, 2) + 0.05 * (
             rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         )
         model = identity_model(2, 2, y)
-        s_hat, _, _ = detect.sd2d_decode(model, q, k_list=1)
-        assert np.array_equal(s_hat, detect.hard_demap(y, q))
+        s_hat, _, _ = detect.sd2d_decode(model, k_list=1)
+        assert np.array_equal(s_hat, detect.hard_demap(y))
 
     def test_1x1_scalar_argmin(self):
-        q = modem.qpsk()
         y = np.array([[0.4 - 0.2j]])
         model = make_model(1, 1, 0.9, 0.9, y=y)
-        s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=4)
-        objs = [abs(y[0, 0] - model.g[0, 0] * p * np.conj(model.h[0, 0])) ** 2 for p in q.points]
+        s_hat, loss, _ = detect.sd2d_decode(model, k_list=4)
+        objs = [abs(y[0, 0] - model.g[0, 0] * p * np.conj(model.h[0, 0])) ** 2
+                for p in modem.POINTS]
         assert loss == pytest.approx(min(objs), rel=1e-12)
-        assert s_hat[0, 0] == q.points[int(np.argmin(objs))]
+        assert s_hat[0, 0] == modem.POINTS[int(np.argmin(objs))]
 
     def test_k16_matches_brute_force_on_seeded_batch(self):
         rng = np.random.default_rng(90)
-        q = modem.qpsk()
         a = modem.build_doppler_matrix(0.775, 2)
         b = modem.build_delay_matrix(0.775, 2)
         frames = all_qpsk_frames(2, 2)
@@ -197,21 +191,20 @@ class TestSd2dUpdate:
                 rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             )
             model = detect.refresh_observation(base, y)
-            _, loss, _ = detect.sd2d_decode(model, q, k_list=16)
+            _, loss, _ = detect.sd2d_decode(model, k_list=16)
             objs = [detect.total_objective(model, f) for f in frames]
             assert loss == pytest.approx(min(objs), rel=1e-10)
 
     def test_full_k_list_is_exhaustive_on_rectangular_frame(self):
         # with k_list = |A|^(N*M) the search provably enumerates every frame
         rng = np.random.default_rng(91)
-        q = modem.qpsk()
         n, m = 2, 3
         a = modem.build_doppler_matrix(0.8, n)
         b = modem.build_delay_matrix(0.7, m)
         s = random_qpsk_frame(rng, n, m)
         y = a @ s @ b.conj().T + 0.4 * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
         model = detect.build_effective_model(a, b, y)
-        _, loss, _ = detect.sd2d_decode(model, q, k_list=4 ** (n * m))
+        _, loss, _ = detect.sd2d_decode(model, k_list=4 ** (n * m))
         objs = [detect.total_objective(model, f) for f in all_qpsk_frames(n, m)]
         assert loss == pytest.approx(min(objs), rel=1e-10)
 
@@ -225,13 +218,12 @@ class TestSd2dDecode:
         a = modem.build_doppler_matrix(0.8, 4)
         b = modem.build_delay_matrix(0.8, 4)
         model = detect.build_effective_model(a, b, a @ s @ b.conj().T)
-        s_hat, loss, _ = detect.sd2d_decode(model, modem.qpsk(), k_list=k_list)
+        s_hat, loss, _ = detect.sd2d_decode(model, k_list=k_list)
         assert np.array_equal(s_hat, s)
         assert loss < 1e-18
 
     def test_k_best_monotonicity_on_seeded_batch(self):
         rng = np.random.default_rng(74)
-        q = modem.qpsk()
         a = modem.build_doppler_matrix(0.775, 4)
         b = modem.build_delay_matrix(0.775, 4)
         base = detect.build_effective_model(a, b, np.zeros((4, 4), dtype=complex))
@@ -241,24 +233,23 @@ class TestSd2dDecode:
                 rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             )
             model = detect.refresh_observation(base, y)
-            _, loss1, _ = detect.sd2d_decode(model, q, k_list=1)
-            _, loss8, _ = detect.sd2d_decode(model, q, k_list=8)
+            _, loss1, _ = detect.sd2d_decode(model, k_list=1)
+            _, loss8, _ = detect.sd2d_decode(model, k_list=8)
             assert loss8 <= loss1 + 1e-12
 
     def test_tiny_radius_still_returns(self):
         rng = np.random.default_rng(76)
-        q = modem.qpsk()
         y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         model = make_model(2, 2, 0.9, 0.9, y=y)
-        s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=4, radius_sq=1e-12)
-        assert np.all(np.isin(s_hat.reshape(-1), q.points))
+        s_hat, loss, _ = detect.sd2d_decode(model, k_list=4, radius_sq=1e-12)
+        assert np.all(np.isin(s_hat.reshape(-1), modem.POINTS))
         assert np.isfinite(loss)
 
     @pytest.mark.parametrize("radius_sq", [-1.0, math.nan])
     def test_rejects_bad_radius(self, radius_sq):
         model = make_model(2, 2, 0.9, 0.9)
         with pytest.raises(ValueError, match="radius_sq"):
-            detect.sd2d_decode(model, modem.qpsk(), k_list=4, radius_sq=radius_sq)
+            detect.sd2d_decode(model, k_list=4, radius_sq=radius_sq)
 
 
 class TestSd2dContract:
@@ -272,7 +263,6 @@ class TestSd2dContract:
     )
     def test_decoder_contract(self, n, m, k_list, seed, with_initial):
         rng = np.random.default_rng(seed)
-        q = modem.qpsk()
         a = modem.build_doppler_matrix(0.8, n)
         b = modem.build_delay_matrix(0.75, m)
         y = a @ random_qpsk_frame(rng, n, m) @ b.conj().T + 0.5 * (
@@ -281,15 +271,15 @@ class TestSd2dContract:
         model = detect.build_effective_model(a, b, y)
         initial = None
         if with_initial:
-            initial = detect.hard_demap(detect.matched_filter_estimate(model), q)
-        s_hat, loss, _ = detect.sd2d_decode(model, q, k_list=k_list, initial=initial)
+            initial = detect.hard_demap(detect.matched_filter_estimate(model))
+        s_hat, loss, _ = detect.sd2d_decode(model, k_list=k_list, initial=initial)
         assert loss == pytest.approx(detect.total_objective(model, s_hat), rel=1e-10)
-        assert np.all(np.isin(s_hat.reshape(-1), q.points))
+        assert np.all(np.isin(s_hat.reshape(-1), modem.POINTS))
         if initial is not None:
             assert loss <= detect.total_objective(model, initial) * (1 + 1e-9)
         frames = all_qpsk_frames(n, m)
         brute = np.sum(np.abs(y - a @ frames @ b.conj().T) ** 2, axis=(1, 2)).min()
-        _, full_loss, _ = detect.sd2d_decode(model, q, k_list=4 ** (n * m), initial=initial)
+        _, full_loss, _ = detect.sd2d_decode(model, k_list=4 ** (n * m), initial=initial)
         assert full_loss == pytest.approx(brute, rel=1e-10)
 
 
@@ -297,7 +287,7 @@ class TestStackedSd2d:
     """A stacked decode gives each frame exactly what it gets alone."""
 
     @staticmethod
-    def assert_frames_decode_alone(stacked, models, q, k_list, radius_sq, initial):
+    def assert_frames_decode_alone(stacked, models, k_list, radius_sq, initial):
         s_hat, loss, counter = stacked
         assert s_hat.shape == models.y_t.shape and loss.shape == (len(models.y_t),)
         assert counter.mults.shape == counter.adds.shape == loss.shape
@@ -307,7 +297,7 @@ class TestStackedSd2d:
         for i, y in enumerate(models.y_t):
             alone = detect.refresh_observation(models, y)
             s_1, loss_1, counter_1 = detect.sd2d_decode(
-                alone, q, k_list,
+                alone, k_list,
                 radius_sq=radius_sq if np.ndim(radius_sq) == 0 else radius_sq[i],
                 initial=None if initial is None else initial[i],
             )
@@ -337,26 +327,25 @@ class TestStackedSd2d:
         if chunk is not None:
             entries = chunk * min(k_list, 4 ** (n * m)) * n * m
         rng = np.random.default_rng(seed)
-        q = modem.qpsk()
         a = modem.build_doppler_matrix(0.8, n)
         b = modem.build_delay_matrix(0.75, m)
-        s = q.points[rng.integers(0, 4, size=(len(sigmas), n, m))]
+        s = modem.POINTS[rng.integers(0, 4, size=(len(sigmas), n, m))]
         noise = rng.normal(size=(2, len(sigmas), n, m))
         y = a @ s @ b.conj().T + np.array(sigmas)[:, None, None] * (noise[0] + 1j * noise[1])
         models = detect.refresh_observation(make_model(n, m, 0.8, 0.75), y)
         initial = None
         if with_initial:
-            initial = detect.hard_demap(detect.matched_filter_estimate(models), q)
+            initial = detect.hard_demap(detect.matched_filter_estimate(models))
         with mock.patch.object(modem, "STACK_ENTRIES", entries):
-            stacked = detect.sd2d_decode(models, q, k_list, radius_sq=radius_sq, initial=initial)
-        self.assert_frames_decode_alone(stacked, models, q, k_list, radius_sq, initial)
+            stacked = detect.sd2d_decode(models, k_list, radius_sq=radius_sq, initial=initial)
+        self.assert_frames_decode_alone(stacked, models, k_list, radius_sq, initial)
 
     def test_estimates_hold_no_survivors(self):
         rng = np.random.default_rng(93)
         y = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
         models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
         for model in (models, detect.refresh_observation(models, y[0])):
-            s_hat = detect.sd2d_decode(model, modem.qpsk(), 16)[0]
+            s_hat = detect.sd2d_decode(model, 16)[0]
             owner = s_hat if s_hat.base is None else s_hat.base
             assert owner.size <= s_hat.size
 
@@ -370,7 +359,7 @@ class TestStackedSd2d:
         def traced_peak(model):
             tracemalloc.start()
             try:
-                detect.sd2d_decode(model, modem.qpsk(), 16)
+                detect.sd2d_decode(model, 16)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -382,12 +371,11 @@ class TestStackedSd2d:
         # one survivor throughout; the infinite radii of frames 0 and 2 keep
         # k_list survivors
         rng = np.random.default_rng(92)
-        q = modem.qpsk()
         y = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
         models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
         radius_sq = np.array([math.inf, 0.0, math.inf])
-        stacked = detect.sd2d_decode(models, q, 4, radius_sq=radius_sq)
-        self.assert_frames_decode_alone(stacked, models, q, 4, radius_sq, None)
+        stacked = detect.sd2d_decode(models, 4, radius_sq=radius_sq)
+        self.assert_frames_decode_alone(stacked, models, 4, radius_sq, None)
         single = detect.predicted_complexity(4, 4)
         counter = stacked[2]
         assert (counter.mults[1], counter.adds[1]) == (single.mults, single.adds)
@@ -396,13 +384,12 @@ class TestStackedSd2d:
     def test_nan_frame_falls_back_to_its_first_child(self):
         # every child of the NaN frame is NaN, like the padding; it still
         # keeps one real survivor, and its neighbour decodes as alone
-        q = modem.qpsk()
         y = np.array([np.full((2, 2), np.nan + 0j), 0.7 * np.ones((2, 2))])
         models = detect.refresh_observation(make_model(2, 2, 1.0, 1.0), y)
-        s_hat, loss, counter = detect.sd2d_decode(models, q, 4)
-        assert np.array_equal(s_hat[0], np.full((2, 2), q.points[0]))
+        s_hat, loss, counter = detect.sd2d_decode(models, 4)
+        assert np.array_equal(s_hat[0], np.full((2, 2), modem.POINTS[0]))
         assert np.isnan(loss[0])
-        self.assert_frames_decode_alone((s_hat, loss, counter), models, q, 4, None, None)
+        self.assert_frames_decode_alone((s_hat, loss, counter), models, 4, None, None)
 
 
 class TestMatchedFilter:
@@ -422,18 +409,16 @@ class TestMatchedFilter:
 class TestImSoftDecode:
     def test_orthogonal_noiseless_recovers_frame(self):
         rng = np.random.default_rng(84)
-        q = modem.qpsk()
         s = random_qpsk_frame(rng, 4, 4)
         a = modem.build_doppler_matrix(1.0, 4)
         b = modem.build_delay_matrix(1.0, 4)
         model = detect.build_effective_model(a, b, a @ s @ b.conj().T)
-        w = detect.im_soft_decode(model, 1.0, 10, Q)
-        assert np.array_equal(detect.hard_demap(w, q), s)
+        w = detect.im_soft_decode(model, 1.0, 10)
+        assert np.array_equal(detect.hard_demap(w), s)
 
     def test_beats_matched_filter_on_noisy_batch(self):
         # seeded Monte-Carlo comparison against the one-shot baseline
         rng = np.random.default_rng(85)
-        q = modem.qpsk()
         n = m = 8
         alpha = beta = 0.9
         a = modem.build_doppler_matrix(alpha, n)
@@ -445,10 +430,10 @@ class TestImSoftDecode:
             s = random_qpsk_frame(rng, n, m)
             noise = np.sqrt(0.05 / 2) * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
             model = detect.refresh_observation(base, a @ s @ b.conj().T + noise)
-            w = detect.im_soft_decode(model, 0.5, 40, Q)
+            w = detect.im_soft_decode(model, 0.5, 40)
             x0 = detect.matched_filter_estimate(model)
-            err_soft += int(np.sum(detect.hard_demap(w, q) != s))
-            err_matched += int(np.sum(detect.hard_demap(x0, q) != s))
+            err_soft += int(np.sum(detect.hard_demap(w) != s))
+            err_matched += int(np.sum(detect.hard_demap(x0) != s))
             bits += n * m
         assert err_soft < err_matched
 
@@ -456,7 +441,7 @@ class TestImSoftDecode:
     def test_empty_stack_gives_an_empty_result(self, omega):
         models = detect.refresh_observation(make_model(4, 3, 0.8, 0.85),
                                             np.zeros((0, 4, 3), dtype=complex))
-        got = detect.im_soft_decode(models, omega, 20, Q)
+        got = detect.im_soft_decode(models, omega, 20)
         assert got.shape == (0, 4, 3) and got.dtype == complex
 
 
@@ -468,7 +453,7 @@ class TestImSoftFixedPoint:
         rng = np.random.default_rng(seed)
         a = modem.build_doppler_matrix(0.8, n)
         b = modem.build_delay_matrix(0.8, n)
-        s = modem.qpsk().points[rng.integers(0, 4, size=(frames, n, n))]
+        s = modem.POINTS[rng.integers(0, 4, size=(frames, n, n))]
         noise = rng.normal(size=(2, frames, n, n))
         y = a @ s @ b.conj().T + sigma * (noise[0] + 1j * noise[1])
         return detect.refresh_observation(make_model(n, n, 0.8, 0.8), y)
@@ -498,12 +483,12 @@ class TestImSoftFixedPoint:
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_matches_the_loop_without_exit(self, n, frames, omega, iterations, sigma):
         models = self.stack(n, frames, sigma, seed=93 + n)
-        want = im_soft_decode_every_step(models, omega, iterations, Q.axis_magnitude)
-        assert np.array_equal(detect.im_soft_decode(models, omega, iterations, Q), want)
+        want = im_soft_decode_every_step(models, omega, iterations, modem.AXIS_MAGNITUDE)
+        assert np.array_equal(detect.im_soft_decode(models, omega, iterations), want)
         # one relaxation factor per frame
         omegas = np.linspace(0.25, 1.2, frames)[:, None, None]
-        want = im_soft_decode_every_step(models, omegas, iterations, Q.axis_magnitude)
-        assert np.array_equal(detect.im_soft_decode(models, omegas, iterations, Q), want)
+        want = im_soft_decode_every_step(models, omegas, iterations, modem.AXIS_MAGNITUDE)
+        assert np.array_equal(detect.im_soft_decode(models, omegas, iterations), want)
 
     @pytest.mark.parametrize("omega", [0.25, 1.0, 1.2])
     @pytest.mark.parametrize("iterations", [1, 75])
@@ -521,8 +506,8 @@ class TestImSoftFixedPoint:
         p[7, 0, :4] = [np.inf, -np.inf, np.nan, -0.0]
         with np.errstate(invalid="ignore", over="ignore"):
             models = detect.refresh_observation(models, y)
-            want = im_soft_decode_every_step(models, omega, iterations, Q.axis_magnitude)
-            got = detect.im_soft_decode(models, omega, iterations, Q)
+            want = im_soft_decode_every_step(models, omega, iterations, modem.AXIS_MAGNITUDE)
+            got = detect.im_soft_decode(models, omega, iterations)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.isfinite(got[8:]).all()
 
@@ -544,22 +529,24 @@ class TestImSoftFixedPoint:
                                           np.concatenate(values).reshape(-1, 1, 1))
 
     @pytest.mark.parametrize("omega", [0.25, 1.0, 1.25])
-    def test_clip_at_half_matches_bitwise_on_edge_values(self, omega):
+    def test_clip_at_half_matches_bitwise_on_edge_values(self, omega, monkeypatch):
         # axis magnitude 1 and two steps, so step 1 clips the observation at d = 0.5
+        monkeypatch.setattr(modem, "AXIS_MAGNITUDE", 1.0)
         models = self.clip_edge_stack()
         with np.errstate(invalid="ignore"):
-            want = im_soft_decode_every_step(models, omega, 2, UNIT.axis_magnitude)
-            got = detect.im_soft_decode(models, omega, 2, UNIT)
+            want = im_soft_decode_every_step(models, omega, 2, 1.0)
+            got = detect.im_soft_decode(models, omega, 2)
         assert same_bits(got, want)
 
     def test_first_step_clips_edge_values_as_soft_clip_does(self, monkeypatch):
         # the observation itself is the start, infinities included, where the
         # complex products of the matched filter would turn them into NaNs
         models = self.clip_edge_stack()
+        monkeypatch.setattr(modem, "AXIS_MAGNITUDE", 1.0)
         monkeypatch.setattr(detect, "matched_filter_estimate", lambda model: model.y_t.copy())
         steps = self.counted_steps(monkeypatch)
         with np.errstate(invalid="ignore"):
-            detect.im_soft_decode(models, 0.5, 2, UNIT)
+            detect.im_soft_decode(models, 0.5, 2)
         # a NaN stays the same NaN, where soft_clip maps it to +1
         p = models.y_t.view(float)
         want = np.where(np.isnan(p), p, soft_clip(models.y_t, 0.5).view(float))
@@ -575,11 +562,12 @@ class TestImSoftFixedPoint:
         models = detect.refresh_observation(identity_model(1, 1, np.zeros((1, 1))),
                                             values.reshape(-1, 1, 1))
         omegas = np.linspace(0.25, 1.25, len(values))[:, None, None]
+        monkeypatch.setattr(modem, "AXIS_MAGNITUDE", 1.0)
         monkeypatch.setattr(detect, "matched_filter_estimate", lambda model: model.y_t.copy())
         steps = self.counted_steps(monkeypatch)
         with np.errstate(invalid="ignore"):
-            got = detect.im_soft_decode(models, omegas, 1, UNIT)
-            want = im_soft_decode_every_step(models, omegas, 1, UNIT.axis_magnitude)
+            got = detect.im_soft_decode(models, omegas, 1)
+            want = im_soft_decode_every_step(models, omegas, 1, 1.0)
         # a NaN stays the same NaN, where soft_clip maps it to +1
         p = models.y_t.view(float)
         clip = np.where(np.isnan(p), p, soft_clip(models.y_t, 0.0).view(float))
@@ -598,11 +586,11 @@ class TestImSoftFixedPoint:
         self, sigma, seed, settle, monkeypatch
     ):
         models = self.stack(4, 10, sigma, seed)
-        assert im_soft_settling_step(models, 0.5, 75, Q.axis_magnitude) == settle
+        assert im_soft_settling_step(models, 0.5, 75, modem.AXIS_MAGNITUDE) == settle
         steps = self.counted_steps(monkeypatch)
-        got = detect.im_soft_decode(models, 0.5, 75, Q)
+        got = detect.im_soft_decode(models, 0.5, 75)
         assert len(steps) == settle
-        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 75, Q.axis_magnitude))
+        assert same_bits(got, im_soft_decode_every_step(models, 0.5, 75, modem.AXIS_MAGNITUDE))
 
     # a cap of 4 frames cuts 5 into 2 chunks of 3, the last padded with a
     # copy of the last frame, which settles with it
@@ -613,17 +601,18 @@ class TestImSoftFixedPoint:
             monkeypatch.setattr(detect, "SERIAL_GEMM_MNK", serial_mnk)
         models = self.stack(4, 6, 0.3, seed=95)
         models = detect.refresh_observation(models, models.y_t[:frames])
-        want = im_soft_decode_every_step(models, 0.5, 75, Q.axis_magnitude)
+        want = im_soft_decode_every_step(models, 0.5, 75, modem.AXIS_MAGNITUDE)
         steps = self.counted_steps(monkeypatch)
         alone = []
         for y in models.y_t:
             model = detect.refresh_observation(models, y)
-            detect.im_soft_decode(model, 0.5, 75, Q)
-            assert len(steps) == im_soft_settling_step(model, 0.5, 75, Q.axis_magnitude)
+            detect.im_soft_decode(model, 0.5, 75)
+            assert len(steps) == im_soft_settling_step(model, 0.5, 75, modem.AXIS_MAGNITUDE)
             alone.append(len(steps))
             steps.clear()
-        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75, Q), want)
-        assert len(steps) == max(alone) == im_soft_settling_step(models, 0.5, 75, Q.axis_magnitude)
+        assert np.array_equal(detect.im_soft_decode(models, 0.5, 75), want)
+        settle = im_soft_settling_step(models, 0.5, 75, modem.AXIS_MAGNITUDE)
+        assert len(steps) == max(alone) == settle
         assert min(alone) < max(alone) < 75
 
 
@@ -660,7 +649,7 @@ class TestWideOperator:
     def stack(n, m, frames, sigma, seed, specials=()):
         rng = np.random.default_rng(seed)
         base = make_model(n, m, 0.8, 0.85)
-        s = modem.qpsk().points[rng.integers(0, 4, size=(frames, n, m))]
+        s = modem.POINTS[rng.integers(0, 4, size=(frames, n, m))]
         noise = rng.normal(size=(2, frames, n, m))
         y = base.g @ s @ base.h.conj().T + sigma * (noise[0] + 1j * noise[1])
         for frame, kind in specials:
@@ -725,13 +714,13 @@ class TestWideOperator:
         recording, paths = self.recorded_paths()
         with self.forced_chunks(keeps), np.errstate(invalid="ignore", over="ignore"):
             with recording:
-                stacked = detect.im_soft_decode(models, omegas, iterations, Q)
+                stacked = detect.im_soft_decode(models, omegas, iterations)
             assert paths == [(frames, layout)]
-            want = im_soft_decode_every_step(models, omegas, iterations, Q.axis_magnitude)
+            want = im_soft_decode_every_step(models, omegas, iterations, modem.AXIS_MAGNITUDE)
             assert same_bits(stacked, want)
             for y, omega, w in zip(models.y_t, omegas, stacked):
                 model = detect.refresh_observation(models, y)
-                assert same_bits(detect.im_soft_decode(model, omega, iterations, Q), w)
+                assert same_bits(detect.im_soft_decode(model, omega, iterations), w)
 
     # on this machine's BLAS: the 16-row preset shapes, and shapes with N < 2
     # or M % 4 != 0, whose widths above 1 differ on OpenBLAS 0.3.31's Haswell
@@ -758,15 +747,15 @@ class TestWideOperator:
             layout = (b, 1)
         recording, paths = self.recorded_paths()
         with recording, np.errstate(invalid="ignore"):
-            got = detect.im_soft_decode(models, omegas, 75, Q)
-            want = im_soft_decode_every_step(models, omegas, 75, Q.axis_magnitude)
+            got = detect.im_soft_decode(models, omegas, 75)
+            want = im_soft_decode_every_step(models, omegas, 75, modem.AXIS_MAGNITUDE)
         assert paths == [(b, layout)]
         assert same_bits(got, want)
         got = got.reshape(-1, n, m)
         for y, omega, w in zip(models.y_t.reshape(-1, n, m), omegas.reshape(-1, 1, 1), got):
             model = detect.refresh_observation(models, y)
             with np.errstate(invalid="ignore"):
-                assert same_bits(detect.im_soft_decode(model, omega, 75, Q), w)
+                assert same_bits(detect.im_soft_decode(model, omega, 75), w)
         assert np.isnan(got[39:]).all() and np.isfinite(got[:39]).all()
         # the stack's width was checked if above 1, and nothing else
         assert checked == [width] * (width > 1)
@@ -829,7 +818,15 @@ class TestWideOperator:
         assert min(modem.STACK_ENTRIES // (n * m), detect._chunk_cap(n, m)) == bound
         widths = range(2, bound + 1)
         assert all(detect._width_keeps_bits(n, m, width) for width in widths)
-        assert sizes == [(1, width * n * m) for width in widths]
+        # the fewest chunks of each width that hold WIDTH_CHECK_ENTRIES entries
+        chunks = [-(-detect.WIDTH_CHECK_ENTRIES // (width * n * m)) for width in widths]
+        assert sizes == [(c, c * width * n * m) for c, width in zip(chunks, widths)]
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_check_refuses_the_2x1_widths_one_chunk_accepted(self, width):
+        # on this machine's BLAS a 2x1 chunk sums in another order than one
+        # frame; one chunk of the check's random frames gave the same bits
+        assert not detect._width_keeps_bits(2, 1, width)
 
     def test_each_width_that_runs_is_checked_once(self, monkeypatch):
         # the (N, M, width) the check ran, leaving out the calls its cache
@@ -854,7 +851,7 @@ class TestWideOperator:
             for (n, m), counts in sizes.items():
                 for frames in counts:
                     models = self.stack(n, m, frames, 0.3, seed=frames + n)
-                    detect.im_soft_decode(models, 0.5, 3, Q)
+                    detect.im_soft_decode(models, 0.5, 3)
                     ran.append((n, m, self.layout(frames, self.cap(n, m))[1]))
         # each stack ran at the width of its cap, or as chunks of one frame
         # where its width failed the check
@@ -883,8 +880,8 @@ class TestWideOperator:
         models = self.stack(4, 4, frames, 0.3, seed=101)
         omegas = np.linspace(0.25, 1.2, frames)[:, None, None]
         with recording:
-            got = detect.im_soft_decode(models, omegas, 75, Q)
-        assert same_bits(got, im_soft_decode_every_step(models, omegas, 75, Q.axis_magnitude))
+            got = detect.im_soft_decode(models, omegas, 75)
+        assert same_bits(got, im_soft_decode_every_step(models, omegas, 75, modem.AXIS_MAGNITUDE))
         assert paths == [(frames, layout)]
 
     @pytest.mark.parametrize("m,chunked", [(4, True), (3, False)], ids=["wide", "refused"])
@@ -898,13 +895,13 @@ class TestWideOperator:
             for model, shape in bad:
                 want = f"omega must be a scalar or shaped {model.y_t.shape[:-2] + (1, 1)}, "
                 with pytest.raises(ValueError, match=re.escape(f"{want}got {shape}")):
-                    detect.im_soft_decode(model, np.full(shape, 0.5), 20, Q)
+                    detect.im_soft_decode(model, np.full(shape, 0.5), 20)
         assert paths == []
         # one factor per frame gives each frame the bits of a scalar omega
         with self.forced_chunks(chunked), recording:
             for model, shape in [(models, (6, 1, 1)), (one, (1, 1))]:
-                got = detect.im_soft_decode(model, np.full(shape, 0.5), 20, Q)
-                assert same_bits(got, detect.im_soft_decode(model, 0.5, 20, Q))
+                got = detect.im_soft_decode(model, np.full(shape, 0.5), 20)
+                assert same_bits(got, detect.im_soft_decode(model, 0.5, 20))
         six = (1, 6) if chunked else (6, 1)
         assert paths == [(6, six), (6, six), (1, (1, 1)), (1, (1, 1))]
 
@@ -912,21 +909,19 @@ class TestWideOperator:
 class TestHardDemap:
     def test_nearest_point_and_tie(self):
         rng = np.random.default_rng(87)
-        q = modem.qpsk()
         s = random_qpsk_frame(rng, 4, 4)
         delta = 0.3 * np.exp(2j * np.pi * rng.uniform(size=(4, 4)))  # below half min distance
         for w in (s, s + delta):
-            assert np.array_equal(detect.hard_demap(w, q), s)
+            assert np.array_equal(detect.hard_demap(w), s)
         # a tie goes to the lowest index
-        assert np.all(detect.hard_demap(np.zeros((2, 2), dtype=complex), q) == q.points[0])
+        assert np.all(detect.hard_demap(np.zeros((2, 2), dtype=complex)) == modem.POINTS[0])
 
     def test_agrees_with_bit_demap(self):
         # both demappers decide by the one sign rule, ties included
         rng = np.random.default_rng(88)
-        q = modem.qpsk()
         frames = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(20)]
         frames += [np.zeros((2, 2), dtype=complex), np.array([[1.0, 1j, -1.0, -1j, 0.5]])]
         for w in frames:
             assert np.array_equal(
-                modem.demap_symbols(detect.hard_demap(w, q), q), modem.demap_symbols(w, q)
+                modem.demap_symbols(detect.hard_demap(w)), modem.demap_symbols(w)
             )

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddmod import modem, properties
+from ddmod import detect, modem, properties
 
 # regression baseline from an SVD oracle, see test_condition_number_baseline
 COND_A_09_16 = 17.139345394283602
-# Gray QPSK up to scale, in label order, and the refusal of any other alphabet
-PATTERN = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
-CONSTELLATION_MESSAGE = (
-    r"^a constellation must be c \* \(1\+1j, -1\+1j, 1-1j, -1-1j\) with a finite c > 0$"
-)
 
 
 def random_frame(rng, n, m):
@@ -238,74 +233,56 @@ class TestBitMapping:
         ((1, 0), (1 - 1j) / np.sqrt(2)),
     ], ids=["00", "01", "11", "10"])
     def test_qpsk_gray_table(self, bits, point):
-        frame = modem.map_bits(np.array(bits), modem.qpsk(), 1, 1)
+        frame = modem.map_bits(np.array(bits), 1, 1)
         assert frame[0, 0] == pytest.approx(point)
 
     def test_demap_tolerates_small_perturbation(self):
         rng = np.random.default_rng(40)
-        q = modem.qpsk()
         bits = rng.integers(0, 2, size=32)
-        frame = modem.map_bits(bits, q, 4, 4)
+        frame = modem.map_bits(bits, 4, 4)
         wobble = 0.09 * np.exp(2j * np.pi * rng.uniform(size=(4, 4)))
-        assert np.array_equal(modem.demap_symbols(frame + wobble, q), bits)
+        assert np.array_equal(modem.demap_symbols(frame + wobble), bits)
 
     def test_stacked_roundtrip_row_by_row(self):
         rng = np.random.default_rng(41)
-        q = modem.qpsk()
         bits = rng.integers(0, 2, size=(3, 2 * 3 * 2))
-        frames = modem.map_bits(bits, q, 2, 3)
+        frames = modem.map_bits(bits, 2, 3)
         assert frames.shape == (3, 2, 3)
-        assert np.array_equal(frames[1], modem.map_bits(bits[1], q, 2, 3))
-        assert np.array_equal(modem.demap_symbols(frames, q), bits)
+        assert np.array_equal(frames[1], modem.map_bits(bits[1], 2, 3))
+        assert np.array_equal(modem.demap_symbols(frames), bits)
         with pytest.raises(ValueError):
-            modem.map_bits(bits[None], q, 2, 3)
+            modem.map_bits(bits[None], 2, 3)
 
     @pytest.mark.parametrize("bad", [0.5, 1.5, -0.5])
     def test_non_binary_values_refused_before_the_cast(self, bad):
         bits = np.zeros(32)
         bits[5] = bad
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            modem.map_bits(bits, modem.qpsk(), 4, 4)
+            modem.map_bits(bits, 4, 4)
 
     def test_float_and_bool_bits_map_as_integers(self):
-        q = modem.qpsk()
         bits = np.random.default_rng(42).integers(0, 2, size=(2, 32))
-        frames = modem.map_bits(bits, q, 4, 4)
-        assert np.array_equal(modem.map_bits(bits.astype(float), q, 4, 4), frames)
-        assert np.array_equal(modem.map_bits(bits.astype(bool), q, 4, 4), frames)
+        frames = modem.map_bits(bits, 4, 4)
+        assert np.array_equal(modem.map_bits(bits.astype(float), 4, 4), frames)
+        assert np.array_equal(modem.map_bits(bits.astype(bool), 4, 4), frames)
 
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError):
-            modem.map_bits(np.zeros(7, dtype=int), modem.qpsk(), 2, 2)
+            modem.map_bits(np.zeros(7, dtype=int), 2, 2)
 
     def test_unit_average_energy(self):
-        q = modem.qpsk()
-        assert np.mean(np.abs(q.points) ** 2) == pytest.approx(1.0)
-        assert q.axis_magnitude == pytest.approx(2**-0.5)
+        assert np.mean(np.abs(modem.POINTS) ** 2) == pytest.approx(1.0)
+        # every axis of every point has the one magnitude 1/sqrt(2), the
+        # value the pinned outputs were computed with
+        assert np.array_equal(np.abs(modem.POINTS.view(float)), np.full(8, 1 / np.sqrt(2.0)))
+        assert modem.AXIS_MAGNITUDE == 1 / np.sqrt(2.0) == 0.7071067811865475
 
-
-class TestConstellation:
-    @pytest.mark.parametrize("scale", [2**-0.5, 1.0, 3.0, 5e-324])
-    def test_scaled_qpsk_accepted(self, scale):
-        q = modem.Constellation(points=scale * PATTERN)
-        assert np.array_equal(q.points, scale * PATTERN) and q.bits_per_symbol == 2
-
-    @pytest.mark.parametrize("points", [
-        np.exp(2j * np.pi * np.arange(8) / 8),
-        np.concatenate([PATTERN, PATTERN]),
-        PATTERN[[0, 1, 3, 2]],
-        PATTERN[::-1],
-        np.conj(PATTERN),
-        -1.0 * PATTERN,
-        0.0 * PATTERN,
-        np.nan * PATTERN,
-        np.inf * PATTERN,
-        np.array([]),
-    ], ids=["8psk", "8 points", "gray order swapped", "reversed", "conjugated",
-            "negative scale", "zero scale", "nan scale", "inf scale", "empty"])
-    def test_anything_else_refused_with_one_message(self, points):
-        with pytest.raises(ValueError, match=CONSTELLATION_MESSAGE):
-            modem.Constellation(points=points)
+    def test_points_are_read_only_and_frames_are_copies(self):
+        with pytest.raises(ValueError, match="read-only"):
+            modem.POINTS[0] = 0.0
+        frame = modem.map_bits(np.zeros(8, dtype=int), 2, 2)
+        frame[0, 0] = 0.0
+        assert modem.POINTS[0] == (1 + 1j) / np.sqrt(2.0)
 
 
 class TestNearest:
@@ -313,34 +290,40 @@ class TestNearest:
     AXES = [(0.0, 0), (-0.0, 0), (np.nan, 0), (5e-324, 0), (-5e-324, 1),
             (0.5, 0), (-0.5, 1), (np.inf, 0), (-np.inf, 1)]
 
-    @pytest.mark.parametrize("scale", [2**-0.5, 1.0, 1e300])
-    def test_sign_rule(self, scale):
+    # each function that decides by the rule, and what it gives for the
+    # (imag < 0, real < 0) bits of each entry of a frame or a stack
+    DECIDERS = {
+        "nearest": (modem.nearest, lambda bits: 2 * bits[..., 0] + bits[..., 1]),
+        "demap_symbols": (modem.demap_symbols, lambda bits: bits.reshape(*bits.shape[:-3], -1)),
+        "hard_demap": (
+            detect.hard_demap, lambda bits: modem.POINTS[2 * bits[..., 0] + bits[..., 1]]
+        ),
+    }
+
+    @pytest.mark.parametrize("decider", DECIDERS)
+    def test_sign_rule(self, decider):
         # label 2 * (imag < 0) + (real < 0): +-0 and NaN count as positive,
-        # +-inf goes by its sign
-        q = modem.Constellation(points=scale * PATTERN)
+        # +-inf goes by its sign; one frame, and a stack of three
+        decide, want = self.DECIDERS[decider]
         w = np.array([[complex(re, im) for re, _ in self.AXES] for im, _ in self.AXES])
         bits = np.array([[(im_neg, re_neg) for _, re_neg in self.AXES] for _, im_neg in self.AXES])
-        want = 2 * bits[..., 0] + bits[..., 1]
-        assert np.array_equal(q.nearest(w), want)
-        assert np.array_equal(q.nearest(w[None].repeat(3, axis=0)), np.stack([want] * 3))
-        assert np.array_equal(modem.demap_symbols(w, q), bits.reshape(-1))
+        assert np.array_equal(decide(w), want(bits))
+        assert np.array_equal(decide(w[None].repeat(3, axis=0)), want(np.stack([bits] * 3)))
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 8),
-           spread=st.floats(-12, 12), scale=st.floats(1e-100, 1e100))
-    def test_equals_argmin_where_the_distances_do_not_tie(self, seed, frames, spread, scale):
-        # the argmin of the rounded distances on random stacks, at any
-        # positive scale, wherever its best two distances differ by more than
-        # rounding; the pinned sweeps hold no value closer to a tie
-        q = modem.Constellation(points=scale * PATTERN)
+    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 8), spread=st.floats(-12, 12))
+    def test_equals_argmin_where_the_distances_do_not_tie(self, seed, frames, spread):
+        # the argmin of the rounded distances on random stacks wherever its
+        # best two distances differ by more than rounding; the pinned sweeps
+        # hold no value closer to a tie
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=(frames, 4, 8)).view(complex) * (scale * 10.0**spread)
-        dist = np.abs(w[..., None] - q.points)
+        w = rng.normal(size=(frames, 4, 8)).view(complex) * 10.0**spread
+        dist = np.abs(w[..., None] - modem.POINTS)
         best = np.sort(dist, axis=-1)
         apart = best[..., 1] - best[..., 0] > 8 * np.finfo(float).eps * best[..., 1]
-        # within 1e12 of the scale a tie is rare, so most entries are compared
+        # within 1e12 of the points' scale a tie is rare, so most entries are compared
         assert apart.mean() > 0.5
-        assert np.array_equal(q.nearest(w)[apart], np.argmin(dist, axis=-1)[apart])
+        assert np.array_equal(modem.nearest(w)[apart], np.argmin(dist, axis=-1)[apart])
 
 
 class TestModemParams:

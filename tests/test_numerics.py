@@ -47,9 +47,18 @@ class TestQRDecompose:
         q2, r2 = numerics.qr_decompose(a.copy())
         assert np.array_equal(q1, q2) and np.array_equal(r1, r2)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            numerics.qr_decompose(np.ones((2, 3)))
+    # as_matrix refuses what is not a non-empty 2-d matrix before the square check
+    @pytest.mark.parametrize("shape,match", [
+        ((2, 3), "square matrix, got 2x3"),
+        ((), r"non-empty 2-d matrix, got shape \(\)"),
+        ((4,), r"non-empty 2-d matrix, got shape \(4,\)"),
+        ((2, 2, 2), r"non-empty 2-d matrix, got shape \(2, 2, 2\)"),
+        ((0, 0), r"non-empty 2-d matrix, got shape \(0, 0\)"),
+        ((3, 0), r"non-empty 2-d matrix, got shape \(3, 0\)"),
+    ], ids=["2x3", "0-d", "1-d", "3-d", "0x0", "3x0"])
+    def test_rejects_a_non_square_or_non_matrix_shape(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            numerics.qr_decompose(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(0, np.nan)])
     def test_rejects_nonfinite(self, bad):
@@ -93,13 +102,13 @@ COUNT_CALLERS = {
     "ModemParams.n": ("n", 1, lambda v: modem.ModemParams(m=2, n=v)),
     "build_doppler_matrix": ("size", 1, lambda v: modem.build_doppler_matrix(0.8, v)),
     "build_delay_matrix": ("size", 1, lambda v: modem.build_delay_matrix(0.8, v)),
-    "map_bits.n_rows": ("n_rows", 1, lambda v: modem.map_bits(np.zeros(12), modem.qpsk(), v, 2)),
-    "map_bits.m_cols": ("m_cols", 1, lambda v: modem.map_bits(np.zeros(12), modem.qpsk(), 2, v)),
+    "map_bits.n_rows": ("n_rows", 1, lambda v: modem.map_bits(np.zeros(12), v, 2)),
+    "map_bits.m_cols": ("m_cols", 1, lambda v: modem.map_bits(np.zeros(12), 2, v)),
     "wavefront_schedule.n_rows": ("n_rows", 1, lambda v: detect.wavefront_schedule(v, 2)),
     "wavefront_schedule.m_cols": ("m_cols", 1, lambda v: detect.wavefront_schedule(2, v)),
-    "sd2d_decode": ("k_list", 1, lambda v: detect.sd2d_decode(small_model(), modem.qpsk(), v)),
+    "sd2d_decode": ("k_list", 1, lambda v: detect.sd2d_decode(small_model(), v)),
     "im_soft_decode": ("iterations", 1,
-                       lambda v: detect.im_soft_decode(small_model(), 0.5, v, modem.qpsk())),
+                       lambda v: detect.im_soft_decode(small_model(), 0.5, v)),
     "predicted_complexity.m": ("m", 1, lambda v: detect.predicted_complexity(v, 2)),
     "predicted_complexity.n": ("n", 1, lambda v: detect.predicted_complexity(2, v)),
     **{f"SweepConfig.{name}": (name, 1, lambda v, name=name: small_config(**{name: v}))
