@@ -1,5 +1,7 @@
 """Tests for the non-orthogonal modem chain."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,25 @@ class TestBitMapping:
         frame = modem.map_bits(np.zeros(8, dtype=int), 2, 2)
         frame[0, 0] = 0.0
         assert modem.POINTS[0] == (1 + 1j) / np.sqrt(2.0)
+
+
+class TestGetConstellation:
+    # the benchmark's set-up names the config's alphabet and reads its
+    # bits_per_symbol; QPSK is the only name
+
+    def test_qpsk_carries_two_bits_a_symbol(self):
+        q = modem.get_constellation("qpsk")
+        assert isinstance(q, modem.Constellation)
+        assert q.bits_per_symbol == modem.BITS_PER_SYMBOL == 2
+
+    def test_the_constellation_takes_no_points(self):
+        with pytest.raises(TypeError):
+            modem.Constellation(modem.POINTS)
+
+    @pytest.mark.parametrize("name", ["8psk", "16qam", "QPSK", "qpsk ", ""])
+    def test_any_other_name_refused(self, name):
+        with pytest.raises(ValueError, match=f"^unknown constellation {re.escape(repr(name))}$"):
+            modem.get_constellation(name)
 
 
 class TestNearest:
