@@ -18,8 +18,8 @@ per-cell terms
 each depending only on the lower-right quadrant of ``S``.  The 2-D sphere
 decoder walks cells from the bottom-right corner toward the origin along
 L-shaped shells (so every quadrant is decided before it is read).  It
-decodes a ``(B, N, M)`` stack of frames in chunks of frames whose survivors
-hold at most ``modem.STACK_ENTRIES`` entries.  Its survivors are plain
+decodes a ``(B, N, M)`` stack of frames in balanced chunks of frames whose
+survivors hold at most ``SURVIVOR_ENTRIES`` entries.  Its survivors are plain
 arrays: a ``(B, S, N, M)`` stack of partial frames, zero in the cells not yet
 decided, and their accumulated ``(B, S)`` losses, NaN in the slots a frame
 does not fill.  Each cell extends every survivor by every point of
@@ -53,6 +53,11 @@ RADIUS_SLACK = 1e-6
 SERIAL_GEMM_MNK = 1 << 16
 # fewest symbol entries a width check compares, see _width_keeps_bits
 WIDTH_CHECK_ENTRIES = 256
+# most survivor entries (frames x survivors x N x M) in one chunk of a sphere
+# decode: 64 frames at 4x4 with k_list = 16.  A wider chunk pays fewer numpy
+# calls a frame until its survivors outgrow the L2 cache.  It bounds memory
+# and never changes a result.
+SURVIVOR_ENTRIES = 1 << 14
 # Smallest |R_ii| relative to ||A||_F at or below which a QR factor is
 # considered effectively rank deficient.
 RANK_EPS = 1e-12
@@ -203,6 +208,15 @@ def _schedule_arrays(n_rows, m_cols):
     return schedule, rows, cols, exts
 
 
+def _balanced_chunks(frames, cap):
+    """``(chunks, width)``: the fewest chunks of at most ``cap`` frames that
+    hold ``frames`` frames, each ``width = ceil(frames / chunks)`` wide, so
+    the chunks are as even as equal widths can make them and only the last
+    may hold fewer.  An empty stack is one chunk of width 0."""
+    chunks = max(1, -(-frames // cap))
+    return chunks, -(-frames // chunks)
+
+
 def _kbest(model, u, k_list, radius_sq):
     """Each frame's best survivor for the ``(B, N, M)`` observations ``u``.
 
@@ -265,11 +279,11 @@ def sd2d_decode(model, k_list, radius_sq=None, initial=None):
     for bit as it would alone.  A frame with fewer live survivors pads its
     losses with NaN, which sorts after every child and never passes a
     radius, so each frame keeps its own radius, fallback and live count.
-    The stack is decoded in chunks of
-    ``max(1, modem.STACK_ENTRIES // (min(k_list, 4**(N*M)) * N * M))``
-    frames, so one chunk's survivors hold at most ``STACK_ENTRIES`` entries
-    (a chunk of one frame may hold more), and the returned arrays hold no
-    survivors.
+    The stack is decoded in the fewest chunks of at most
+    ``max(1, SURVIVOR_ENTRIES // (min(k_list, 4**(N*M)) * N * M))`` frames,
+    as even as they can be (see :func:`_balanced_chunks`), so one chunk's
+    survivors hold at most ``SURVIVOR_ENTRIES`` entries (a chunk of one frame
+    may hold more), and the returned arrays hold no survivors.
 
     ``radius_sq`` is a scalar or one value per frame.  It defaults to
     infinity, or to ``(1 + 1e-6) * J(initial)`` for each frame when an
@@ -295,11 +309,13 @@ def sd2d_decode(model, k_list, radius_sq=None, initial=None):
     if not (radius_sq >= 0).all():
         raise ValueError("radius_sq must be non-negative or infinite")
     survivors = min(k_list, modem.POINTS.size ** (n_rows * m_cols))
-    chunk = max(1, modem.STACK_ENTRIES // (survivors * n_rows * m_cols))
+    cap = max(1, SURVIVOR_ENTRIES // (survivors * n_rows * m_cols))
+    _, width = _balanced_chunks(len(u), cap)
     s_hat, loss = np.empty(u.shape, dtype=complex), np.empty(len(u))
     mults, adds = np.empty(len(u), dtype=int), np.empty(len(u), dtype=int)
-    for start in range(0, len(u), chunk):
-        part = slice(start, start + chunk)
+    # an empty stack has width 0 and runs no chunk
+    for start in range(0, len(u), max(1, width)):
+        part = slice(start, start + width)
         s_hat[part], loss[part], mults[part], adds[part] = _kbest(
             model, u[part], k_list, radius_sq[part]
         )
@@ -404,8 +420,7 @@ def _stack_operator(model, frames):
     of its ``(chunks, N, width, M)`` iterate: the fewest chunks within the
     cap, as even as they can be.  A width that fails its check runs as
     ``frames`` chunks of one frame, whose products are the frame's own."""
-    chunks = max(1, -(-frames // _chunk_cap(*model.shape)))
-    width = -(-frames // chunks)
+    chunks, width = _balanced_chunks(frames, _chunk_cap(*model.shape))
     if width > 1 and not _width_keeps_bits(*model.shape, width):
         chunks, width = frames, 1
     return _chunked_operator(*_gram_matrices(model), chunks, width), (chunks, width)

@@ -25,9 +25,9 @@ import numpy as np
 from . import numerics
 
 # most symbol entries (frames x N x M) stacked into one batched call by the
-# harness and the Eb calibration, and survivor entries (frames x survivors x
-# N x M) in one chunk of a sphere decode; it bounds their memory and never
-# changes a result
+# harness and the Eb calibration; it bounds their memory and never changes a
+# result.  A sphere decode cuts its stack by its own survivor budget,
+# detect.SURVIVOR_ENTRIES.
 STACK_ENTRIES = 1 << 13
 
 

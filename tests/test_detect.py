@@ -157,6 +157,14 @@ class TestWavefrontSchedule:
     def test_permutation_and_dependency_soundness(self, n, m):
         assert properties.check_schedule_soundness(n, m) == 0.0
 
+    @pytest.mark.parametrize("order", [
+        [(1, 1), (1, 0), (1, 0), (0, 0)],
+        [(0, 0), (1, 1), (1, 0), (0, 1)],
+    ], ids=["repeats_a_cell", "origin_first"])
+    def test_soundness_check_refuses_a_bad_schedule(self, order, monkeypatch):
+        monkeypatch.setattr(detect, "wavefront_schedule", lambda n, m: order)
+        assert properties.check_schedule_soundness(2, 2) == 1.0
+
 
 class TestSd2dUpdate:
     """The per-cell survivor update, seen through whole decodes."""
@@ -321,9 +329,10 @@ class TestStackedSd2d:
     def test_stack_equals_frames_decoded_alone(
         self, n, m, k_list, seed, sigmas, with_initial, radius_sq, chunk
     ):
-        # STACK_ENTRIES then holds the survivors of `chunk` frames, so the
-        # stack is decoded in chunks of that many frames, the last maybe fewer
-        entries = modem.STACK_ENTRIES
+        # SURVIVOR_ENTRIES then holds the survivors of `chunk` frames, so the
+        # stack is decoded in the fewest chunks of at most that many frames,
+        # all as wide as the first but the last, which may hold fewer
+        entries = detect.SURVIVOR_ENTRIES
         if chunk is not None:
             entries = chunk * min(k_list, 4 ** (n * m)) * n * m
         rng = np.random.default_rng(seed)
@@ -336,7 +345,7 @@ class TestStackedSd2d:
         initial = None
         if with_initial:
             initial = detect.hard_demap(detect.matched_filter_estimate(models))
-        with mock.patch.object(modem, "STACK_ENTRIES", entries):
+        with mock.patch.object(detect, "SURVIVOR_ENTRIES", entries):
             stacked = detect.sd2d_decode(models, k_list, radius_sq=radius_sq, initial=initial)
         self.assert_frames_decode_alone(stacked, models, k_list, radius_sq, initial)
 
@@ -349,12 +358,32 @@ class TestStackedSd2d:
             owner = s_hat if s_hat.base is None else s_hat.base
             assert owner.size <= s_hat.size
 
+    @pytest.mark.parametrize("frames,widths", [
+        (512, [64] * 8), (100, [50, 50]), (65, [33, 32]), (1, [1]), (0, []),
+    ])
+    def test_chunks_are_balanced_within_the_survivor_budget(self, frames, widths, monkeypatch):
+        # at 4x4 with k_list = 16, SURVIVOR_ENTRIES holds the survivors of 64
+        # frames; a stack runs in the fewest chunks of at most 64 frames
+        original, seen = detect._kbest, []
+
+        def recorded(model, u, k_list, radius_sq):
+            seen.append(len(u))
+            return original(model, u, k_list, radius_sq)
+
+        monkeypatch.setattr(detect, "_kbest", recorded)
+        rng = np.random.default_rng(95)
+        y = rng.normal(size=(frames, 4, 4)) + 1j * rng.normal(size=(frames, 4, 4))
+        models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
+        s_hat, loss, counter = detect.sd2d_decode(models, 16)
+        assert seen == widths
+        assert s_hat.shape == y.shape and loss.shape == counter.mults.shape == (frames,)
+
     def test_memory_does_not_grow_with_the_stack(self):
-        # 32 frames of 16 survivors fill one chunk at 4x4; 512 frames take 16
+        # 64 frames of 16 survivors fill one chunk at 4x4; 512 frames take 8
         rng = np.random.default_rng(94)
         y = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
         models = detect.refresh_observation(make_model(4, 4, 0.8, 0.8), y)
-        small = detect.refresh_observation(models, y[:32])
+        small = detect.refresh_observation(models, y[:64])
 
         def traced_peak(model):
             tracemalloc.start()

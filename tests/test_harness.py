@@ -418,6 +418,14 @@ class TestRunSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert harness.default_workers() == 1
 
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+    def test_default_workers_count_the_cores_where_there_is_no_mask(
+        self, cpus, workers, monkeypatch
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness.default_workers() == workers
+
 
 def record_work(monkeypatch, log_dir):
     """Make each process of a sweep log, in a file of its own under
